@@ -80,10 +80,8 @@ from .oracle import (
     scalar_muon_trajectory,
 )
 from .problems import (
-    ErrorReport,
     IclInstance,
     MfInstance,
-    evaluate,
     icl_loss_grad,
     icl_monte_carlo_loss,
     icl_spectral_error,

@@ -19,7 +19,6 @@ from .experiments import (
     parse_config,
     preconditioner_report,
     run_experiment,
-    verify,
 )
 
 EXIT_OK = 0
@@ -62,6 +61,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(cfg: ExperimentConfig, out_dir: str | None) -> int:
+    """Run a config and report it: suite lines and their verdict for
+    ``kind = verify``, the written paths otherwise."""
+    out = run_experiment(cfg, out_dir=out_dir)
+    if cfg.kind == "verify":
+        (row,) = out.summary_rows
+        for line in row["lines"]:
+            print(line)
+        return EXIT_OK if row["passed"] else EXIT_VERIFY_FAILED
+    for path in out.csv_paths + out.figure_paths:
+        print(f"wrote {path}")
+    if out.summary_path:
+        print(f"wrote {out.summary_path}")
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -70,17 +85,9 @@ def main(argv=None) -> int:
                 cfg = parse_config(fh.read())
             if args.seed is not None:
                 cfg.seed = args.seed
-            if cfg.kind == "verify":
-                report = verify(cfg.suite)
-                for line in report.lines:
-                    print(line)
-                return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-            out = run_experiment(cfg, out_dir=args.out)
-            for path in out.csv_paths + out.figure_paths:
-                print(f"wrote {path}")
-            if out.summary_path:
-                print(f"wrote {out.summary_path}")
-            return EXIT_OK
+            return _run(cfg, args.out)
+        if args.command == "verify":
+            return _run(ExperimentConfig(kind="verify", suite=args.suite), None)
         if args.command == "lower-bound":
             cfg = ExperimentConfig(
                 kind="lower_bound",
@@ -100,22 +107,17 @@ def main(argv=None) -> int:
                     f">= bound={row['bound']:g}? {status}"
                 )
             return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
-        if args.command == "precond-viz":
-            steps = tuple(int(s) for s in args.steps.split(","))
-            report = preconditioner_report(
-                d=args.d, r=args.r, k=args.k, alpha=args.alpha, steps=steps,
-                seed=args.seed, out_dir=args.out,
-            )
-            for s, diff in zip(report.steps, report.normalized_differences):
-                print(f"t={s}: trace-normalized block difference {diff:.6f}")
-            for path in report.heatmap_paths:
-                print(f"wrote {path}")
-            return EXIT_OK
-        # verify
-        report = verify(args.suite)
-        for line in report.lines:
-            print(line)
-        return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+        # precond-viz
+        steps = tuple(int(s) for s in args.steps.split(","))
+        report = preconditioner_report(
+            d=args.d, r=args.r, k=args.k, alpha=args.alpha, steps=steps,
+            seed=args.seed, out_dir=args.out,
+        )
+        for s, diff in zip(report.steps, report.normalized_differences):
+            print(f"t={s}: trace-normalized block difference {diff:.6f}")
+        for path in report.heatmap_paths:
+            print(f"wrote {path}")
+        return EXIT_OK
     except (ConfigError, PreconditionError, FileNotFoundError) as exc:
         # bad config values and out-of-contract CLI parameters alike
         print(f"config error: {exc}", file=sys.stderr)

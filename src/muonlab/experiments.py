@@ -10,6 +10,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -193,16 +194,16 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def record_to_csv_row(rec: TrajectoryRecord) -> str:
-    return ",".join(
-        [
-            str(rec.t),
-            format_float(rec.eta),
-            format_float(rec.loss),
-            format_float(rec.spectral_error),
-            format_float(rec.grad_sigma_min),
-        ]
-    )
+def write_csv(path: str, header: str, rows) -> None:
+    """Write ``header`` and one comma-joined line per row, LF endings.
+
+    Cells go through ``str``, so floats should arrive already formatted by
+    ``format_float``.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def parse_records_csv(text: str) -> list[TrajectoryRecord]:
@@ -226,12 +227,12 @@ def parse_records_csv(text: str) -> list[TrajectoryRecord]:
 
 def write_records_csv(path: str, records, diagnostic_t: int | None = None):
     """Write trajectory records; a diagnostic NaN row marks an aborted run."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(record_to_csv_row(rec) + "\n")
-        if diagnostic_t is not None:
-            fh.write(f"{diagnostic_t},nan,nan,nan,nan\n")
+    rows = (
+        (rec.t, *map(format_float, (rec.eta, rec.loss, rec.spectral_error, rec.grad_sigma_min)))
+        for rec in records
+    )
+    diagnostic = [] if diagnostic_t is None else [(diagnostic_t, "nan", "nan", "nan", "nan")]
+    write_csv(path, CSV_HEADER, itertools.chain(rows, diagnostic))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +313,15 @@ def _sweep_points(cfg: ExperimentConfig):
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutput:
     """Execute a sweep config: one CSV per (algorithm, point, replicate),
-    plus a first-hit summary CSV and a resolved-config metadata file."""
+    plus a first-hit summary CSV and a resolved-config metadata file.
+
+    ``kind = verify`` writes nothing; its one summary row holds the suite
+    report's ``passed`` and ``lines``.
+    """
     if cfg.kind == "verify":
         report = verify(cfg.suite)
         return RunOutput(csv_paths=[], summary_path=None, metadata_path=None,
-                         summary_rows=[{"passed": report.passed}])
+                         summary_rows=[{"passed": report.passed, "lines": report.lines}])
     out_dir = out_dir or cfg.out
     os.makedirs(out_dir, exist_ok=True)
     if cfg.kind == "lower_bound":
@@ -394,15 +399,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
                         }
                     )
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="\n") as fh:
-        fh.write("algorithm,kappa,k,replicate,epsilon,first_hit,final_error,iterations\n")
-        for row in summary_rows:
-            fh.write(
-                f"{row['algorithm']},{format_float(row['kappa'])},{row['k']},"
-                f"{row['replicate']},{format_float(row['epsilon'])},"
-                f"{format_float(row['first_hit'])},{format_float(row['final_error'])},"
-                f"{row['iterations']}\n"
-            )
+    header = "algorithm,kappa,k,replicate,epsilon,first_hit,final_error,iterations"
+    write_csv(summary_path, header, (
+        (row["algorithm"], format_float(row["kappa"]), row["k"], row["replicate"],
+         *map(format_float, (row["epsilon"], row["first_hit"], row["final_error"])),
+         row["iterations"])
+        for row in summary_rows
+    ))
     figure_paths: list[str] = []
     for algorithm, series in curves.items():
         if series:
@@ -447,10 +450,7 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
             res = run_hard_icl(hard, etas, T)
             metric, hit, eps = res.metric, res.first_hit, hard.epsilon
         path = os.path.join(out_dir, f"lower_bound_{cfg.family}_kappa{kappa:g}.csv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,metric\n")
-            for t, v in enumerate(metric):
-                fh.write(f"{t},{format_float(v)}\n")
+        write_csv(path, "t,metric", ((t, format_float(v)) for t, v in enumerate(metric)))
         csv_paths.append(path)
         bound = (kappa - 1.0) / 4.0
         summary_rows.append(
@@ -464,14 +464,11 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
             }
         )
     summary_path = os.path.join(out_dir, "lower_bound_summary.csv")
-    with open(summary_path, "w", newline="\n") as fh:
-        fh.write("family,kappa,epsilon,first_hit,bound,satisfied\n")
-        for row in summary_rows:
-            fh.write(
-                f"{row['family']},{format_float(row['kappa'])},{format_float(row['epsilon'])},"
-                f"{format_float(row['first_hit'])},{format_float(row['bound'])},"
-                f"{int(row['satisfied'])}\n"
-            )
+    floats = ("kappa", "epsilon", "first_hit", "bound")
+    write_csv(summary_path, "family,kappa,epsilon,first_hit,bound,satisfied", (
+        (row["family"], *(format_float(row[key]) for key in floats), int(row["satisfied"]))
+        for row in summary_rows
+    ))
     meta = _write_metadata(cfg, out_dir)
     return RunOutput(
         csv_paths=csv_paths, summary_path=summary_path, metadata_path=meta,
@@ -564,10 +561,8 @@ def preconditioner_report(
             emit_svg_heatmap(ps, title=f"ScaledGD preconditioner block, t={s}", path=pb)
             heatmaps.extend([pa, pb])
         diff_path = os.path.join(out_dir, "precond_differences.csv")
-        with open(diff_path, "w", newline="\n") as fh:
-            fh.write("t,normalized_difference\n")
-            for s, v in zip(steps, diffs):
-                fh.write(f"{s},{format_float(v)}\n")
+        write_csv(diff_path, "t,normalized_difference",
+                  ((s, format_float(v)) for s, v in zip(steps, diffs)))
     return PreconditionerReport(
         steps=tuple(steps),
         muon_blocks=muon_blocks,

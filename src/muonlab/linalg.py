@@ -35,6 +35,19 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def check_matrices(shape: tuple[int, ...], **named) -> list[np.ndarray]:
+    """``check_matrix`` on each keyword argument (its name labels errors),
+    then ``PreconditionError`` unless each has ``shape``; returns the
+    coerced arrays in argument order."""
+    out = []
+    for name, a in named.items():
+        a = check_matrix(a, name)
+        if a.shape != tuple(shape):
+            raise PreconditionError(f"{name} must have shape {tuple(shape)}, got {a.shape}")
+        out.append(a)
+    return out
+
+
 @dataclass(frozen=True)
 class SymEigFactors:
     """Eigendecomposition A = V @ diag(eigenvalues) @ V.T.
@@ -156,7 +169,3 @@ def condition_number(a, rank: int) -> float:
             f"lambda_1={lam1:.3e}, lambda_r={lam_r:.3e}"
         )
     return float(lam1 / lam_r)
-
-
-def frobenius_norm(z) -> float:
-    return float(np.linalg.norm(np.asarray(z, dtype=np.float64)))

@@ -48,11 +48,14 @@ class NewtonSchulzResult:
 
 
 def msign_exact(z) -> np.ndarray:
-    """Exact matrix sign U_Z @ V_Z.T from the compact SVD of Z."""
-    z = check_matrix(z, "msign input")
+    """Exact matrix sign U_Z @ V_Z.T from the compact SVD of Z.
+
+    ``svd`` checks the input, so non-2-D or non-finite Z raises
+    ``PreconditionError``.
+    """
     f = svd(z)
     if f.rank == 0:
-        return np.zeros_like(z)
+        return np.zeros((f.left.shape[0], f.right.shape[0]))
     return f.left @ f.right.T
 
 

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalDivergenceError, PreconditionError, RankDeficiencyError
-from .linalg import check_matrix, symmetric_eig
-from .msign import NewtonSchulzConfig, msign_exact, msign_newton_schulz, sign_entrywise
+from .linalg import check_matrices, symmetric_eig
+from .msign import NewtonSchulzConfig, msign_exact, msign_newton_schulz
 from .rng import RandomStream
-
-ALGORITHMS = ("muon", "gd", "signgd", "scaledgd")
 
 # Above this dimension the per-step sigma_min(grad) SVD is skipped and the
 # record carries -1.0, keeping large sweeps inside their runtime budget.
@@ -188,11 +186,51 @@ class Trajectory:
     iterates: list[np.ndarray] | None = None
 
 
-def _apply_msign(b: np.ndarray, backend: str, ns_config: NewtonSchulzConfig):
-    if backend == "exact":
-        return msign_exact(b), True
-    result = msign_newton_schulz(b, ns_config)
-    return result.matrix, result.converged
+# Update kernels: (x, grad, eta, state, algo) -> (x_next, state_next,
+# msign_converged).  They trust their array inputs; ``run_trajectory`` checks
+# its initial point once, and the public ``*_step`` functions check theirs.
+
+
+def _muon_update(x, grad, eta, state: MuonState, algo: OptimizerConfig):
+    if eta <= 0.0:
+        raise PreconditionError("eta must be positive")
+    # mu == 0 takes the gradient verbatim, so simplified Muon is bitwise
+    # exact, and leaves the unused buffer as it is.
+    if state.mu != 0.0:
+        grad = grad + state.mu * state.buffer
+        state = replace(state, buffer=grad)
+    if not np.any(grad):
+        return x.copy(), state, True
+    if algo.msign_backend == "exact":
+        return x - eta * msign_exact(grad), state, True
+    result = msign_newton_schulz(grad, algo.ns_config)
+    return x - eta * result.matrix, state, result.converged
+
+
+def _gd_update(x, grad, eta, state, algo):
+    return x - eta * grad, state, True
+
+
+def _signgd_update(x, grad, eta, state, algo):
+    return x - eta * np.sign(grad), state, True
+
+
+def _scaledgd_update(u, grad, eta, state, algo):
+    factors = symmetric_eig(u.T @ u)
+    lam = factors.eigenvalues
+    if lam[0] <= 0.0 or lam[-1] <= (1e-12) ** 2 * lam[0]:
+        raise RankDeficiencyError("scaledgd: U^T U is numerically singular")
+    gram_inv = (factors.eigenvectors / lam) @ factors.eigenvectors.T
+    return u - eta * grad @ gram_inv, state, True
+
+
+_UPDATES = {
+    "muon": _muon_update,
+    "gd": _gd_update,
+    "signgd": _signgd_update,
+    "scaledgd": _scaledgd_update,
+}
+ALGORITHMS = tuple(_UPDATES)
 
 
 def muon_step(
@@ -206,40 +244,26 @@ def muon_step(
     """One Muon update: B' = grad + mu*B, X' = X - eta * msign(B').
 
     Returns (x_next, state_next, msign_converged).  A zero momentum buffer
-    update leaves X unchanged (msign(0) = 0) rather than raising.
+    update leaves X unchanged (msign(0) = 0) rather than raising.  With
+    mu = 0 the buffer is bypassed and ``state`` comes back as it was.
     """
-    x = check_matrix(x, "iterate")
-    grad = check_matrix(grad, "gradient")
-    if x.shape != grad.shape or x.shape != state.buffer.shape:
-        raise PreconditionError("iterate/gradient/buffer shapes disagree")
-    if eta <= 0.0:
-        raise PreconditionError("eta must be positive")
+    x, grad = check_matrices(state.buffer.shape, iterate=x, gradient=grad)
     if ns_config is None:
         ns_config = NewtonSchulzConfig()
-    # mu == 0 takes the gradient verbatim so simplified Muon is bitwise exact.
-    b = grad if state.mu == 0.0 else grad + state.mu * state.buffer
-    if not np.any(b):
-        return x.copy(), replace(state, buffer=b.copy()), True
-    direction, converged = _apply_msign(b, backend, ns_config)
-    return x - eta * direction, replace(state, buffer=b.copy()), converged
+    algo = OptimizerConfig("muon", msign_backend=backend, ns_config=ns_config)
+    return _muon_update(x, grad, eta, state, algo)
 
 
 def gd_step(x, grad, eta: float) -> np.ndarray:
     """Plain gradient step X - eta * grad."""
-    x = check_matrix(x, "iterate")
-    grad = check_matrix(grad, "gradient")
-    if x.shape != grad.shape:
-        raise PreconditionError("iterate/gradient shapes disagree")
-    return x - eta * grad
+    x, grad = check_matrices(np.shape(x), iterate=x, gradient=grad)
+    return _gd_update(x, grad, eta, None, None)[0]
 
 
 def signgd_step(x, grad, eta: float) -> np.ndarray:
     """Entrywise-sign step X - eta * sign(grad); zero entries stay put."""
-    x = check_matrix(x, "iterate")
-    grad = check_matrix(grad, "gradient")
-    if x.shape != grad.shape:
-        raise PreconditionError("iterate/gradient shapes disagree")
-    return x - eta * sign_entrywise(grad)
+    x, grad = check_matrices(np.shape(x), iterate=x, gradient=grad)
+    return _signgd_update(x, grad, eta, None, None)[0]
 
 
 def scaledgd_step(u, grad, eta: float) -> np.ndarray:
@@ -248,17 +272,8 @@ def scaledgd_step(u, grad, eta: float) -> np.ndarray:
     The Gram inverse goes through the eigendecomposition; a numerically
     singular Gram matrix raises rather than being silently regularized.
     """
-    u = check_matrix(u, "iterate")
-    grad = check_matrix(grad, "gradient")
-    if u.shape != grad.shape:
-        raise PreconditionError("iterate/gradient shapes disagree")
-    gram = u.T @ u
-    factors = symmetric_eig(gram)
-    lam = factors.eigenvalues
-    if lam[0] <= 0.0 or lam[-1] <= (1e-12) ** 2 * lam[0]:
-        raise RankDeficiencyError("scaledgd: U^T U is numerically singular")
-    gram_inv = (factors.eigenvectors / lam) @ factors.eigenvectors.T
-    return u - eta * grad @ gram_inv
+    u, grad = check_matrices(np.shape(u), iterate=u, gradient=grad)
+    return _scaledgd_update(u, grad, eta, None, None)[0]
 
 
 def run_trajectory(
@@ -276,18 +291,19 @@ def run_trajectory(
     is the schedule value that a further step would have used).
 
     sigma_min of the gradient is logged through an SVD for instances with
-    d <= SIGMA_MIN_DIM_CAP and recorded as -1.0 above that.  A non-finite
-    loss aborts with ``NumericalDivergenceError`` carrying the records so
+    d <= SIGMA_MIN_DIM_CAP and recorded as -1.0 above that.  ``init`` is the
+    only array checked: it must be 2-D, finite and of shape
+    ``inst.iterate_shape()``.  Every later iterate comes from the update
+    kernels, and one that is no longer finite shows up as a non-finite loss,
+    which aborts with ``NumericalDivergenceError`` carrying the records so
     far.  ``stop_below`` ends the run once the spectral error reaches it.
     """
     if T < 1:
         raise PreconditionError("T must be >= 1")
-    x = check_matrix(init, "init").copy()
-    if x.shape != inst.iterate_shape():
-        raise PreconditionError(
-            f"init must have shape {inst.iterate_shape()}, got {x.shape}"
-        )
+    (x,) = check_matrices(inst.iterate_shape(), init=init)
+    x = x.copy()
     state = MuonState.zeros(x.shape, mu=algo.mu)
+    update = _UPDATES[algo.algorithm]
     with_gsm = inst.d <= SIGMA_MIN_DIM_CAP
     records: list[TrajectoryRecord] = []
     iterates: list[np.ndarray] | None = [x.copy()] if keep_iterates else None
@@ -307,18 +323,8 @@ def run_trajectory(
         if t == T or (stop_below is not None and err <= stop_below):
             records.append(TrajectoryRecord(t, eta, loss, err, gsm, True))
             break
-        converged_flag = True
-        if algo.algorithm == "muon":
-            x, state, converged_flag = muon_step(
-                x, grad, state, eta, backend=algo.msign_backend, ns_config=algo.ns_config
-            )
-        elif algo.algorithm == "gd":
-            x = gd_step(x, grad, eta)
-        elif algo.algorithm == "signgd":
-            x = signgd_step(x, grad, eta)
-        else:
-            x = scaledgd_step(x, grad, eta)
-        records.append(TrajectoryRecord(t, eta, loss, err, gsm, converged_flag))
+        x, state, converged = update(x, grad, eta, state, algo)
+        records.append(TrajectoryRecord(t, eta, loss, err, gsm, converged))
         if keep_iterates:
             iterates.append(x.copy())
     return Trajectory(records=records, final=x, iterates=iterates)

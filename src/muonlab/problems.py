@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import check_matrix, spectral_norm
+from .linalg import check_matrix, check_matrices, spectral_norm
 from .rng import RandomStream
 
 
@@ -46,10 +46,19 @@ class MfInstance:
         return (self.d, self.k)
 
     def loss_grad(self, u):
-        return mf_loss_grad(self, u)
+        """Loss 0.25 * ||U U^T - M||_F^2 and its gradient (U U^T - M) U.
+
+        Unchecked: U must already be a finite d x k array, as
+        ``run_trajectory`` guarantees.  ``mf_loss_grad`` checks first.
+        """
+        delta = u @ u.T - self.target
+        loss = 0.25 * float(np.sum(delta * delta))
+        return loss, delta @ u
 
     def spectral_error(self, u) -> float:
-        return mf_spectral_error(self, u)
+        """Spectral-norm recovery error ||U U^T - M||, unchecked like
+        ``loss_grad``."""
+        return spectral_norm(u @ u.T - self.target)
 
 
 @dataclass(frozen=True)
@@ -83,17 +92,20 @@ class IclInstance:
         return (self.d, self.d)
 
     def loss_grad(self, q):
-        return icl_loss_grad(self, q)
+        """Loss 0.5 * tr((SQ - I) S (SQ - I)^T) and gradient S (SQ - I) S.
+
+        Unchecked: Q must already be a finite d x d array, as
+        ``run_trajectory`` guarantees.  ``icl_loss_grad`` checks first.
+        """
+        s = self.covariance
+        resid = s @ q - np.eye(self.d)
+        loss = 0.5 * float(np.trace(resid @ s @ resid.T))
+        return loss, s @ resid @ s
 
     def spectral_error(self, q) -> float:
-        return icl_spectral_error(self, q)
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    loss: float
-    spectral_error: float
-    grad_sigma_min: float
+        """Spectral-norm distance to the minimizer, ||Q - S^-1||, unchecked
+        like ``loss_grad``."""
+        return spectral_norm(q - self.inverse)
 
 
 def _log_uniform_spectrum(top: float, bottom: float, n: int) -> np.ndarray:
@@ -133,21 +145,16 @@ def make_mf_instance(
 
 
 def mf_loss_grad(inst: MfInstance, u):
-    """Loss 0.25 * ||U U^T - M||_F^2 and its gradient (U U^T - M) U."""
-    u = check_matrix(u, "factor U")
-    if u.shape != (inst.d, inst.k):
-        raise PreconditionError(f"U must be {inst.d}x{inst.k}, got {u.shape}")
-    delta = u @ u.T - inst.target
-    loss = 0.25 * float(np.sum(delta * delta))
-    return loss, delta @ u
+    """Loss 0.25 * ||U U^T - M||_F^2 and its gradient (U U^T - M) U, for a
+    finite d x k factor U."""
+    (u,) = check_matrices(inst.iterate_shape(), U=u)
+    return inst.loss_grad(u)
 
 
 def mf_spectral_error(inst: MfInstance, u) -> float:
-    """Spectral-norm recovery error ||U U^T - M||."""
-    u = check_matrix(u, "factor U")
-    if u.shape != (inst.d, inst.k):
-        raise PreconditionError(f"U must be {inst.d}x{inst.k}, got {u.shape}")
-    return spectral_norm(u @ u.T - inst.target)
+    """Spectral-norm recovery error ||U U^T - M|| of a finite d x k U."""
+    (u,) = check_matrices(inst.iterate_shape(), U=u)
+    return inst.spectral_error(u)
 
 
 def make_icl_instance(
@@ -189,23 +196,17 @@ def make_icl_instance(
 
 
 def icl_loss_grad(inst: IclInstance, q):
-    """Loss 0.5 * tr((SQ - I) S (SQ - I)^T) and gradient S (SQ - I) S."""
-    q = check_matrix(q, "parameter Q")
-    if q.shape != (inst.d, inst.d):
-        raise PreconditionError(f"Q must be {inst.d}x{inst.d}, got {q.shape}")
-    s = inst.covariance
-    resid = s @ q - np.eye(inst.d)
-    loss = 0.5 * float(np.trace(resid @ s @ resid.T))
-    grad = s @ resid @ s
-    return loss, grad
+    """Loss 0.5 * tr((SQ - I) S (SQ - I)^T) and gradient S (SQ - I) S, for
+    a finite d x d parameter Q."""
+    (q,) = check_matrices(inst.iterate_shape(), Q=q)
+    return inst.loss_grad(q)
 
 
 def icl_spectral_error(inst: IclInstance, q) -> float:
-    """Spectral-norm distance to the minimizer, ||Q - S^-1||."""
-    q = check_matrix(q, "parameter Q")
-    if q.shape != (inst.d, inst.d):
-        raise PreconditionError(f"Q must be {inst.d}x{inst.d}, got {q.shape}")
-    return spectral_norm(q - inst.inverse)
+    """Spectral-norm distance to the minimizer, ||Q - S^-1||, of a finite
+    d x d Q."""
+    (q,) = check_matrices(inst.iterate_shape(), Q=q)
+    return inst.spectral_error(q)
 
 
 def icl_monte_carlo_loss(
@@ -234,14 +235,3 @@ def icl_monte_carlo_loss(
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n_tasks))
     return estimate, stderr
-
-
-def evaluate(inst, x, with_grad_sigma_min: bool = True) -> ErrorReport:
-    """Loss, spectral error, and gradient sigma_min at a point."""
-    loss, grad = inst.loss_grad(x)
-    err = inst.spectral_error(x)
-    gsm = -1.0
-    if with_grad_sigma_min:
-        svals = np.linalg.svd(grad, compute_uv=False)
-        gsm = float(svals[-1]) if svals.size else 0.0
-    return ErrorReport(loss=loss, spectral_error=err, grad_sigma_min=gsm)

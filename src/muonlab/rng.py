@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
+from .linalg import qr_householder
 
 
 class RandomStream:
@@ -83,26 +84,11 @@ class RandomStream:
     def haar_orthonormal(self, d: int, k: int) -> np.ndarray:
         """d x k matrix with orthonormal columns, Haar-distributed.
 
-        Gaussian matrix, Householder QR, then each column sign-corrected by
-        the sign of the matching R diagonal entry (sign(0) treated as +1),
-        which is the standard Haar-measure correction.
+        The Q factor of a Gaussian matrix under the sign-normalized QR of
+        ``qr_householder`` (nonnegative R diagonal), which is the standard
+        Haar-measure correction.
         """
         if k > d:
             raise PreconditionError(f"haar_orthonormal needs k <= d, got d={d}, k={k}")
-        g = self.gaussian_matrix(d, k)
-        q, r = np.linalg.qr(g, mode="reduced")
-        signs = np.sign(np.diag(r))
-        signs[signs == 0.0] = 1.0
-        return q * signs
-
-
-def uniform(stream: RandomStream, lo: float, hi: float) -> float:
-    return stream.uniform(lo, hi)
-
-
-def gaussian(stream: RandomStream) -> float:
-    return stream.gaussian()
-
-
-def haar_orthonormal(stream: RandomStream, d: int, k: int) -> np.ndarray:
-    return stream.haar_orthonormal(d, k)
+        q, _ = qr_householder(self.gaussian_matrix(d, k))
+        return q

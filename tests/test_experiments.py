@@ -248,6 +248,25 @@ class TestCli:
         assert code == 0
         assert len(list(tmp_path.glob("*.svg"))) == 4
 
+    def test_run_verify_kind(self, tmp_path, capsys):
+        cfg_path = tmp_path / "verify.cfg"
+        cfg_path.write_text("kind = verify\nsuite = gradients\n")
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("SUITE")] == lines
+        assert len(lines) == 1 and lines[0].startswith("SUITE gradients PASS")
+
+    def test_run_overflowed_iterate_writes_diagnostic_row(self, tmp_path):
+        cfg_path = tmp_path / "diverge.cfg"
+        cfg_path.write_text(
+            "d = 8\nk = 2\nkappa = 5\nalgorithms = gd\neta0 = 1e308\nalpha = 3\nT = 20\n"
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (csv_path,) = out.glob("mf_sweep_gd_*.csv")
+        assert csv_path.read_text().endswith("\n1,nan,nan,nan,nan\n")
+
     def test_verify_subcommand(self, capsys):
         assert main(["verify", "--suite", "gradients"]) == 0
         assert "SUITE gradients PASS" in capsys.readouterr().out

@@ -97,6 +97,23 @@ class TestSteps:
         b, _, _ = muon_step(x, grad, MuonState.zeros((4, 3), mu=0.0), 0.2)
         assert_allclose(a, b, rtol=0)
 
+    def test_momentum_buffer_accumulates(self):
+        stream = RandomStream(23)
+        x = stream.gaussian_matrix(4, 3)
+        g1, g2 = stream.gaussian_matrix(4, 3), stream.gaussian_matrix(4, 3)
+        x, state, _ = muon_step(x, g1, MuonState.zeros((4, 3), mu=0.5), 0.1)
+        _, state, _ = muon_step(x, g2, state, 0.1)
+        assert np.array_equal(state.buffer, g2 + 0.5 * g1)
+
+    def test_zero_momentum_leaves_state_alone(self):
+        stream = RandomStream(24)
+        state = MuonState.zeros((4, 3))
+        _, after, _ = muon_step(
+            stream.gaussian_matrix(4, 3), stream.gaussian_matrix(4, 3), state, 0.1
+        )
+        assert after is state
+        assert not np.any(state.buffer)
+
     def test_simplified_muon_bitwise(self):
         stream = RandomStream(5)
         x = stream.gaussian_matrix(5, 2)
@@ -233,6 +250,23 @@ class TestRunTrajectory:
                 run_trajectory(inst, OptimizerConfig("gd"), ConstantSchedule(1e12), init, 50)
         assert info.value.iteration > 0
         assert len(info.value.records) == info.value.iteration
+
+    def test_overflowed_iterate_is_divergence(self):
+        # eta = 1e308 sends the first GD iterate to inf before any loss
+        # overflows; the loss guard, not an input check, must catch it
+        inst = self._instance()
+        init = RandomStream(17).gaussian_matrix(8, 2)
+        with pytest.raises(NumericalDivergenceError) as info:
+            with np.errstate(over="ignore", invalid="ignore"):
+                run_trajectory(inst, OptimizerConfig("gd"), ConstantSchedule(1e308), init, 50)
+        assert info.value.iteration == 1
+        assert len(info.value.records) == 1
+
+    def test_muon_rejects_zero_eta(self):
+        inst = self._instance()
+        init = RandomStream(25).gaussian_matrix(8, 2) * 0.1
+        with pytest.raises(PreconditionError):
+            run_trajectory(inst, OptimizerConfig("muon"), ConstantSchedule(0.0), init, 3)
 
     def test_sigma_min_gating(self):
         small = run_trajectory(

@@ -184,20 +184,6 @@ class TestMonteCarloLoss:
             icl_monte_carlo_loss(inst, np.eye(4), RandomStream(0), 99)
 
 
-class TestEvaluate:
-    def test_report_fields(self):
-        from muonlab import evaluate
-
-        inst = make_mf_instance(RandomStream(50), 6, 2, 3, 4.0)
-        u = RandomStream(51).gaussian_matrix(6, 3) * 0.2
-        rep = evaluate(inst, u)
-        loss, grad = mf_loss_grad(inst, u)
-        assert rep.loss == pytest.approx(loss)
-        assert rep.spectral_error == pytest.approx(mf_spectral_error(inst, u))
-        assert rep.grad_sigma_min == pytest.approx(np.linalg.svd(grad, compute_uv=False)[-1])
-        assert evaluate(inst, u, with_grad_sigma_min=False).grad_sigma_min == -1.0
-
-
 class TestGradientsAgainstFiniteDifferences:
     def test_mf(self):
         master = RandomStream(26)
