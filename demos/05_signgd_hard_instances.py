@@ -16,21 +16,12 @@ import muonlab as ml
 T = 600
 print(f"{'family':>10} {'kappa':>7} {'first hit':>10} {'(kappa-1)/4':>12} {'slice dev':>10}")
 
-for kappa in (21.0, 101.0, 401.0):
-    etas = 0.98 ** np.arange(T + 1)
-    init = ml.adversarial_quadratic_init(kappa, etas[0] / kappa, etas, T)
-    run = ml.signgd_quadratic_run(ml.build_hard_quadratic(kappa), init, etas, T)
-    print(f"{'quadratic':>10} {kappa:>7g} {str(run.first_hit):>10} {(kappa - 1) / 4:>12g} {'-':>10}")
-
-etas = (1.0 / 64.0) * 0.98 ** np.arange(T + 1)
-hard_mf = ml.build_hard_mf_instance(41.0, etas)
-res = ml.run_hard_mf(hard_mf, etas, T)
-print(f"{'mf':>10} {41:>7g} {str(res.first_hit):>10} {10:>12g} {res.slice_deviation:>10.1e}")
-
-etas = 0.98 ** np.arange(T + 1)
-hard_icl = ml.build_hard_icl_instance(101.0, etas)
-res = ml.run_hard_icl(hard_icl, etas, T)
-print(f"{'icl':>10} {101:>7g} {str(res.first_hit):>10} {25:>12g} {res.slice_deviation:>10.1e}")
+# eta_t = 0.98^t, except eta_0 = r0/4 = 1/64 on the factorization instance
+for family, kappa in (("quadratic", 21.0), ("quadratic", 101.0), ("quadratic", 401.0),
+                      ("mf", 41.0), ("icl", 101.0)):
+    res = ml.run_lower_bound(family, kappa, T)
+    dev = "-" if res.slice_deviation is None else f"{res.slice_deviation:.1e}"
+    print(f"{family:>10} {kappa:>7g} {str(res.first_hit):>10} {(kappa - 1) / 4:>12g} {dev:>10}")
 
 print("""
 'inf' means the run never reached the target within the budget, which
@@ -41,6 +32,7 @@ just approximate.
 
 Contrast with Muon on the same factorization instance:""")
 
+hard_mf = ml.build_hard_mf_instance(41.0, (1.0 / 64.0) * 0.98 ** np.arange(T + 1))
 inst = hard_mf.instance
 sched = ml.ExponentialSchedule(rho=0.5, base_scale=np.sqrt(inst.lambda_max), fixed_prefactor=1.0)
 traj = ml.run_trajectory(inst, ml.OptimizerConfig("muon"), sched, hard_mf.u0, 60)

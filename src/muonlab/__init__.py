@@ -38,6 +38,7 @@ from .lowerbounds import (
     first_hit_time,
     run_hard_icl,
     run_hard_mf,
+    run_lower_bound,
     signgd_quadratic_run,
 )
 from .msign import (
@@ -75,6 +76,8 @@ from .oracle import (
     check_scalar_mf_bounds_varying,
     decoupled_icl_trajectory,
     decoupled_mf_trajectory,
+    icl_modes,
+    mf_modes,
     oracle_vs_full_divergence,
     scalar_icl_trajectory,
     scalar_muon_trajectory,

@@ -2,8 +2,8 @@
 
 Subcommands: ``run`` (config-driven sweeps), ``lower-bound`` (adversarial
 SignGD instances), ``precond-viz`` (preconditioner heatmaps), ``verify``
-(property suites).  Exit codes: 0 success, 1 verification failure, 2 config
-error, 3 runtime numerical failure.
+(property suites).  Exit codes: 0 success, 1 failed suite or violated lower
+bound, 2 config error, 3 runtime numerical failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .experiments import (
     FAMILIES,
     SUITES,
     parse_config,
-    preconditioner_report,
     run_experiment,
 )
 
@@ -62,19 +61,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(cfg: ExperimentConfig, out_dir: str | None) -> int:
-    """Run a config and report it: suite lines and their verdict for
-    ``kind = verify``, the written paths otherwise."""
+    """Run a config and report it: the kind's result lines (suite lines,
+    bound checks, block differences), then the written paths.  A failed
+    suite or a violated lower bound exits 1."""
     out = run_experiment(cfg, out_dir=out_dir)
-    if cfg.kind == "verify":
-        (row,) = out.summary_rows
-        for line in row["lines"]:
-            print(line)
-        return EXIT_OK if row["passed"] else EXIT_VERIFY_FAILED
-    for path in out.csv_paths + out.figure_paths:
+    ok = True
+    for row in out.summary_rows:
+        if cfg.kind == "verify":
+            for line in row["lines"]:
+                print(line)
+            ok = row["passed"]
+        elif cfg.kind == "lower_bound":
+            ok = ok and row["satisfied"]
+            print(
+                f"{row['family']} kappa={row['kappa']:g}: first_hit={row['first_hit']} "
+                f">= bound={row['bound']:g}? {'OK' if row['satisfied'] else 'VIOLATED'}"
+            )
+        elif cfg.kind == "precond_viz":
+            print(f"t={row['t']}: trace-normalized block difference {row['normalized_difference']:.6f}")
+    for path in out.csv_paths + out.figure_paths + ([out.summary_path] if out.summary_path else []):
         print(f"wrote {path}")
-    if out.summary_path:
-        print(f"wrote {out.summary_path}")
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 def main(argv=None) -> int:
@@ -97,27 +104,12 @@ def main(argv=None) -> int:
                 lb_eta0=args.eta0,
                 T=args.T,
             )
-            out = run_experiment(cfg, out_dir=args.out)
-            all_ok = True
-            for row in out.summary_rows:
-                status = "OK" if row["satisfied"] else "VIOLATED"
-                all_ok = all_ok and row["satisfied"]
-                print(
-                    f"{row['family']} kappa={row['kappa']:g}: first_hit={row['first_hit']} "
-                    f">= bound={row['bound']:g}? {status}"
-                )
-            return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
-        # precond-viz
-        steps = tuple(int(s) for s in args.steps.split(","))
-        report = preconditioner_report(
-            d=args.d, r=args.r, k=args.k, alpha=args.alpha, steps=steps,
-            seed=args.seed, out_dir=args.out,
-        )
-        for s, diff in zip(report.steps, report.normalized_differences):
-            print(f"t={s}: trace-normalized block difference {diff:.6f}")
-        for path in report.heatmap_paths:
-            print(f"wrote {path}")
-        return EXIT_OK
+        else:  # precond-viz
+            cfg = ExperimentConfig(
+                kind="precond_viz", d=args.d, r=args.r, k=args.k, alpha=args.alpha,
+                steps=tuple(int(s) for s in args.steps.split(",")), seed=args.seed,
+            )
+        return _run(cfg, args.out)
     except (ConfigError, PreconditionError, FileNotFoundError) as exc:
         # bad config values and out-of-contract CLI parameters alike
         print(f"config error: {exc}", file=sys.stderr)

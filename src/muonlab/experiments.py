@@ -19,16 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalDivergenceError, PreconditionError
 from .linalg import symmetric_eig
-from .lowerbounds import (
-    adversarial_quadratic_init,
-    build_hard_icl_instance,
-    build_hard_mf_instance,
-    build_hard_quadratic,
-    first_hit_time,
-    run_hard_icl,
-    run_hard_mf,
-    signgd_quadratic_run,
-)
+from .lowerbounds import FAMILIES, first_hit_time, run_lower_bound
 from .msign import msign_exact, msign_newton_schulz
 from .optimizers import (
     ALGORITHMS,
@@ -62,7 +53,6 @@ from .rng import RandomStream
 from .svgplot import emit_svg_heatmap, emit_svg_plot
 
 KINDS = ("mf_sweep", "icl_sweep", "rank_sweep", "lower_bound", "precond_viz", "verify")
-FAMILIES = ("quadratic", "mf", "icl")
 SUITES = ("msign", "oracle", "lemmas", "lowerbounds", "gradients", "montecarlo", "all")
 CSV_HEADER = "t,eta,loss,spectral_error,grad_sigma_min"
 
@@ -429,38 +419,19 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
     csv_paths: list[str] = []
     summary_rows: list[dict] = []
     for kappa in cfg.kappa:
-        T = cfg.T
-        if cfg.family == "mf":
-            eta0 = cfg.lb_eta0 if cfg.lb_eta0 is not None else cfg.r0 / 4.0
-        else:
-            eta0 = cfg.lb_eta0 if cfg.lb_eta0 is not None else 1.0
-        etas = eta0 * cfg.lb_rho ** np.arange(T + 1)
-        if cfg.family == "quadratic":
-            hq = build_hard_quadratic(kappa)
-            init = adversarial_quadratic_init(kappa, etas[0] / kappa, etas, T)
-            run = signgd_quadratic_run(hq, init, etas, T)
-            metric = np.linalg.norm(run.iterates, axis=1)
-            hit, eps = run.first_hit, init.epsilon
-        elif cfg.family == "mf":
-            hard = build_hard_mf_instance(kappa, etas, r0=cfg.r0)
-            res = run_hard_mf(hard, etas, T)
-            metric, hit, eps = res.metric, res.first_hit, hard.epsilon
-        else:
-            hard = build_hard_icl_instance(kappa, etas)
-            res = run_hard_icl(hard, etas, T)
-            metric, hit, eps = res.metric, res.first_hit, hard.epsilon
+        res = run_lower_bound(cfg.family, kappa, cfg.T, rho=cfg.lb_rho, eta0=cfg.lb_eta0, r0=cfg.r0)
         path = os.path.join(out_dir, f"lower_bound_{cfg.family}_kappa{kappa:g}.csv")
-        write_csv(path, "t,metric", ((t, format_float(v)) for t, v in enumerate(metric)))
+        write_csv(path, "t,metric", ((t, format_float(v)) for t, v in enumerate(res.metric)))
         csv_paths.append(path)
         bound = (kappa - 1.0) / 4.0
         summary_rows.append(
             {
                 "family": cfg.family,
                 "kappa": kappa,
-                "epsilon": eps,
-                "first_hit": hit,
+                "epsilon": res.epsilon,
+                "first_hit": res.first_hit,
                 "bound": bound,
-                "satisfied": hit >= bound,
+                "satisfied": res.first_hit >= bound,
             }
         )
     summary_path = os.path.join(out_dir, "lower_bound_summary.csv")
@@ -685,25 +656,13 @@ def _suite_lemmas(seed: int = 2024):
 def _suite_lowerbounds():
     lines = []
     ok = True
-    for kappa in (21.0, 101.0, 401.0):
-        T = 600
-        etas = 0.98 ** np.arange(T + 1)
-        hq = build_hard_quadratic(kappa)
-        init = adversarial_quadratic_init(kappa, 1.0 / kappa, etas, T)
-        run = signgd_quadratic_run(hq, init, etas, T)
-        bound = (kappa - 1.0) / 4.0
-        ok = ok and run.first_hit >= bound
-        lines.append(f"quadratic kappa={kappa:g} hit={run.first_hit} bound={bound:g}")
-    etas = (1.0 / 64.0) * 0.98 ** np.arange(601)
-    hard_mf = build_hard_mf_instance(41.0, etas)
-    res_mf = run_hard_mf(hard_mf, etas, 600)
-    ok = ok and res_mf.first_hit >= 10.0 and res_mf.slice_deviation <= 1e-14
-    lines.append(f"mf kappa=41 hit={res_mf.first_hit} slice_dev={res_mf.slice_deviation:.2e}")
-    etas = 0.98 ** np.arange(601)
-    hard_icl = build_hard_icl_instance(101.0, etas)
-    res_icl = run_hard_icl(hard_icl, etas, 600)
-    ok = ok and res_icl.first_hit >= 25.0 and res_icl.slice_deviation <= 1e-14
-    lines.append(f"icl kappa=101 hit={res_icl.first_hit} slice_dev={res_icl.slice_deviation:.2e}")
+    for family, kappa in (("quadratic", 21.0), ("quadratic", 101.0), ("quadratic", 401.0),
+                          ("mf", 41.0), ("icl", 101.0)):
+        res = run_lower_bound(family, kappa, 600)
+        bound, dev = (kappa - 1.0) / 4.0, res.slice_deviation
+        ok = ok and res.first_hit >= bound and (dev is None or dev <= 1e-14)
+        detail = f"bound={bound:g}" if dev is None else f"slice_dev={dev:.2e}"
+        lines.append(f"{family} kappa={kappa:g} hit={res.first_hit} {detail}")
     return ok, "; ".join(lines)
 
 

@@ -269,9 +269,10 @@ def build_hard_icl_instance(kappa: float, etas, epsilon: float | None = None) ->
 @dataclass(frozen=True)
 class HardRunResult:
     first_hit: float
-    metric: np.ndarray  # per-step lower-bound metric (loss or Frobenius error)
-    slice_deviation: float  # max departure from equal-diag/equal-offdiag form
+    metric: np.ndarray  # per-step lower-bound metric (||z||, loss or Frobenius error)
+    slice_deviation: float | None  # max departure from equal-diag/equal-offdiag form
     bridge_deviation: float | None = None  # covariance runs only
+    epsilon: float | None = None  # the accuracy first_hit is measured against
 
 
 def _slice_deviation(mats) -> float:
@@ -281,35 +282,26 @@ def _slice_deviation(mats) -> float:
     return dev
 
 
+def _signgd_run(inst, x0, etas, T: int):
+    return run_trajectory(inst, OptimizerConfig("signgd"), SequenceSchedule(etas), x0, T, keep_iterates=True)
+
+
 def run_hard_mf(hard: HardMfInstance, etas, T: int) -> HardRunResult:
     """SignGD on the hard factorization instance; first hit of loss <= eps."""
-    traj = run_trajectory(
-        hard.instance,
-        OptimizerConfig("signgd"),
-        SequenceSchedule(etas),
-        hard.u0,
-        T,
-        keep_iterates=True,
-    )
+    traj = _signgd_run(hard.instance, hard.u0, etas, T)
     losses = np.array([rec.loss for rec in traj.records])
     return HardRunResult(
         first_hit=first_hit_time(losses, hard.epsilon),
         metric=losses,
         slice_deviation=_slice_deviation(traj.iterates),
+        epsilon=hard.epsilon,
     )
 
 
 def run_hard_icl(hard: HardIclInstance, etas, T: int) -> HardRunResult:
     """SignGD on the hard covariance instance; first hit of
     ||Q_t - Q*||_F <= eps, plus the sqrt(2)-norm-bridge deviation."""
-    traj = run_trajectory(
-        hard.instance,
-        OptimizerConfig("signgd"),
-        SequenceSchedule(etas),
-        hard.q0,
-        T,
-        keep_iterates=True,
-    )
+    traj = _signgd_run(hard.instance, hard.q0, etas, T)
     a_star = (hard.q_star[0, 0] + hard.q_star[1, 1]) / 2.0
     b_star = (hard.q_star[0, 1] + hard.q_star[1, 0]) / 2.0
     frob = np.empty(len(traj.iterates))
@@ -323,7 +315,38 @@ def run_hard_icl(hard: HardIclInstance, etas, T: int) -> HardRunResult:
         metric=frob,
         slice_deviation=_slice_deviation(traj.iterates),
         bridge_deviation=bridge,
+        epsilon=hard.epsilon,
     )
+
+
+FAMILIES = ("quadratic", "mf", "icl")
+
+
+def run_lower_bound(
+    family: str, kappa: float, T: int, rho: float = 0.98, eta0: float | None = None,
+    r0: float = 1.0 / 16.0,
+) -> HardRunResult:
+    """SignGD for T steps on one lower-bound family at one kappa, with
+    eta_t = eta0 * rho^t.
+
+    ``eta0`` defaults to r0/4 for the factorization instance (its hypotheses
+    need eta_0 <= r0) and to 1 otherwise.  The bare quadratic starts at
+    epsilon = eta_0/kappa, reports ||z_t|| as its metric and has no slice
+    deviation (None).
+    """
+    if family not in FAMILIES:
+        raise PreconditionError(f"family must be one of {FAMILIES}, got {family!r}")
+    if eta0 is None:
+        eta0 = r0 / 4.0 if family == "mf" else 1.0
+    etas = eta0 * rho ** np.arange(T + 1)
+    if family == "mf":
+        return run_hard_mf(build_hard_mf_instance(kappa, etas, r0=r0), etas, T)
+    if family == "icl":
+        return run_hard_icl(build_hard_icl_instance(kappa, etas), etas, T)
+    init = adversarial_quadratic_init(kappa, etas[0] / kappa, etas, T)
+    run = signgd_quadratic_run(build_hard_quadratic(kappa), init, etas, T)
+    metric = np.linalg.norm(run.iterates, axis=1)
+    return HardRunResult(first_hit=run.first_hit, metric=metric, slice_deviation=None, epsilon=init.epsilon)
 
 
 def first_hit_time(values, epsilon: float) -> float:

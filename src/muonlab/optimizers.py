@@ -22,6 +22,9 @@ from .rng import RandomStream
 # record carries -1.0, keeping large sweeps inside their runtime budget.
 SIGMA_MIN_DIM_CAP = 64
 
+# The interval U[lo, hi) that random learning-rate prefactors C are drawn from.
+PREFACTOR_RANGE = (1.0, 2.0)
+
 
 class ExponentialSchedule:
     """eta_t = C * base_scale * rho^t with prefactor C in [1, 2].
@@ -36,7 +39,6 @@ class ExponentialSchedule:
         rho: float,
         base_scale: float,
         prefactor_mode: str = "fixed",
-        prefactor_range: tuple[float, float] = (1.0, 2.0),
         fixed_prefactor: float | None = None,
     ):
         if not 0.5 <= rho < 1.0:
@@ -48,16 +50,14 @@ class ExponentialSchedule:
         self.rho = rho
         self.base_scale = base_scale
         self.prefactor_mode = prefactor_mode
-        self.prefactor_range = prefactor_range
         self._prefactor = fixed_prefactor
 
     def eta(self, t: int, current_loss: float | None = None, stream: RandomStream | None = None) -> float:
-        lo, hi = self.prefactor_range
         if self.prefactor_mode == "per_iteration":
-            c = stream.uniform(lo, hi) if stream is not None else 1.0
+            c = stream.uniform(*PREFACTOR_RANGE) if stream is not None else 1.0
         else:
             if self._prefactor is None:
-                self._prefactor = stream.uniform(lo, hi) if stream is not None else 1.0
+                self._prefactor = stream.uniform(*PREFACTOR_RANGE) if stream is not None else 1.0
             c = self._prefactor
         return c * self.base_scale * self.rho**t
 

@@ -6,10 +6,12 @@ exactly to independent scalar recursions, one per eigenvalue:
     factorization:  u_{t+1} = u_t - eta_t * sign((u_t^2 - lam) u_t)
     covariance:     th_{t+1} = th_t - eta_t * sign(lam * th_t - 1)
 
-This module evolves those recursions directly, reconstructs the matrix
-iterates they imply, and measures how far a full matrix trajectory drifts
-from them.  It also bundles checkers for the per-step error bounds the scalar
-dynamics satisfy, plus the randomized sweeps used by verification suites.
+Each recursion is coded once (``mf_modes``, ``icl_modes``) and runs every
+mode or trace at once along a trailing axis.  This module evolves the
+recursions, reconstructs the matrix iterates they imply, and measures how far
+a full matrix trajectory drifts from them.  It also bundles checkers for the
+per-step error bounds the scalar dynamics satisfy, plus the randomized sweeps
+used by verification suites.
 """
 
 from __future__ import annotations
@@ -19,22 +21,75 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import spectral_norm
+from .optimizers import PREFACTOR_RANGE
 from .problems import IclInstance, MfInstance
 from .rng import RandomStream
 
 
+def mf_modes(u0, lambdas, etas, scale=1.0) -> np.ndarray:
+    """Factorization recursion u <- u - eta_t * sign((u^2 - lam) u) for every
+    mode at once, with eta_t = scale * etas[t].
+
+    ``u0`` and ``lambdas`` hold one entry per mode (a scalar for one mode);
+    ``etas[t]`` broadcasts against them, so a (T,) schedule drives all modes
+    and a (T, n) one gives each of n traces its own.  A per-mode ``scale``
+    times a (T,) decay gives each trace its own etas without materializing
+    them.  Returns the values, shape (T+1,) + mode shape.
+    """
+    u = np.asarray(u0, dtype=np.float64)
+    etas = np.asarray(etas, dtype=np.float64)
+    shape = np.broadcast_shapes(u.shape, np.shape(lambdas), etas.shape[1:], np.shape(scale))
+    values = np.empty((etas.shape[0] + 1,) + shape)
+    values[0] = u
+    for t, eta in enumerate(etas):
+        u = u - scale * eta * np.sign((u * u - lambdas) * u)
+        values[t + 1] = u
+    return values
+
+
+def icl_modes(lambdas, etas) -> np.ndarray:
+    """Covariance recursion th <- th - eta_t * sign(lam * th - 1) from th = 0,
+    for every mode at once; shapes as in ``mf_modes``."""
+    etas = np.asarray(etas, dtype=np.float64)
+    th = np.zeros(np.broadcast_shapes(np.shape(lambdas), etas.shape[1:]))
+    values = np.empty((etas.shape[0] + 1,) + th.shape)
+    values[0] = th
+    for t, eta in enumerate(etas):
+        th = th - eta * np.sign(lambdas * th - 1.0)
+        values[t + 1] = th
+    return values
+
+
+def _pow(base, exponent) -> np.ndarray:
+    """Python's float pow, elementwise.  The schedules raise rho**t through
+    it, and numpy's vectorized power can differ from it in the last ulp."""
+    return np.asarray(np.frompyfunc(pow, 2, 1)(base, exponent), dtype=np.float64)
+
+
+def _powers(rho, n: int, *per_trace) -> np.ndarray:
+    """rho**t for t = 0..n-1 down a leading axis that broadcasts against
+    the per-trace arrays (``rho`` among them)."""
+    return _pow(rho, np.arange(n).reshape((n,) + (1,) * np.broadcast(rho, *per_trace).ndim))
+
+
+def _check_rho(rho, lo: float):
+    if not np.all((lo <= rho) & (rho < 1.0)):
+        raise PreconditionError(f"rho must lie in [{lo}, 1), got {rho}")
+
+
 @dataclass(frozen=True)
 class ScalarTrace:
-    """One scalar recursion: values (length T+1), the etas that drove it
-    (length T), and the parameters needed to check its bounds."""
+    """Scalar recursions: values (length T+1), the etas that drove them
+    (length T), and the parameters needed to check their bounds.  A trailing
+    axis on ``values`` and ``etas`` holds one trace per entry; the parameters
+    are then per-trace arrays or shared scalars."""
 
     values: np.ndarray
     etas: np.ndarray
-    lambda_star: float
-    rho: float
-    lambda_max: float | None = None  # factorization traces
-    lambda_min: float | None = None  # covariance traces
+    lambda_star: float | np.ndarray
+    rho: float | np.ndarray
+    lambda_max: float | np.ndarray | None = None  # factorization traces
+    lambda_min: float | np.ndarray | None = None  # covariance traces
 
     def __post_init__(self):
         if self.values.shape[0] != self.etas.shape[0] + 1:
@@ -52,8 +107,14 @@ FLOAT_SLACK = 1e-12
 @dataclass(frozen=True)
 class BoundsCheck:
     passed: bool
-    worst_margin: float  # min over steps of (bound - |deviation|)
-    hypothesis_ok: bool
+    worst_margin: float  # min over steps and traces of (bound - |deviation|)
+    hypothesis_ok: bool  # holds for every trace
+
+
+def _bounds_check(margins, hypothesis_ok) -> BoundsCheck:
+    worst = float(np.min(margins, initial=np.inf))
+    ok = bool(np.all(hypothesis_ok))
+    return BoundsCheck(passed=worst >= -FLOAT_SLACK, worst_margin=worst, hypothesis_ok=ok)
 
 
 def scalar_muon_trajectory(
@@ -70,101 +131,79 @@ def scalar_muon_trajectory(
 
     C is either fixed (``c_eta``, or one U[1,2] draw from ``stream``) or
     redrawn from U[1,2] every step (``per_step_c``, which per the varying-
-    prefactor analysis needs rho >= 2/3).
+    prefactor analysis needs rho >= 2/3).  With a fixed C, ``u0``,
+    ``lambda_star``, ``lambda_max`` and ``c_eta`` may be per-trace arrays.
     """
-    if u0 == 0.0:
+    if np.any(u0 == 0.0):
         raise PreconditionError("u0 must be nonzero")
-    if not 0.0 <= lambda_star <= lambda_max:
+    if not np.all((0.0 <= lambda_star) & (lambda_star <= lambda_max)):
         raise PreconditionError("need 0 <= lambda_star <= lambda_max")
-    lo_rho = 2.0 / 3.0 if per_step_c else 0.5
-    if not lo_rho <= rho < 1.0:
-        raise PreconditionError(f"rho must lie in [{lo_rho}, 1), got {rho}")
-    base = np.sqrt(lambda_max)
+    _check_rho(rho, 2.0 / 3.0 if per_step_c else 0.5)
     if not per_step_c and c_eta is None:
-        c_eta = stream.uniform(1.0, 2.0) if stream is not None else 1.0
-    values = np.empty(T + 1)
-    etas = np.empty(T)
-    u = float(u0)
-    values[0] = u
-    for t in range(T):
-        c = stream.uniform(1.0, 2.0) if per_step_c else c_eta
-        eta = c * base * rho**t
-        u = u - eta * float(np.sign((u * u - lambda_star) * u))
-        etas[t] = eta
-        values[t + 1] = u
-    return ScalarTrace(values=values, etas=etas, lambda_star=lambda_star, rho=rho, lambda_max=lambda_max)
+        c_eta = stream.uniform(*PREFACTOR_RANGE) if stream is not None else 1.0
+    powers = _powers(rho, T, u0, lambda_star, lambda_max, 1.0 if per_step_c else c_eta)
+    prefactors = stream.uniforms(T, *PREFACTOR_RANGE) if per_step_c else c_eta
+    etas = prefactors * np.sqrt(lambda_max) * powers
+    values = mf_modes(u0, lambda_star, etas)
+    return ScalarTrace(values, etas, lambda_star, rho, lambda_max=lambda_max)
+
+
+def _mf_hypothesis(trace: ScalarTrace):
+    if trace.lambda_max is None:
+        raise PreconditionError("not a factorization trace")
+    u0 = trace.values[0]
+    return (np.abs(u0) <= trace.etas[0]) & (u0 != 0.0)
 
 
 def check_scalar_mf_bounds(trace: ScalarTrace) -> BoundsCheck:
     """Fixed-prefactor bounds: ||u_{t+1}| - sqrt(lam)| <= eta_t and
     |u_{t+1}^2 - lam| <= 8 * lambda_max * rho^t for every t."""
-    if trace.lambda_max is None:
-        raise PreconditionError("not a factorization trace")
-    root = np.sqrt(trace.lambda_star)
-    hypothesis_ok = abs(trace.values[0]) <= trace.etas[0] and trace.values[0] != 0.0
-    worst = np.inf
-    for t, eta in enumerate(trace.etas):
-        u_next = trace.values[t + 1]
-        m1 = eta - abs(abs(u_next) - root)
-        m2 = 8.0 * trace.lambda_max * trace.rho**t - abs(u_next * u_next - trace.lambda_star)
-        worst = min(worst, m1, m2)
-    return BoundsCheck(passed=bool(worst >= -FLOAT_SLACK), worst_margin=float(worst), hypothesis_ok=bool(hypothesis_ok))
+    hypothesis_ok = _mf_hypothesis(trace)
+    u = trace.values[1:]
+    powers = _powers(trace.rho, len(u), trace.values[0])
+    m1 = trace.etas - np.abs(np.abs(u) - np.sqrt(trace.lambda_star))
+    m2 = 8.0 * trace.lambda_max * powers - np.abs(u * u - trace.lambda_star)
+    return _bounds_check(np.minimum(m1, m2), hypothesis_ok)
 
 
 def check_scalar_mf_bounds_varying(trace: ScalarTrace) -> BoundsCheck:
     """Per-step-prefactor bounds (rho >= 2/3):
     ||u_t| - sqrt(lam)| <= (2/(1-rho)) * sqrt(lambda_max) * rho^t and
     |u_t^2 - lam| <= (4/(1-rho)^2 + 4/(1-rho)) * lambda_max * rho^t."""
-    if trace.lambda_max is None:
-        raise PreconditionError("not a factorization trace")
+    hypothesis_ok = _mf_hypothesis(trace)
     rho = trace.rho
-    if rho < 2.0 / 3.0:
+    if np.any(rho < 2.0 / 3.0):
         raise PreconditionError("varying-prefactor bounds need rho >= 2/3")
-    root = np.sqrt(trace.lambda_star)
+    u = trace.values
     c1 = 2.0 / (1.0 - rho) * np.sqrt(trace.lambda_max)
-    c2 = (4.0 / (1.0 - rho) ** 2 + 4.0 / (1.0 - rho)) * trace.lambda_max
-    hypothesis_ok = abs(trace.values[0]) <= trace.etas[0] and trace.values[0] != 0.0
-    worst = np.inf
-    for t, u in enumerate(trace.values):
-        m1 = c1 * rho**t - abs(abs(u) - root)
-        m2 = c2 * rho**t - abs(u * u - trace.lambda_star)
-        worst = min(worst, m1, m2)
-    return BoundsCheck(passed=bool(worst >= -FLOAT_SLACK), worst_margin=float(worst), hypothesis_ok=bool(hypothesis_ok))
+    c2 = (4.0 / _pow(1.0 - rho, 2) + 4.0 / (1.0 - rho)) * trace.lambda_max
+    powers = _powers(rho, len(u), u[0])
+    m1 = c1 * powers - np.abs(np.abs(u) - np.sqrt(trace.lambda_star))
+    m2 = c2 * powers - np.abs(u * u - trace.lambda_star)
+    return _bounds_check(np.minimum(m1, m2), hypothesis_ok)
 
 
 def scalar_icl_trajectory(
     lambda_star: float, lambda_min: float, rho: float, c_eta: float, T: int
 ) -> ScalarTrace:
     """Scalar covariance recursion from th_0 = 0 with
-    eta_t = (C / lambda_min) * rho^t."""
-    if not 0.0 < lambda_min <= lambda_star:
+    eta_t = (C / lambda_min) * rho^t; ``lambda_star``, ``lambda_min`` and
+    ``c_eta`` may be per-trace arrays."""
+    if not np.all((0.0 < lambda_min) & (lambda_min <= lambda_star)):
         raise PreconditionError("need 0 < lambda_min <= lambda_star")
-    if not 0.5 <= rho < 1.0:
-        raise PreconditionError(f"rho must lie in [1/2, 1), got {rho}")
-    if c_eta < 1.0:
+    _check_rho(rho, 0.5)
+    if np.any(c_eta < 1.0):
         raise PreconditionError("c_eta must be >= 1")
-    values = np.empty(T + 1)
-    etas = np.empty(T)
-    th = 0.0
-    values[0] = th
-    for t in range(T):
-        eta = c_eta / lambda_min * rho**t
-        th = th - eta * float(np.sign(lambda_star * th - 1.0))
-        etas[t] = eta
-        values[t + 1] = th
-    return ScalarTrace(values=values, etas=etas, lambda_star=lambda_star, rho=rho, lambda_min=lambda_min)
+    etas = c_eta / lambda_min * _powers(rho, T, lambda_star, lambda_min, c_eta)
+    return ScalarTrace(icl_modes(lambda_star, etas), etas, lambda_star, rho, lambda_min=lambda_min)
 
 
 def check_scalar_icl_bounds(trace: ScalarTrace) -> BoundsCheck:
     """Covariance-trace bound: |th_{t+1} - 1/lam| <= eta_t for every t."""
     if trace.lambda_min is None:
         raise PreconditionError("not a covariance trace")
-    target = 1.0 / trace.lambda_star
-    hypothesis_ok = trace.values[0] == 0.0
-    worst = np.inf
-    for t, eta in enumerate(trace.etas):
-        worst = min(worst, eta - abs(trace.values[t + 1] - target))
-    return BoundsCheck(passed=bool(worst >= -FLOAT_SLACK), worst_margin=float(worst), hypothesis_ok=bool(hypothesis_ok))
+    margins = trace.etas - np.abs(trace.values[1:] - 1.0 / trace.lambda_star)
+    return _bounds_check(margins, trace.values[0] == 0.0)
 
 
 @dataclass(frozen=True)
@@ -235,16 +274,8 @@ class DiagonalTrajectory:
 def decoupled_mf_trajectory(init: AlignedInit, etas) -> DiagonalTrajectory:
     """Evolve the k independent factorization modes from an aligned init."""
     etas = np.asarray(etas, dtype=np.float64)
-    T = etas.shape[0]
-    k = init.sigma0.shape[0]
-    sigmas = np.empty((T + 1, k))
-    sigmas[0] = init.sigma0
-    s = init.sigma0.copy()
-    for t in range(T):
-        s = s - etas[t] * np.sign((s * s - init.lambdas) * s)
-        sigmas[t + 1] = s
     return DiagonalTrajectory(
-        sigmas=sigmas,
+        sigmas=mf_modes(init.sigma0, init.lambdas, etas),
         basis_left=init.basis_left,
         basis_right=init.basis_right,
         lambdas=init.lambdas,
@@ -255,19 +286,11 @@ def decoupled_mf_trajectory(init: AlignedInit, etas) -> DiagonalTrajectory:
 def decoupled_icl_trajectory(inst: IclInstance, etas) -> DiagonalTrajectory:
     """Evolve the d independent covariance modes from Q_0 = 0."""
     etas = np.asarray(etas, dtype=np.float64)
-    T = etas.shape[0]
-    lam = inst.eigenvalues
-    thetas = np.empty((T + 1, inst.d))
-    thetas[0] = 0.0
-    th = np.zeros(inst.d)
-    for t in range(T):
-        th = th - etas[t] * np.sign(lam * th - 1.0)
-        thetas[t + 1] = th
     return DiagonalTrajectory(
-        sigmas=thetas,
+        sigmas=icl_modes(inst.eigenvalues, etas),
         basis_left=inst.eigenvectors,
         basis_right=inst.eigenvectors,
-        lambdas=lam,
+        lambdas=inst.eigenvalues,
         etas=etas,
     )
 
@@ -280,15 +303,29 @@ def oracle_vs_full_divergence(oracle: DiagonalTrajectory, iterates) -> float:
         raise PreconditionError(
             f"trajectory lengths disagree: {len(iterates)} vs {len(oracle)}"
         )
-    gap = 0.0
-    for t, x in enumerate(iterates):
-        gap = max(gap, spectral_norm(x - oracle.matrix_at(t)))
-    return gap
+    recon = (oracle.basis_left * oracle.sigmas[:, None, :]) @ oracle.basis_right.T
+    gaps = np.asarray(iterates, dtype=np.float64) - recon
+    if not np.all(np.isfinite(gaps)):
+        raise PreconditionError("iterates must be finite")
+    return float(np.max(np.linalg.svd(gaps, compute_uv=False)[:, :1], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
 # Randomized sweeps over the scalar lemmas (shared by tests and `verify`).
+# Each takes one batched draw, laid out as a trace-by-trace loop would take
+# its draws, and evolves every trace in one recursion call.
 # ---------------------------------------------------------------------------
+
+
+def _trace_draws(seed: int, n_traces: int, m: int) -> np.ndarray:
+    """m raw uniforms per trace in per-trace order; row j holds every
+    trace's j-th draw."""
+    return RandomStream(seed, 0).uniforms(n_traces * m).reshape(n_traces, m).T
+
+
+def _scaled(u, lo, hi):
+    """``RandomStream.uniform(lo, hi)`` rebuilt, bit for bit, from its raw draw."""
+    return lo + (hi - lo) * u
 
 
 def sweep_mf_bounds(n_traces: int, seed: int, rho: float = 0.5, T: int = 45) -> float:
@@ -298,53 +335,41 @@ def sweep_mf_bounds(n_traces: int, seed: int, rho: float = 0.5, T: int = 45) -> 
     T is capped so the geometric bound stays above the float64 rounding
     floor of the recursion itself.
     """
-    stream = RandomStream(seed, 0)
-    worst = np.inf
-    for _ in range(n_traces):
-        lambda_max = stream.uniform(0.5, 2.0)
-        lambda_star = stream.uniform(0.0, lambda_max)
-        c = stream.uniform(1.0, 2.0)
-        eta0 = c * np.sqrt(lambda_max)
-        u0 = stream.uniform(-eta0, eta0)
-        if u0 == 0.0:
-            u0 = eta0 / 2.0
-        trace = scalar_muon_trajectory(u0, lambda_star, lambda_max, rho, T, c_eta=c)
-        worst = min(worst, check_scalar_mf_bounds(trace).worst_margin)
-    return float(worst)
+    draws = _trace_draws(seed, n_traces, 4)
+    lambda_max = _scaled(draws[0], 0.5, 2.0)
+    lambda_star = _scaled(draws[1], 0.0, lambda_max)
+    c = _scaled(draws[2], *PREFACTOR_RANGE)
+    eta0 = c * np.sqrt(lambda_max)
+    u0 = _scaled(draws[3], -eta0, eta0)
+    u0 = np.where(u0 == 0.0, eta0 / 2.0, u0)
+    trace = scalar_muon_trajectory(u0, lambda_star, lambda_max, rho, T, c_eta=c)
+    return check_scalar_mf_bounds(trace).worst_margin
 
 
 def sweep_mf_bounds_varying(
     n_traces: int, seed: int, rho_range: tuple[float, float] = (2.0 / 3.0, 0.95), T: int = 100
 ) -> float:
     """Worst margin of the per-step-prefactor bounds over random draws."""
-    stream = RandomStream(seed, 0)
-    worst = np.inf
-    for _ in range(n_traces):
-        rho = stream.uniform(*rho_range)
-        lambda_max = stream.uniform(0.5, 2.0)
-        lambda_star = stream.uniform(0.0, lambda_max)
-        eta0_min = np.sqrt(lambda_max)
-        u0 = stream.uniform(-eta0_min, eta0_min)
-        if u0 == 0.0:
-            u0 = eta0_min / 2.0
-        trace = scalar_muon_trajectory(
-            u0, lambda_star, lambda_max, rho, T, stream=stream, per_step_c=True
-        )
-        worst = min(worst, check_scalar_mf_bounds_varying(trace).worst_margin)
-    return float(worst)
+    draws = _trace_draws(seed, n_traces, 4 + T)
+    rho = _scaled(draws[0], *rho_range)
+    _check_rho(rho, 2.0 / 3.0)
+    lambda_max = _scaled(draws[1], 0.5, 2.0)
+    lambda_star = _scaled(draws[2], 0.0, lambda_max)
+    eta0_min = np.sqrt(lambda_max)
+    u0 = _scaled(draws[3], -eta0_min, eta0_min)
+    u0 = np.where(u0 == 0.0, eta0_min / 2.0, u0)
+    etas = _scaled(draws[4:], *PREFACTOR_RANGE) * np.sqrt(lambda_max) * _powers(rho, T)
+    trace = ScalarTrace(mf_modes(u0, lambda_star, etas), etas, lambda_star, rho, lambda_max=lambda_max)
+    return check_scalar_mf_bounds_varying(trace).worst_margin
 
 
 def sweep_icl_bounds(n_traces: int, seed: int, rho: float = 0.5, T: int = 45) -> float:
     """Worst margin of the covariance-trace bound over random draws."""
-    stream = RandomStream(seed, 0)
-    worst = np.inf
-    for _ in range(n_traces):
-        lambda_min = stream.uniform(0.1, 2.0)
-        lambda_star = lambda_min * stream.uniform(1.0, 100.0)
-        c = stream.uniform(1.0, 2.0)
-        trace = scalar_icl_trajectory(lambda_star, lambda_min, rho, c, T)
-        worst = min(worst, check_scalar_icl_bounds(trace).worst_margin)
-    return float(worst)
+    draws = _trace_draws(seed, n_traces, 3)
+    lambda_min = _scaled(draws[0], 0.1, 2.0)
+    lambda_star = lambda_min * _scaled(draws[1], 1.0, 100.0)
+    trace = scalar_icl_trajectory(lambda_star, lambda_min, rho, _scaled(draws[2], *PREFACTOR_RANGE), T)
+    return check_scalar_icl_bounds(trace).worst_margin
 
 
 def sweep_never_zero(n_traces: int, steps: int, seed: int, rho: float = 0.5) -> bool:
@@ -352,16 +377,10 @@ def sweep_never_zero(n_traces: int, steps: int, seed: int, rho: float = 0.5) -> 
     exactly zero: True when no iterate equals 0.0 across all traces."""
     stream = RandomStream(seed, 0)
     lambda_max = 1.0
-    c = stream.uniforms(n_traces, 1.0, 2.0)
+    c = stream.uniforms(n_traces, *PREFACTOR_RANGE)
     lam = stream.uniforms(n_traces, 0.0, lambda_max)
     eta0 = c * np.sqrt(lambda_max)
     u = stream.uniforms(n_traces, -1.0, 1.0) * eta0
     u[u == 0.0] = eta0[u == 0.0] / 2.0
-    if np.any(u == 0.0):
-        return False
-    for t in range(steps):
-        eta = c * np.sqrt(lambda_max) * rho**t
-        u = u - eta * np.sign((u * u - lam) * u)
-        if np.any(u == 0.0):
-            return False
-    return True
+    values = mf_modes(u, lam, _powers(rho, steps), scale=c * np.sqrt(lambda_max))
+    return not np.any(values == 0.0)
