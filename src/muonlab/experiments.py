@@ -495,6 +495,8 @@ def preconditioner_report(
 ) -> PreconditionerReport:
     """Run exact-msign Muon on a small factorization task and compare its
     implicit preconditioner block with ScaledGD's at the requested steps."""
+    if any(s < 0 for s in steps):
+        raise PreconditionError(f"steps must be nonnegative, got {tuple(steps)}")
     master = RandomStream(seed)
     inst = make_mf_instance(master.derive(1), d, r, k, kappa, lambda_max=1.0)
     init = scaled_orthonormal_init(master.derive(2), d, k, alpha)

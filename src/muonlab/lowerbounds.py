@@ -239,17 +239,21 @@ def build_hard_icl_instance(kappa: float, etas, epsilon: float | None = None) ->
 
     Error coordinates z = (a - a*, b - b*) of the invariant slice follow the
     hard-quadratic SignGD recursion exactly, and
-    ||Q - Q*||_F = sqrt(2) * ||z||_2 bridges the two metrics.
+    ||Q - Q*||_F = sqrt(2) * ||z||_2 bridges the two metrics.  ``epsilon``
+    defaults to sqrt(2) * eta_0/max(kappa, 4), the largest the barrier admits.
     """
     etas = _check_etas(etas)
     if kappa < 2.0:
         raise PreconditionError(f"hard covariance instance needs kappa >= 2, got {kappa}")
     eps_max = SQRT2 * etas[0] / kappa
-    if epsilon is None:
-        epsilon = eps_max
-    if not 0.0 < epsilon <= eps_max:
+    if epsilon is None:  # not eps_max / SQRT2, which can round above eta_0/kappa
+        level = max(kappa, 4.0)  # and eta_0 >= 4 * eps_q keeps a barrier step
+        epsilon, eps_q = SQRT2 * etas[0] / level, etas[0] / level
+    elif not 0.0 < epsilon <= eps_max:
         raise PreconditionError(f"need 0 < epsilon <= {eps_max:.3e}, got {epsilon}")
-    quad = adversarial_quadratic_init(kappa, epsilon / SQRT2, etas, T=etas.size - 1)
+    else:
+        eps_q = epsilon / SQRT2
+    quad = adversarial_quadratic_init(kappa, eps_q, etas, T=etas.size - 1)
     sigma1 = kappa ** (1.0 / 3.0)
     lam = np.array([sigma1, 1.0])
     cov = (ROTATION * lam) @ ROTATION.T
@@ -331,8 +335,8 @@ def run_lower_bound(
 
     ``eta0`` defaults to r0/4 for the factorization instance (its hypotheses
     need eta_0 <= r0) and to 1 otherwise.  The bare quadratic starts at
-    epsilon = eta_0/kappa, reports ||z_t|| as its metric and has no slice
-    deviation (None).
+    epsilon = eta_0/max(kappa, 4) (its barrier needs eta_0 >= 4*epsilon),
+    reports ||z_t|| as its metric and has no slice deviation (None).
     """
     if family not in FAMILIES:
         raise PreconditionError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -343,7 +347,7 @@ def run_lower_bound(
         return run_hard_mf(build_hard_mf_instance(kappa, etas, r0=r0), etas, T)
     if family == "icl":
         return run_hard_icl(build_hard_icl_instance(kappa, etas), etas, T)
-    init = adversarial_quadratic_init(kappa, etas[0] / kappa, etas, T)
+    init = adversarial_quadratic_init(kappa, etas[0] / max(kappa, 4.0), etas, T)
     run = signgd_quadratic_run(build_hard_quadratic(kappa), init, etas, T)
     metric = np.linalg.norm(run.iterates, axis=1)
     return HardRunResult(first_hit=run.first_hit, metric=metric, slice_deviation=None, epsilon=init.epsilon)

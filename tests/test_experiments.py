@@ -248,6 +248,13 @@ class TestCli:
         assert code == 0
         assert len(list(tmp_path.glob("*.svg"))) == 4
 
+    def test_precond_viz_rejects_negative_step(self, tmp_path, capsys):
+        code = main(["precond-viz", "--d", "6", "--r", "3", "--k", "3", "--steps=-1,10",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "steps must be nonnegative" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_run_verify_kind(self, tmp_path, capsys):
         cfg_path = tmp_path / "verify.cfg"
         cfg_path.write_text("kind = verify\nsuite = gradients\n")

@@ -16,8 +16,10 @@ from muonlab import (
     first_hit_time,
     run_hard_icl,
     run_hard_mf,
+    run_lower_bound,
     signgd_quadratic_run,
 )
+from muonlab.cli import main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -184,3 +186,29 @@ class TestFirstHit:
     def test_epsilon_guard(self):
         with pytest.raises(PreconditionError):
             first_hit_time([1.0], 0.0)
+
+
+class TestDefaultEpsilon:
+    """Each family accepts its own default epsilon at every integer kappa:
+    sqrt(2) * eta_0/kappa / sqrt(2) rounds one ulp above eta_0/kappa at 109
+    of them (21 among them), and below kappa = 4 the barrier needs
+    eta_0 >= 4 * epsilon."""
+
+    @pytest.mark.parametrize("family", ["icl", "quadratic"])
+    def test_every_integer_kappa(self, family):
+        for kappa in range(2, 1001):
+            res = run_lower_bound(family, float(kappa), 5)
+            assert res.epsilon > 0.0
+
+    def test_icl_quadratic_level(self):
+        # the instance's quadratic runs at eta_0/kappa exactly, where
+        # epsilon / sqrt(2) would round above it
+        hard = build_hard_icl_instance(21.0, 0.98 ** np.arange(10))
+        assert hard.quad_init.epsilon == 1.0 / 21.0
+        assert hard.epsilon == SQRT2 / 21.0
+
+    def test_cli_kappa_21(self, tmp_path, capsys):
+        code = main(["lower-bound", "--family", "icl", "--kappa", "21", "--T", "100",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "icl kappa=21: " in capsys.readouterr().out

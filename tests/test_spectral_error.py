@@ -1,0 +1,81 @@
+"""The factorization spectral error ||U U^T - M|| from its rank-(k+r) core
+agrees with the dense spectral norm on both sides of the dispatch rule, and
+a d = 100 trajectory stops where the dense reference would."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from muonlab import RandomStream, first_hit_time, make_icl_instance, make_mf_instance
+from muonlab.experiments import default_eta0, scaled_orthonormal_init
+from muonlab.linalg import spectral_norm
+from muonlab.optimizers import OptimizerConfig, PlateauSchedule, run_trajectory
+
+PROPERTY = settings(max_examples=60, deadline=None)
+KINDS = ("random", "near_converged", "zero")
+
+
+@st.composite
+def shapes(draw, low_rank: bool):
+    """(d, r, k) with r <= min(d, k), d <= 40, on one side of 2(k + r) <= d."""
+    if low_rank:
+        d = draw(st.integers(4, 40))
+        r = draw(st.integers(1, d // 4))
+        k = draw(st.integers(r, d // 2 - r))
+    else:
+        d = draw(st.integers(1, 40))
+        r = draw(st.integers(1, d))
+        k = draw(st.integers(max(r, d // 2 + 1 - r), 40))
+    assert (2 * (k + r) <= d) == low_rank
+    return d, r, k
+
+
+def _iterate(inst, kind: str, stream: RandomStream) -> np.ndarray:
+    d, r, k = inst.d, inst.r, inst.k
+    if kind == "zero":
+        return np.zeros((d, k))
+    if kind == "random":
+        return stream.gaussian_matrix(d, k)
+    # [V sqrt(lam), 0] O + 1e-13 noise: U U^T - M is of order 1e-13
+    aligned = np.zeros((d, k))
+    aligned[:, :r] = inst.eigenvectors * np.sqrt(inst.eigenvalues)
+    return aligned @ stream.haar_orthonormal(k, k) + 1e-13 * stream.gaussian_matrix(d, k)
+
+
+@pytest.mark.parametrize("low_rank", [True, False])
+@PROPERTY
+@given(data=st.data())
+def test_agrees_with_dense_spectral_norm(low_rank, data):
+    d, r, k = data.draw(shapes(low_rank))
+    kappa = 1.0 if r == 1 else data.draw(st.floats(1.0, 1e3))
+    lam_max = data.draw(st.floats(0.1, 10.0))
+    kind = data.draw(st.sampled_from(KINDS))
+    stream = RandomStream(data.draw(st.integers(0, 2**31)))
+    inst = make_mf_instance(stream.derive(1), d, r, k, kappa, lambda_max=lam_max)
+    u = _iterate(inst, kind, stream.derive(2))
+    dense = spectral_norm(u @ u.T - inst.target)
+    scale = max(1.0, spectral_norm(u) ** 2, inst.lambda_max)
+    assert abs(inst.spectral_error(u) - dense) <= 1e-14 * scale
+
+
+def test_icl_error_is_the_dense_spectral_norm():
+    inst = make_icl_instance(RandomStream(3), d=20, kappa_s=10.0, with_samples=False)
+    q = RandomStream(4).gaussian_matrix(20, 20)
+    assert inst.spectral_error(q) == spectral_norm(q - inst.inverse)
+
+
+def test_d100_muon_first_hit_matches_dense_reference():
+    """A d = 100, k = 2 Muon run (low-rank core) stops at 1e-10 on the step
+    where the dense error of the same iterates first reaches 1e-10."""
+    master = RandomStream(42)
+    inst = make_mf_instance(master.derive(1002), 100, 2, 2, 5.0, lambda_max=1.0)
+    init = scaled_orthonormal_init(master.derive(2002), 100, 2, 0.1)
+    traj = run_trajectory(
+        inst, OptimizerConfig("muon"), PlateauSchedule(initial_eta=default_eta0("muon", inst)),
+        init, 5000, stream=master.derive(3002), keep_iterates=True, stop_below=1e-10,
+    )
+    dense = [spectral_norm(u @ u.T - inst.target) for u in traj.iterates]
+    hit = first_hit_time([rec.spectral_error for rec in traj.records], 1e-10)
+    assert hit <= 5000
+    assert hit == first_hit_time(dense, 1e-10)
