@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` (config-driven sweeps), ``lower-bound`` (adversarial
 SignGD instances), ``precond-viz`` (preconditioner heatmaps), ``verify``
-(property suites).  Exit codes: 0 success, 1 failed suite or violated lower
-bound, 2 config error, 3 runtime numerical failure.
+(property suites).  Each command line is one config text, read and
+validated by ``parse_config``.  Exit codes: 0 success, 1 failed suite or
+violated lower bound, 2 config error, 3 runtime numerical failure.
 """
 
 from __future__ import annotations
@@ -12,13 +13,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, MuonLabError, NumericalDivergenceError, PreconditionError
-from .experiments import (
-    ExperimentConfig,
-    FAMILIES,
-    SUITES,
-    parse_config,
-    run_experiment,
-)
+from .experiments import parse_config, run_experiment
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -27,89 +22,65 @@ EXIT_NUMERICAL_ERROR = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Every flag except ``--config`` and ``--out`` is named after the config
+    key it sets; unset flags stay out of the namespace, so the config text
+    and the kind's defaults decide."""
     parser = argparse.ArgumentParser(
         prog="muonlab",
         description="Spectral-orthogonalization optimizer laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a config-driven experiment")
+    def subcommand(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    run_p = subcommand("run", "run a config-driven experiment")
     run_p.add_argument("--config", required=True, help="path to a key = value config file")
-    run_p.add_argument("--out", default=None, help="output directory (overrides config)")
-    run_p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+    run_p.add_argument("--out", help="output directory (overrides config)")
+    run_p.add_argument("--seed", help="master seed (overrides config)")
 
-    lb_p = sub.add_parser("lower-bound", help="run a SignGD lower-bound construction")
-    lb_p.add_argument("--family", choices=FAMILIES, required=True)
+    lb_p = subcommand("lower-bound", "run a SignGD lower-bound construction")
+    lb_p.add_argument("--family", required=True, help="quadratic | mf | icl")
     lb_p.add_argument("--kappa", required=True, help="comma-separated condition numbers")
-    lb_p.add_argument("--rho", type=float, default=0.98, help="schedule decay (eta_t = eta0 * rho^t)")
-    lb_p.add_argument("--eta0", type=float, default=None, help="initial learning rate")
-    lb_p.add_argument("--T", type=int, default=600, help="iterations to run")
-    lb_p.add_argument("--out", default="results", help="output directory")
+    lb_p.add_argument("--rho", help="schedule decay (eta_t = eta0 * rho^t)")
+    lb_p.add_argument("--eta0", help="initial learning rate")
+    lb_p.add_argument("--T", help="iterations to run")
+    lb_p.add_argument("--out", help="output directory")
 
-    pv_p = sub.add_parser("precond-viz", help="Muon vs ScaledGD preconditioner heatmaps")
-    pv_p.add_argument("--d", type=int, default=10)
-    pv_p.add_argument("--r", type=int, default=5)
-    pv_p.add_argument("--k", type=int, default=5)
-    pv_p.add_argument("--alpha", type=float, default=1e-10)
-    pv_p.add_argument("--steps", default="0,500,1000", help="comma-separated step indices")
-    pv_p.add_argument("--seed", type=int, default=42)
-    pv_p.add_argument("--out", default="results")
+    pv_p = subcommand("precond-viz", "Muon vs ScaledGD preconditioner heatmaps")
+    for key in ("d", "r", "k", "alpha", "seed", "out"):
+        pv_p.add_argument(f"--{key}")
+    pv_p.add_argument("--steps", help="comma-separated step indices")
 
-    v_p = sub.add_parser("verify", help="run a verification suite")
-    v_p.add_argument("--suite", choices=SUITES, default="all")
+    v_p = subcommand("verify", "run a verification suite")
+    v_p.add_argument("--suite", help="msign | oracle | lemmas | lowerbounds | gradients | montecarlo | all")
     return parser
 
 
-def _run(cfg: ExperimentConfig, out_dir: str | None) -> int:
-    """Run a config and report it: the kind's result lines (suite lines,
-    bound checks, block differences), then the written paths.  A failed
-    suite or a violated lower bound exits 1."""
-    out = run_experiment(cfg, out_dir=out_dir)
-    ok = True
-    for row in out.summary_rows:
-        if cfg.kind == "verify":
-            for line in row["lines"]:
-                print(line)
-            ok = row["passed"]
-        elif cfg.kind == "lower_bound":
-            ok = ok and row["satisfied"]
-            print(
-                f"{row['family']} kappa={row['kappa']:g}: first_hit={row['first_hit']} "
-                f">= bound={row['bound']:g}? {'OK' if row['satisfied'] else 'VIOLATED'}"
-            )
-        elif cfg.kind == "precond_viz":
-            print(f"t={row['t']}: trace-normalized block difference {row['normalized_difference']:.6f}")
-    for path in out.csv_paths + out.figure_paths + ([out.summary_path] if out.summary_path else []):
-        print(f"wrote {path}")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+def _config_text(args: dict) -> str:
+    """The config a command line describes: the ``--config`` file for
+    ``run``, else ``kind = <command>``, then one ``key = value`` line per
+    flag given."""
+    command = args.pop("command")
+    if command == "run":
+        with open(args.pop("config")) as fh:
+            text = fh.read()
+    else:
+        text = f"kind = {command.replace('-', '_')}"
+    for key, value in args.items():
+        if len(value.splitlines()) > 1:  # a second line would set another key
+            raise ConfigError(f"--{key} must be one line, got {value!r}")
+    return text + "".join(f"\n{key} = {value}" for key, value in args.items())
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one subcommand.  It prints the kind's result lines (suite lines,
+    bound checks, block differences), then the written paths; a failed suite
+    or a violated lower bound exits 1."""
+    args = vars(_build_parser().parse_args(argv))
+    out_dir = args.pop("out", None)
     try:
-        if args.command == "run":
-            with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-            if args.seed is not None:
-                cfg.seed = args.seed
-            return _run(cfg, args.out)
-        if args.command == "verify":
-            return _run(ExperimentConfig(kind="verify", suite=args.suite), None)
-        if args.command == "lower-bound":
-            cfg = ExperimentConfig(
-                kind="lower_bound",
-                family=args.family,
-                kappa=tuple(float(s) for s in args.kappa.split(",")),
-                lb_rho=args.rho,
-                lb_eta0=args.eta0,
-                T=args.T,
-            )
-        else:  # precond-viz
-            cfg = ExperimentConfig(
-                kind="precond_viz", d=args.d, r=args.r, k=args.k, alpha=args.alpha,
-                steps=tuple(int(s) for s in args.steps.split(",")), seed=args.seed,
-            )
-        return _run(cfg, args.out)
+        out = run_experiment(parse_config(_config_text(args)), out_dir=out_dir)
     except (ConfigError, PreconditionError, FileNotFoundError) as exc:
         # bad config values and out-of-contract CLI parameters alike
         print(f"config error: {exc}", file=sys.stderr)
@@ -120,6 +91,11 @@ def main(argv=None) -> int:
     except MuonLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
+    for line in out.lines:
+        print(line)
+    for path in out.csv_paths + out.figure_paths + ([out.summary_path] if out.summary_path else []):
+        print(f"wrote {path}")
+    return EXIT_OK if out.passed else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

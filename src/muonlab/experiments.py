@@ -59,7 +59,8 @@ CSV_HEADER = "t,eta,loss,spectral_error,grad_sigma_min"
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; every field has a documented default."""
+    """Experiment description; ``parse_config`` fills in the kind's defaults
+    (``KIND_DEFAULTS`` over the field defaults) and validates it."""
 
     kind: str = "mf_sweep"
     d: int = 100
@@ -71,7 +72,7 @@ class ExperimentConfig:
     schedule: str = "plateau"
     rho: float = 0.5
     prefactor: str = "fixed"
-    eta0: float | None = None  # None -> per-algorithm default
+    eta0: float | None = None  # None -> per-algorithm (sweeps) or per-family (lower_bound) default
     alpha: float = 0.1
     T: int = 5000
     epsilon: float = 1e-12  # early-stop threshold on spectral error
@@ -80,43 +81,50 @@ class ExperimentConfig:
     replicates: int = 1
     out: str = "results"
     family: str = "quadratic"
-    lb_rho: float = 0.98
-    lb_eta0: float | None = None
     r0: float = 1.0 / 16.0
     steps: tuple[int, ...] = (0, 500, 1000)
     suite: str = "all"
 
 
+# defaults that differ from the field defaults, by kind
+KIND_DEFAULTS = {
+    "lower_bound": {"rho": 0.98, "T": 600},
+    "precond_viz": {"d": 10, "r": 5, "k": 5, "alpha": 1e-10},
+}
+
+# the keys each kind reads; _validate checks only these
+_SWEEP_KEYS = {"d", "kappa", "algorithms", "schedule", "rho", "prefactor", "eta0", "T",
+               "epsilon", "epsilons", "seed", "replicates", "out"}
+_KIND_KEYS = {
+    "mf_sweep": _SWEEP_KEYS | {"r", "k", "alpha"},
+    "icl_sweep": _SWEEP_KEYS,
+    "rank_sweep": _SWEEP_KEYS | {"r", "ranks", "alpha"},
+    "lower_bound": {"family", "kappa", "rho", "eta0", "T", "r0", "out"},
+    "precond_viz": {"d", "r", "k", "alpha", "steps", "seed", "out"},
+    "verify": {"suite"},
+}
+
+
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
 def _parse_scalar(key: str, raw: str, kind: type, line_no: int):
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"line {line_no}: cannot parse {key} = {raw!r}") from None
-
-
-_LIST_KEYS = {
-    "kappa": float,
-    "ranks": int,
-    "algorithms": str,
-    "epsilons": float,
-    "steps": int,
-}
-_OPTIONAL_FLOAT_KEYS = ("eta0", "lb_eta0")
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat key = value config.
 
-    Unknown keys, unparsable values, and out-of-range values raise
-    ``ConfigError`` naming the key and line.  An empty file yields all
-    defaults.
+    Later lines override earlier ones.  Unset keys take the kind's default
+    from ``KIND_DEFAULTS``, else the field default, so an empty file yields
+    the ``mf_sweep`` defaults.  Unknown keys, unparsable values, and
+    out-of-range values of keys the kind reads raise ``ConfigError`` naming
+    the key.
     """
-    cfg = ExperimentConfig()
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
+    values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -124,54 +132,52 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in body:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in known:
+        if key not in _FIELD_DEFAULTS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        if key in _LIST_KEYS:
+        default = _FIELD_DEFAULTS[key]  # its type is the key's type; None is an unset float
+        if isinstance(default, tuple):
             items = [s.strip() for s in raw.split(",") if s.strip()]
             if not items:
                 raise ConfigError(f"line {line_no}: empty list for {key!r}")
-            value = tuple(_parse_scalar(key, s, _LIST_KEYS[key], line_no) for s in items)
-        elif key in _OPTIONAL_FLOAT_KEYS:
-            value = _parse_scalar(key, raw, float, line_no)
+            values[key] = tuple(_parse_scalar(key, s, type(default[0]), line_no) for s in items)
         else:
-            current = getattr(cfg, key)
-            value = _parse_scalar(key, raw, type(current), line_no)
-        setattr(cfg, key, value)
+            values[key] = _parse_scalar(key, raw, float if default is None else type(default), line_no)
+    kind = values.get("kind", _FIELD_DEFAULTS["kind"])
+    cfg = ExperimentConfig(**{**KIND_DEFAULTS.get(kind, {}), **values})
     _validate(cfg)
     return cfg
 
 
-def _require(ok: bool, message: str):
-    if not ok:
-        raise ConfigError(message)
-
-
 def _validate(cfg: ExperimentConfig):
-    _require(cfg.kind in KINDS, f"kind must be one of {KINDS}, got {cfg.kind!r}")
-    _require(cfg.d >= 1 and cfg.k >= 1 and cfg.r >= 1, "d, r, k must be positive")
-    _require(cfg.r <= min(cfg.d, cfg.k), f"need r <= min(d, k), got r={cfg.r}, d={cfg.d}, k={cfg.k}")
-    _require(all(x >= 1.0 for x in cfg.kappa), "kappa values must be >= 1")
-    _require(all(k >= cfg.r for k in cfg.ranks), "ranks must be >= r")
-    _require(
-        all(a in ALGORITHMS for a in cfg.algorithms),
-        f"algorithms must be among {ALGORITHMS}, got {cfg.algorithms}",
+    if cfg.kind not in KINDS:
+        raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
+    reads = _KIND_KEYS[cfg.kind]
+    checks = (  # (key, ok, message), in the order they are reported
+        ("d", cfg.d >= 1, "d must be positive"),
+        ("r", 1 <= cfg.r <= cfg.d, f"need 1 <= r <= d, got r={cfg.r}, d={cfg.d}"),
+        ("k", cfg.k >= cfg.r, f"need k >= r, got k={cfg.k}, r={cfg.r}"),
+        ("kappa", all(x >= 1.0 for x in cfg.kappa), "kappa values must be >= 1"),
+        ("ranks", all(k >= cfg.r for k in cfg.ranks), "ranks must be >= r"),
+        ("algorithms", all(a in ALGORITHMS for a in cfg.algorithms),
+         f"algorithms must be among {ALGORITHMS}, got {cfg.algorithms}"),
+        ("schedule", cfg.schedule in ("plateau", "exponential"), f"unknown schedule {cfg.schedule!r}"),
+        ("rho", 0.5 <= cfg.rho < 1.0, f"rho must lie in [1/2, 1), got {cfg.rho}"),
+        ("prefactor", cfg.prefactor in ("fixed", "per_iteration"), f"unknown prefactor {cfg.prefactor!r}"),
+        ("eta0", cfg.eta0 is None or cfg.eta0 > 0, "eta0 must be positive"),
+        ("alpha", cfg.alpha > 0, "alpha must be positive"),
+        ("T", cfg.T >= 1, "T must be >= 1"),
+        ("epsilon", cfg.epsilon > 0, "epsilon must be positive"),
+        ("epsilons", all(e > 0 for e in cfg.epsilons), "epsilons must be positive"),
+        ("seed", cfg.seed >= 0, "seed must be nonnegative"),
+        ("replicates", cfg.replicates >= 1, "replicates must be >= 1"),
+        ("family", cfg.family in FAMILIES, f"family must be one of {FAMILIES}, got {cfg.family!r}"),
+        ("r0", 0 < cfg.r0 <= 1.0 / 16.0, "r0 must lie in (0, 1/16]"),
+        ("steps", all(s >= 0 for s in cfg.steps), "steps must be nonnegative"),
+        ("suite", cfg.suite in SUITES, f"suite must be one of {SUITES}, got {cfg.suite!r}"),
     )
-    _require(cfg.schedule in ("plateau", "exponential"), f"unknown schedule {cfg.schedule!r}")
-    _require(0.5 <= cfg.rho < 1.0, f"rho must lie in [1/2, 1), got {cfg.rho}")
-    _require(0.5 <= cfg.lb_rho < 1.0, f"lb_rho must lie in [1/2, 1), got {cfg.lb_rho}")
-    _require(cfg.prefactor in ("fixed", "per_iteration"), f"unknown prefactor {cfg.prefactor!r}")
-    _require(cfg.eta0 is None or cfg.eta0 > 0, "eta0 must be positive")
-    _require(cfg.lb_eta0 is None or cfg.lb_eta0 > 0, "lb_eta0 must be positive")
-    _require(cfg.alpha > 0, "alpha must be positive")
-    _require(cfg.T >= 1, "T must be >= 1")
-    _require(cfg.epsilon > 0, "epsilon must be positive")
-    _require(all(e > 0 for e in cfg.epsilons), "epsilons must be positive")
-    _require(cfg.seed >= 0, "seed must be nonnegative")
-    _require(cfg.replicates >= 1, "replicates must be >= 1")
-    _require(cfg.family in FAMILIES, f"family must be one of {FAMILIES}, got {cfg.family!r}")
-    _require(0 < cfg.r0 <= 1.0 / 16.0, "r0 must lie in (0, 1/16]")
-    _require(all(s >= 0 for s in cfg.steps), "steps must be nonnegative")
-    _require(cfg.suite in SUITES, f"suite must be one of {SUITES}, got {cfg.suite!r}")
+    for key, ok, message in checks:
+        if key in reads and not ok:
+            raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +278,27 @@ def _make_schedule(cfg: ExperimentConfig, algorithm: str, inst):
 
 @dataclass
 class RunOutput:
+    """What a run wrote, its summary rows, and its report: the kind's
+    printable result lines and whether every check in them passed."""
+
     csv_paths: list[str]
     summary_path: str | None
     metadata_path: str | None
     summary_rows: list[dict] = field(default_factory=list)
     figure_paths: list[str] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)
+    passed: bool = True
 
 
 def _write_metadata(cfg: ExperimentConfig, out_dir: str) -> str:
+    """Write the resolved config as a config file ``parse_config`` reads
+    back to ``cfg``; unset optional keys are left out."""
     path = os.path.join(out_dir, "run_metadata.txt")
     with open(path, "w", newline="\n") as fh:
         for f in fields(cfg):
             value = getattr(cfg, f.name)
+            if value is None:
+                continue
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
             fh.write(f"{f.name} = {value}\n")
@@ -302,16 +317,18 @@ def _sweep_points(cfg: ExperimentConfig):
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutput:
-    """Execute a sweep config: one CSV per (algorithm, point, replicate),
-    plus a first-hit summary CSV and a resolved-config metadata file.
-
-    ``kind = verify`` writes nothing; its one summary row holds the suite
-    report's ``passed`` and ``lines``.
+    """Execute a config.  A sweep writes one CSV per (algorithm, point,
+    replicate), a first-hit summary CSV, figures and a resolved-config
+    metadata file; ``lower_bound`` and ``precond_viz`` write their CSVs and
+    the metadata file too.  ``kind = verify`` writes nothing.  The result
+    lines are the suite lines (``verify``), one bound check per kappa
+    (``lower_bound``, failed if violated) or one block difference per step
+    (``precond_viz``); sweeps have none.
     """
     if cfg.kind == "verify":
         report = verify(cfg.suite)
         return RunOutput(csv_paths=[], summary_path=None, metadata_path=None,
-                         summary_rows=[{"passed": report.passed, "lines": report.lines}])
+                         lines=report.lines, passed=report.passed)
     out_dir = out_dir or cfg.out
     os.makedirs(out_dir, exist_ok=True)
     if cfg.kind == "lower_bound":
@@ -326,10 +343,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
             csv_paths=list(report.heatmap_paths),
             summary_path=report.difference_path,
             metadata_path=meta,
-            summary_rows=[
-                {"t": t, "normalized_difference": diff}
-                for t, diff in zip(report.steps, report.normalized_differences)
-            ],
+            lines=[f"t={t}: trace-normalized block difference {diff:.6f}"
+                   for t, diff in zip(report.steps, report.normalized_differences)],
         )
 
     master = RandomStream(cfg.seed)
@@ -419,7 +434,7 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
     csv_paths: list[str] = []
     summary_rows: list[dict] = []
     for kappa in cfg.kappa:
-        res = run_lower_bound(cfg.family, kappa, cfg.T, rho=cfg.lb_rho, eta0=cfg.lb_eta0, r0=cfg.r0)
+        res = run_lower_bound(cfg.family, kappa, cfg.T, rho=cfg.rho, eta0=cfg.eta0, r0=cfg.r0)
         path = os.path.join(out_dir, f"lower_bound_{cfg.family}_kappa{kappa:g}.csv")
         write_csv(path, "t,metric", ((t, format_float(v)) for t, v in enumerate(res.metric)))
         csv_paths.append(path)
@@ -444,6 +459,12 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
     return RunOutput(
         csv_paths=csv_paths, summary_path=summary_path, metadata_path=meta,
         summary_rows=summary_rows,
+        lines=[
+            f"{row['family']} kappa={row['kappa']:g}: first_hit={row['first_hit']} "
+            f">= bound={row['bound']:g}? {'OK' if row['satisfied'] else 'VIOLATED'}"
+            for row in summary_rows
+        ],
+        passed=all(row["satisfied"] for row in summary_rows),
     )
 
 

@@ -1,0 +1,34 @@
+"""Every ``muonlab ...`` line of README's "Command line" block runs and
+exits 0, so the documented commands cannot drift from the CLI."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from muonlab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _commands() -> list[str]:
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1)
+    return [line for line in block.splitlines() if line.startswith("muonlab ")]
+
+
+def test_block_found():
+    assert len(_commands()) >= 4
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", _commands())
+def test_readme_command_exits_0(command, tmp_path, monkeypatch):
+    argv = shlex.split(command, comments=True)[1:]
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        argv[i] = str(ROOT / argv[i])
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
