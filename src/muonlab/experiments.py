@@ -472,6 +472,8 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
 # Preconditioner comparison (Muon vs ScaledGD blocks along a Muon run)
 # ---------------------------------------------------------------------------
 
+_PRECOND_VIZ = parse_config("kind = precond_viz")  # the defaults of preconditioner_report
+
 
 @dataclass
 class PreconditionerReport:
@@ -504,12 +506,12 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def preconditioner_report(
-    d: int = 10,
-    r: int = 5,
-    k: int = 5,
-    alpha: float = 1e-10,
-    steps: tuple[int, ...] = (0, 500, 1000),
-    seed: int = 42,
+    d: int = _PRECOND_VIZ.d,
+    r: int = _PRECOND_VIZ.r,
+    k: int = _PRECOND_VIZ.k,
+    alpha: float = _PRECOND_VIZ.alpha,
+    steps: tuple[int, ...] = _PRECOND_VIZ.steps,
+    seed: int = _PRECOND_VIZ.seed,
     kappa: float = 5.0,
     T: int | None = None,
     out_dir: str | None = None,

@@ -116,14 +116,16 @@ def symmetric_eig(a) -> SymEigFactors:
     return SymEigFactors(eigenvalues=vals[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
 
 
+def _numerical_rank(s: np.ndarray) -> int:
+    """How many of the descending singular values ``s`` exceed RANK_TOL * sigma_1."""
+    return int(np.count_nonzero(s > RANK_TOL * s[:1]))
+
+
 def svd(z) -> SvdFactors:
     """Compact SVD with effective-rank truncation at RANK_TOL * sigma_1."""
     z = check_matrix(z, "svd input")
     u, s, vt = np.linalg.svd(z, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > RANK_TOL * s[0]))
+    r = _numerical_rank(s)
     return SvdFactors(left=u[:, :r].copy(), singular_values=s[:r].copy(), right=vt[:r].T.copy())
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import check_matrix, svd
+from .linalg import _numerical_rank, check_matrix
 
 # Off-diagonal magnitude above which dsign refuses its input.
 _DIAGONAL_TOL = 1e-14
@@ -48,15 +48,17 @@ class NewtonSchulzResult:
 
 
 def msign_exact(z) -> np.ndarray:
-    """Exact matrix sign U_Z @ V_Z.T from the compact SVD of Z.
+    """Exact matrix sign U_Z @ V_Z.T from the compact SVD of Z; non-2-D or
+    non-finite Z raises ``PreconditionError``."""
+    z = check_matrix(z, "msign input")
+    return _msign_from_svd(*np.linalg.svd(z, full_matrices=False))
 
-    ``svd`` checks the input, so non-2-D or non-finite Z raises
-    ``PreconditionError``.
-    """
-    f = svd(z)
-    if f.rank == 0:
-        return np.zeros((f.left.shape[0], f.right.shape[0]))
-    return f.left @ f.right.T
+
+def _msign_from_svd(u, s, vt) -> np.ndarray:
+    """msign from a trusted compact SVD.  A Fortran-ordered right factor
+    multiplies bitwise as U @ V.T always has, which a C-ordered one does not."""
+    r = _numerical_rank(s)
+    return u[:, :r] @ np.asfortranarray(vt[:r])
 
 
 def msign_newton_schulz(z, config: NewtonSchulzConfig | None = None) -> NewtonSchulzResult:

@@ -15,12 +15,8 @@ import numpy as np
 
 from .errors import NumericalDivergenceError, PreconditionError, RankDeficiencyError
 from .linalg import check_matrices, symmetric_eig
-from .msign import NewtonSchulzConfig, msign_exact, msign_newton_schulz
+from .msign import NewtonSchulzConfig, _msign_from_svd, msign_exact, msign_newton_schulz
 from .rng import RandomStream
-
-# Above this dimension the per-step sigma_min(grad) SVD is skipped and the
-# record carries -1.0, keeping large sweeps inside their runtime budget.
-SIGMA_MIN_DIM_CAP = 64
 
 # The interval U[lo, hi) that random learning-rate prefactors C are drawn from.
 PREFACTOR_RANGE = (1.0, 2.0)
@@ -186,12 +182,13 @@ class Trajectory:
     iterates: list[np.ndarray] | None = None
 
 
-# Update kernels: (x, grad, eta, state, algo) -> (x_next, state_next,
-# msign_converged).  They trust their array inputs; ``run_trajectory`` checks
-# its initial point once, and the public ``*_step`` functions check theirs.
+# Update kernels: (x, grad, eta, state, algo, factors) -> (x_next, state_next,
+# msign_converged); ``factors`` is the caller's compact SVD of ``grad``, given
+# only when the step is msign(grad) itself.  They trust their array inputs:
+# ``run_trajectory`` checks its initial point once, the ``*_step`` functions theirs.
 
 
-def _muon_update(x, grad, eta, state: MuonState, algo: OptimizerConfig):
+def _muon_update(x, grad, eta, state: MuonState, algo: OptimizerConfig, factors=None):
     if eta <= 0.0:
         raise PreconditionError("eta must be positive")
     # mu == 0 takes the gradient verbatim, so simplified Muon is bitwise
@@ -202,25 +199,26 @@ def _muon_update(x, grad, eta, state: MuonState, algo: OptimizerConfig):
     if not np.any(grad):
         return x.copy(), state, True
     if algo.msign_backend == "exact":
-        return x - eta * msign_exact(grad), state, True
+        direction = msign_exact(grad) if factors is None else _msign_from_svd(*factors)
+        return x - eta * direction, state, True
     result = msign_newton_schulz(grad, algo.ns_config)
     return x - eta * result.matrix, state, result.converged
 
 
-def _gd_update(x, grad, eta, state, algo):
+def _gd_update(x, grad, eta, state, algo, factors=None):
     return x - eta * grad, state, True
 
 
-def _signgd_update(x, grad, eta, state, algo):
+def _signgd_update(x, grad, eta, state, algo, factors=None):
     return x - eta * np.sign(grad), state, True
 
 
-def _scaledgd_update(u, grad, eta, state, algo):
-    factors = symmetric_eig(u.T @ u)
-    lam = factors.eigenvalues
+def _scaledgd_update(u, grad, eta, state, algo, factors=None):
+    eig = symmetric_eig(u.T @ u)
+    lam = eig.eigenvalues
     if lam[0] <= 0.0 or lam[-1] <= (1e-12) ** 2 * lam[0]:
         raise RankDeficiencyError("scaledgd: U^T U is numerically singular")
-    gram_inv = (factors.eigenvectors / lam) @ factors.eigenvectors.T
+    gram_inv = (eig.eigenvectors / lam) @ eig.eigenvectors.T
     return u - eta * grad @ gram_inv, state, True
 
 
@@ -248,9 +246,7 @@ def muon_step(
     mu = 0 the buffer is bypassed and ``state`` comes back as it was.
     """
     x, grad = check_matrices(state.buffer.shape, iterate=x, gradient=grad)
-    if ns_config is None:
-        ns_config = NewtonSchulzConfig()
-    algo = OptimizerConfig("muon", msign_backend=backend, ns_config=ns_config)
+    algo = OptimizerConfig("muon", msign_backend=backend, ns_config=ns_config or NewtonSchulzConfig())
     return _muon_update(x, grad, eta, state, algo)
 
 
@@ -290,13 +286,13 @@ def run_trajectory(
     per iterate (T+1 records when no early stop fires; the final record's eta
     is the schedule value that a further step would have used).
 
-    sigma_min of the gradient is logged through an SVD for instances with
-    d <= SIGMA_MIN_DIM_CAP and recorded as -1.0 above that.  ``init`` is the
-    only array checked: it must be 2-D, finite and of shape
-    ``inst.iterate_shape()``.  Every later iterate comes from the update
-    kernels, and one that is no longer finite shows up as a non-finite loss,
-    which aborts with ``NumericalDivergenceError`` carrying the records so
-    far.  ``stop_below`` ends the run once the spectral error reaches it.
+    sigma_min of each gradient is logged at every d, from the one SVD that
+    exact Muon with mu = 0 also steps with, else from a values-only SVD.
+    ``init`` is the only array checked: 2-D, finite, ``inst.iterate_shape()``.
+    Every later iterate comes from the update kernels, and one that is no
+    longer finite shows up as a non-finite loss, which aborts with
+    ``NumericalDivergenceError`` carrying the records so far.  ``stop_below``
+    ends the run once the spectral error reaches it.
     """
     if T < 1:
         raise PreconditionError("T must be >= 1")
@@ -304,7 +300,7 @@ def run_trajectory(
     x = x.copy()
     state = MuonState.zeros(x.shape, mu=algo.mu)
     update = _UPDATES[algo.algorithm]
-    with_gsm = inst.d <= SIGMA_MIN_DIM_CAP
+    factored = algo.algorithm == "muon" and algo.msign_backend == "exact" and algo.mu == 0.0
     records: list[TrajectoryRecord] = []
     iterates: list[np.ndarray] | None = [x.copy()] if keep_iterates else None
     for t in range(T + 1):
@@ -314,16 +310,14 @@ def run_trajectory(
                 f"non-finite loss at iteration {t}", iteration=t, records=records
             )
         err = inst.spectral_error(x)
-        if with_gsm:
-            svals = np.linalg.svd(grad, compute_uv=False)
-            gsm = float(svals[-1]) if svals.size else 0.0
-        else:
-            gsm = -1.0
+        factors = np.linalg.svd(grad, full_matrices=False) if factored else None
+        svals = factors[1] if factored else np.linalg.svd(grad, compute_uv=False)
+        gsm = float(svals[-1]) if svals.size else 0.0
         eta = float(sched.eta(t, loss, stream))
         if t == T or (stop_below is not None and err <= stop_below):
             records.append(TrajectoryRecord(t, eta, loss, err, gsm, True))
             break
-        x, state, converged = update(x, grad, eta, state, algo)
+        x, state, converged = update(x, grad, eta, state, algo, factors)
         records.append(TrajectoryRecord(t, eta, loss, err, gsm, converged))
         if keep_iterates:
             iterates.append(x.copy())

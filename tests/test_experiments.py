@@ -184,6 +184,14 @@ class TestPreconditionerReport:
         # at t=0 the ScaledGD block is alpha^2 * I (Gram of a scaled orthonormal init)
         assert np.abs(rep.scaledgd_blocks[0] - 1e-20 * np.eye(3)).max() <= 1e-22
 
+    def test_defaults_are_the_precond_viz_config(self, tmp_path):
+        preconditioner_report(out_dir=str(tmp_path / "lib"))
+        run_experiment(parse_config("kind = precond_viz"), str(tmp_path / "cfg"))
+        written = sorted(os.listdir(tmp_path / "lib"))
+        assert len(written) == 7
+        for name in written:
+            assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "cfg" / name).read_bytes()
+
     def test_step_beyond_trajectory(self):
         from muonlab import PreconditionError
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from muonlab import (
@@ -12,6 +14,7 @@ from muonlab import (
     msign_exact,
     msign_newton_schulz,
     sign_entrywise,
+    svd,
 )
 
 
@@ -58,6 +61,58 @@ class TestMsignExact:
         lhs = msign_exact(v @ d @ r.T)
         rhs = v @ dsign(d) @ r.T
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-10
+
+
+PROPERTY = settings(max_examples=100, deadline=None)
+DIMS = st.integers(1, 12)
+
+
+@st.composite
+def spectral_inputs(draw, full_rank=False, dims=DIMS):
+    """(Z, rank) with Z = U diag(s) V^T for Haar U, V, rank-many singular
+    values spanning at most four decades, and Z's overall scale anywhere in
+    1e-100..1e100."""
+    d, k = draw(dims), draw(dims)
+    r = min(d, k) if full_rank else draw(st.integers(1, min(d, k)))
+    stream = RandomStream(draw(st.integers(0, 2**32 - 1)))
+    svals = 10.0 ** (draw(st.floats(-100.0, 100.0)) - np.sort(stream.uniforms(r, 0.0, 4.0)))
+    return (stream.haar_orthonormal(d, r) * svals) @ stream.haar_orthonormal(k, r).T, r
+
+
+class TestMsignExactProperties:
+    @PROPERTY
+    @given(spectral_inputs(full_rank=True))
+    def test_orthonormal_on_full_rank(self, zr):
+        z, r = zr
+        m = msign_exact(z)
+        gram = m.T @ m if z.shape[0] >= z.shape[1] else m @ m.T
+        assert np.linalg.norm(gram - np.eye(r)) <= 1e-12
+
+    @PROPERTY
+    @given(spectral_inputs())
+    def test_idempotent(self, zr):
+        m = msign_exact(zr[0])
+        assert np.linalg.norm(msign_exact(m) - m, 2) <= 1e-12
+
+    @PROPERTY
+    @given(spectral_inputs(), st.floats(-100.0, 100.0))
+    def test_positive_scale_invariant(self, zr, log_c):
+        z = zr[0]
+        assert np.linalg.norm(msign_exact(10.0**log_c * z) - msign_exact(z), 2) <= 1e-9
+
+    @PROPERTY
+    @given(spectral_inputs(dims=st.integers(12, 40)))
+    def test_bitwise_the_compact_svd_product(self, zr):
+        # the one msign arithmetic rounds as U @ V.T of ``linalg.svd``'s
+        # factors; from about 17 x 17 up, U @ Vt with a C-ordered Vt does not
+        f = svd(zr[0])
+        assert np.array_equal(msign_exact(zr[0]), f.left @ f.right.T)
+
+    @given(DIMS, DIMS)
+    def test_zero_maps_to_zero(self, d, k):
+        m = msign_exact(np.zeros((d, k)))
+        assert m.shape == (d, k)
+        assert not np.any(m) and not np.any(np.signbit(m))
 
 
 class TestNewtonSchulz:

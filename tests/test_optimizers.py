@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from muonlab import (
@@ -16,6 +18,7 @@ from muonlab import (
     RankDeficiencyError,
     SequenceSchedule,
     gd_step,
+    make_icl_instance,
     make_mf_instance,
     msign_exact,
     muon_step,
@@ -268,18 +271,33 @@ class TestRunTrajectory:
         with pytest.raises(PreconditionError):
             run_trajectory(inst, OptimizerConfig("muon"), ConstantSchedule(0.0), init, 3)
 
-    def test_sigma_min_gating(self):
-        small = run_trajectory(
-            self._instance(d=8), OptimizerConfig("gd"), ConstantSchedule(0.01),
-            RandomStream(18).gaussian_matrix(8, 2) * 0.1, 2,
+    def test_sigma_min_logged_at_every_d(self):
+        inst = make_mf_instance(RandomStream(19), 65, 2, 2, 4.0)
+        traj = run_trajectory(
+            inst, OptimizerConfig("gd"), ConstantSchedule(0.01),
+            RandomStream(20).gaussian_matrix(65, 2) * 0.1, 2, keep_iterates=True,
         )
-        assert all(r.grad_sigma_min >= 0.0 for r in small.records)
-        big_inst = make_mf_instance(RandomStream(19), 65, 2, 2, 4.0)
-        big = run_trajectory(
-            big_inst, OptimizerConfig("gd"), ConstantSchedule(0.01),
-            RandomStream(20).gaussian_matrix(65, 2) * 0.1, 2,
-        )
-        assert all(r.grad_sigma_min == -1.0 for r in big.records)
+        for rec, x in zip(traj.records, traj.iterates, strict=True):
+            want = np.linalg.svd(inst.loss_grad(x)[1], compute_uv=False)[-1]
+            assert want > 0.0
+            assert abs(rec.grad_sigma_min - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("algo, per_step", [
+        (OptimizerConfig("muon"), [True]),  # one SVD serves sigma_min and msign
+        (OptimizerConfig("muon", mu=0.5), [False, True]),  # msign factors the buffer
+        (OptimizerConfig("muon", msign_backend="newton_schulz"), [False]),
+        (OptimizerConfig("gd"), [False]),
+    ])
+    def test_svds_per_record(self, monkeypatch, algo, per_step):
+        # 2(k + r) <= d, so the spectral error takes no SVD of its own;
+        # each call is logged by whether it computes singular vectors
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: calls.append(kw.get("compute_uv", True)) or svd(a, **kw))
+        run_trajectory(self._instance(d=8), algo, ConstantSchedule(0.01),
+                       RandomStream(26).gaussian_matrix(8, 2) * 0.1, 5)
+        assert calls == per_step * 5 + per_step[:1]
 
     def test_sequence_schedule_replay(self):
         inst = self._instance()
@@ -292,3 +310,55 @@ class TestRunTrajectory:
             SequenceSchedule([r.eta for r in first.records]), init, 10,
         )
         assert first.records == replay.records
+
+
+@st.composite
+def _muon_runs(draw):
+    """A random mf or icl instance with a finite start point."""
+    stream = RandomStream(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 12))
+        r = draw(st.integers(1, min(d, 3)))
+        k = draw(st.integers(r, d + 2))
+        kappa = 1.0 if r == 1 else draw(st.floats(1.0, 100.0))
+        inst = make_mf_instance(stream.derive(1), d, r, k, kappa)
+        return inst, stream.derive(2).gaussian_matrix(d, k) * draw(st.floats(0.01, 1.0))
+    d = draw(st.integers(1, 12))
+    kappa = 1.0 if d == 1 else draw(st.floats(1.0, 10.0))
+    inst = make_icl_instance(stream.derive(1), d, kappa)
+    return inst, stream.derive(2).gaussian_matrix(d, d) * draw(st.floats(0.0, 1.0))
+
+
+def _replay(inst, traj, init, state, **step_kw):
+    """Chain the public ``muon_step`` along the logged etas: the records'
+    grad sigma_min against a values-only SVD, and the iterates bitwise."""
+    x = init
+    for t, rec in enumerate(traj.records):
+        grad = inst.loss_grad(x)[1]
+        want = np.linalg.svd(grad, compute_uv=False)[-1]
+        assert abs(rec.grad_sigma_min - want) <= 1e-13 * want
+        if t + 1 < len(traj.records):
+            x, state, _ = muon_step(x, grad, state, rec.eta, **step_kw)
+            assert np.array_equal(x, traj.iterates[t + 1])
+    return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_muon_runs(), eta=st.floats(1e-3, 1.0))
+def test_loop_muon_is_chained_muon_step(run, eta):
+    inst, init = run
+    traj = run_trajectory(inst, OptimizerConfig("muon"), ExponentialSchedule(0.9, eta, fixed_prefactor=1.0),
+                          init, 12, keep_iterates=True)
+    _replay(inst, traj, init, MuonState.zeros(init.shape))
+
+
+@pytest.mark.parametrize("algo", [OptimizerConfig("muon", mu=0.5),
+                                  OptimizerConfig("muon", msign_backend="newton_schulz")])
+def test_buffered_and_newton_schulz_muon_log_the_gradient(algo):
+    # with mu > 0 msign factors the buffer, not the gradient; the logged
+    # sigma_min must still be the gradient's
+    inst = make_mf_instance(RandomStream(27), 8, 2, 2, 4.0)
+    init = RandomStream(28).gaussian_matrix(8, 2) * 0.5
+    traj = run_trajectory(inst, algo, ConstantSchedule(0.05), init, 10, keep_iterates=True)
+    state = _replay(inst, traj, init, MuonState.zeros((8, 2), mu=algo.mu), backend=algo.msign_backend)
+    assert np.any(state.buffer) == (algo.mu > 0)
