@@ -156,18 +156,18 @@ def _validate(cfg: ExperimentConfig):
         ("d", cfg.d >= 1, "d must be positive"),
         ("r", 1 <= cfg.r <= cfg.d, f"need 1 <= r <= d, got r={cfg.r}, d={cfg.d}"),
         ("k", cfg.k >= cfg.r, f"need k >= r, got k={cfg.k}, r={cfg.r}"),
-        ("kappa", all(x >= 1.0 for x in cfg.kappa), "kappa values must be >= 1"),
+        ("kappa", all(1.0 <= x < math.inf for x in cfg.kappa), "kappa values must be finite and >= 1"),
         ("ranks", all(k >= cfg.r for k in cfg.ranks), "ranks must be >= r"),
         ("algorithms", all(a in ALGORITHMS for a in cfg.algorithms),
          f"algorithms must be among {ALGORITHMS}, got {cfg.algorithms}"),
         ("schedule", cfg.schedule in ("plateau", "exponential"), f"unknown schedule {cfg.schedule!r}"),
         ("rho", 0.5 <= cfg.rho < 1.0, f"rho must lie in [1/2, 1), got {cfg.rho}"),
         ("prefactor", cfg.prefactor in ("fixed", "per_iteration"), f"unknown prefactor {cfg.prefactor!r}"),
-        ("eta0", cfg.eta0 is None or cfg.eta0 > 0, "eta0 must be positive"),
-        ("alpha", cfg.alpha > 0, "alpha must be positive"),
+        ("eta0", cfg.eta0 is None or 0 < cfg.eta0 < math.inf, "eta0 must be positive and finite"),
+        ("alpha", 0 < cfg.alpha < math.inf, "alpha must be positive and finite"),
         ("T", cfg.T >= 1, "T must be >= 1"),
-        ("epsilon", cfg.epsilon > 0, "epsilon must be positive"),
-        ("epsilons", all(e > 0 for e in cfg.epsilons), "epsilons must be positive"),
+        ("epsilon", 0 < cfg.epsilon < math.inf, "epsilon must be positive and finite"),
+        ("epsilons", all(0 < e < math.inf for e in cfg.epsilons), "epsilons must be positive and finite"),
         ("seed", cfg.seed >= 0, "seed must be nonnegative"),
         ("replicates", cfg.replicates >= 1, "replicates must be >= 1"),
         ("family", cfg.family in FAMILIES, f"family must be one of {FAMILIES}, got {cfg.family!r}"),

@@ -20,6 +20,10 @@ from .rng import RandomStream
 
 # The interval U[lo, hi) that random learning-rate prefactors C are drawn from.
 PREFACTOR_RANGE = (1.0, 2.0)
+# Bytes of iterates (546 of a d = 30, k = 2 factor) queued before
+# ``run_trajectory`` stacks their metrics; the queue holds their gradients
+# too, so about twice this.  Not tuned.
+METRIC_BLOCK_BYTES = 256 * 1024
 
 
 class ExponentialSchedule:
@@ -39,8 +43,8 @@ class ExponentialSchedule:
     ):
         if not 0.5 <= rho < 1.0:
             raise PreconditionError(f"rho must lie in [1/2, 1), got {rho}")
-        if base_scale <= 0.0:
-            raise PreconditionError("base_scale must be positive")
+        if not 0.0 < base_scale < np.inf:
+            raise PreconditionError(f"base_scale must be positive and finite, got {base_scale}")
         if prefactor_mode not in ("fixed", "per_iteration"):
             raise PreconditionError(f"unknown prefactor_mode {prefactor_mode!r}")
         self.rho = rho
@@ -69,8 +73,8 @@ class PlateauSchedule:
     """
 
     def __init__(self, initial_eta: float, decay_factor: float = 0.3, patience: int = 50):
-        if initial_eta <= 0.0:
-            raise PreconditionError("initial_eta must be positive")
+        if not 0.0 < initial_eta < np.inf:
+            raise PreconditionError(f"initial_eta must be positive and finite, got {initial_eta}")
         if not 0.0 < decay_factor < 1.0:
             raise PreconditionError("decay_factor must lie in (0, 1)")
         if patience < 1:
@@ -106,8 +110,8 @@ class ConstantSchedule:
     """
 
     def __init__(self, eta: float):
-        if eta < 0.0:
-            raise PreconditionError("eta must be nonnegative")
+        if not 0.0 <= eta < np.inf:
+            raise PreconditionError(f"eta must be nonnegative and finite, got {eta}")
         self._eta = eta
 
     def eta(self, t: int, current_loss: float | None = None, stream: RandomStream | None = None) -> float:
@@ -119,8 +123,8 @@ class SequenceSchedule:
 
     def __init__(self, etas):
         self.etas = [float(e) for e in etas]
-        if any(e <= 0 for e in self.etas):
-            raise PreconditionError("etas must be positive")
+        if not self.etas or not all(0.0 < e < np.inf for e in self.etas):
+            raise PreconditionError("etas must be a nonempty sequence of positive finite values")
 
     def eta(self, t: int, current_loss: float | None = None, stream: RandomStream | None = None) -> float:
         if t < len(self.etas):
@@ -293,6 +297,10 @@ def run_trajectory(
     longer finite shows up as a non-finite loss, which aborts with
     ``NumericalDivergenceError`` carrying the records so far.  ``stop_below``
     ends the run once the spectral error reaches it.
+
+    Metrics that do not steer the run are filled by stacked calls over at
+    most ``METRIC_BLOCK_BYTES`` of queued iterates; the error is computed on
+    the spot only where ``inst.error_floor(loss) <= stop_below``.
     """
     if T < 1:
         raise PreconditionError("T must be >= 1")
@@ -301,24 +309,40 @@ def run_trajectory(
     state = MuonState.zeros(x.shape, mu=algo.mu)
     update = _UPDATES[algo.algorithm]
     factored = algo.algorithm == "muon" and algo.msign_backend == "exact" and algo.mu == 0.0
-    records: list[TrajectoryRecord] = []
+    rows: list[tuple[int, float, float, bool]] = []  # t, eta, loss, msign_converged
+    errs, gsms = np.empty(T + 1), np.empty(T + 1)
+    queue: list[tuple[int, np.ndarray, np.ndarray]] = []  # (t, iterate, gradient)
+    block = max(1, METRIC_BLOCK_BYTES // x.nbytes)
     iterates: list[np.ndarray] | None = [x.copy()] if keep_iterates else None
+
+    def flush():
+        if queue:
+            at, xs, grads = map(list, zip(*queue))
+            errs[at] = inst.spectral_errors(np.stack(xs))
+            if not factored:
+                gsms[at] = np.linalg.svd(np.stack(grads), compute_uv=False)[:, -1]
+            queue.clear()
+
+    def records():
+        flush()
+        return [TrajectoryRecord(t, eta, loss, float(errs[t]), float(gsms[t]), ok)
+                for t, eta, loss, ok in rows]
+
     for t in range(T + 1):
         loss, grad = inst.loss_grad(x)
         if not np.isfinite(loss):
-            raise NumericalDivergenceError(
-                f"non-finite loss at iteration {t}", iteration=t, records=records
-            )
-        err = inst.spectral_error(x)
+            raise NumericalDivergenceError(f"non-finite loss at iteration {t}", iteration=t, records=records())
         factors = np.linalg.svd(grad, full_matrices=False) if factored else None
-        svals = factors[1] if factored else np.linalg.svd(grad, compute_uv=False)
-        gsm = float(svals[-1]) if svals.size else 0.0
+        gsms[t] = factors[1][-1] if factored else np.nan  # else filled by flush
         eta = float(sched.eta(t, loss, stream))
-        if t == T or (stop_below is not None and err <= stop_below):
-            records.append(TrajectoryRecord(t, eta, loss, err, gsm, True))
+        queue.append((t, x, grad))
+        if len(queue) == block or (stop_below is not None and inst.error_floor(loss) <= stop_below):
+            flush()  # so errs[t] is known exactly when the queue is empty
+        if t == T or (stop_below is not None and not queue and errs[t] <= stop_below):
+            rows.append((t, eta, loss, True))
             break
         x, state, converged = update(x, grad, eta, state, algo, factors)
-        records.append(TrajectoryRecord(t, eta, loss, err, gsm, converged))
+        rows.append((t, eta, loss, converged))
         if keep_iterates:
             iterates.append(x.copy())
-    return Trajectory(records=records, final=x, iterates=iterates)
+    return Trajectory(records=records(), final=x, iterates=iterates)

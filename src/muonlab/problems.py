@@ -10,6 +10,7 @@ number exercises the whole spectrum, not just its endpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,10 @@ from .linalg import check_matrix, check_matrices
 from .rng import RandomStream
 
 
-def _max_abs_eig(s: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix: its largest |eigenvalue|."""
+def _max_abs_eigs(s: np.ndarray) -> np.ndarray:
+    """Each stacked symmetric matrix's spectral norm: its largest |eigenvalue|."""
     w = np.linalg.eigvalsh(s)
-    return float(max(abs(w[0]), abs(w[-1])))
+    return np.maximum(abs(w[:, 0]), abs(w[:, -1]))
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,36 @@ class MfInstance:
 
     def spectral_error(self, u) -> float:
         """Spectral-norm recovery error ||U U^T - M||, unchecked like
-        ``loss_grad``.  With [U, V] = Q [A, B], U U^T - M = Q (A A^T - B
+        ``loss_grad``: the batch of one of ``spectral_errors``."""
+        return float(self.spectral_errors(u[None])[0])
+
+    def spectral_errors(self, us) -> np.ndarray:
+        """``spectral_error`` of each factor in an (n, d, k) stack, in one
+        stacked call.  With [U, V] = Q [A, B], U U^T - M = Q (A A^T - B
         diag(lam) B^T) Q^T: the (k+r) x (k+r) core holds its eigenvalues."""
         # us per call, dense SVD / dense eigvalsh / core: d = 100, k = 2:
         # 731/531/50, k = 25: 682/412/100, k = 66: 493/472/580; d = 30, k = 2:
         # 76/64/56.  Hence the core only when 2(k + r) <= d.
         if 2 * (self.k + self.r) <= self.d:
-            rr = np.linalg.qr(np.hstack([u, self.eigenvectors]), mode="r")
-            a, b = rr[:, : self.k], rr[:, self.k :]
-            return _max_abs_eig(a @ a.T - (b * self.eigenvalues) @ b.T)
-        return _max_abs_eig(u @ u.T - self.target)
+            v = np.broadcast_to(self.eigenvectors, (len(us), self.d, self.r))
+            rr = np.linalg.qr(np.concatenate([us, v], axis=2), mode="r")
+            a, b = rr[:, :, : self.k], rr[:, :, self.k :]
+            return _max_abs_eigs(a @ np.swapaxes(a, 1, 2) - (b * self.eigenvalues) @ np.swapaxes(b, 1, 2))
+        return _max_abs_eigs(us @ np.swapaxes(us, 1, 2) - self.target)
+
+    def error_floor(self, loss: float) -> float:
+        """A lower bound on the computed ``spectral_error`` from the loss
+        alone: error_floor(loss) > s rules out error <= s.
+
+        D = U U^T - M has rank <= rho = min(d, k + r), so ||D|| >= ||D||_F /
+        sqrt(rho) = 2 sqrt(loss) / sqrt(rho).  Rounding perturbs D by about
+        d (k + r) eps (||U||_F^2 + r lam_max), where ||U||_F^2 <= rho ||D|| +
+        r lam_max.  The floor gives up twice its relative and absolute parts
+        (measured gaps stay below 1/30 and 1/10 of them, down to d = 2)."""
+        rho = min(self.d, self.k + self.r)
+        rounding = 2 * self.d * (self.k + self.r) * math.ulp(1.0)
+        bound = 2.0 * math.sqrt(loss) / math.sqrt(rho)
+        return bound * (1 - rho * rounding) - 2 * rounding * self.r * self.lambda_max
 
 
 @dataclass(frozen=True)
@@ -118,8 +139,22 @@ class IclInstance:
 
     def spectral_error(self, q) -> float:
         """Spectral-norm distance to the minimizer, ||Q - S^-1||, unchecked
-        like ``loss_grad``."""
-        return float(np.linalg.svd(q - self.inverse, compute_uv=False)[0])
+        like ``loss_grad``: the batch of one of ``spectral_errors``."""
+        return float(self.spectral_errors(q[None])[0])
+
+    def spectral_errors(self, qs) -> np.ndarray:
+        """``spectral_error`` of each parameter in an (n, d, d) stack, in one
+        stacked values-only SVD."""
+        return np.linalg.svd(qs - self.inverse, compute_uv=False)[:, 0]
+
+    def error_floor(self, loss: float) -> float:
+        """``MfInstance.error_floor`` for Q: with E = Q - S^-1, loss =
+        ||S E S^1/2||_F^2 / 2 <= lam_max^3 d ||E||^2 / 2.  Loss and SVD round
+        E by about d^2 eps relative, ``inverse`` by d^2 eps kappa_s / sigma_min;
+        the floor gives up 4 and 8 times those (measured gaps: 1/5 and 1/4)."""
+        lam, rounding = self.eigenvalues, self.d**2 * math.ulp(1.0)
+        bound = math.sqrt(2.0 * loss / (lam[0] ** 3 * self.d))
+        return bound * (1 - 4 * rounding) - 8 * rounding * lam[0] / lam[-1] ** 2
 
 
 def _log_uniform_spectrum(top: float, bottom: float, n: int) -> np.ndarray:

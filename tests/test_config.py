@@ -104,6 +104,20 @@ class TestCliConfigErrors:
         assert err.startswith("config error:") and key in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("line, key", [
+        ("eta0 = inf", "eta0"), ("alpha = nan", "alpha"), ("kappa = 1, inf", "kappa"),
+        ("epsilon = 1e999", "epsilon"), ("epsilons = 1e-6, nan", "epsilons"), ("rho = nan", "rho"),
+    ])
+    def test_non_finite_float_exits_2_naming_the_key(self, line, key, tmp_path, capsys):
+        # accepted, eta0 = inf runs to exit 0 after a RuntimeWarning, writing
+        # an inf eta and a NaN diagnostic row
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"kind = mf_sweep\nd = 6\nkappa = 1\nalgorithms = gd\nT = 5\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("r", [3, 5])
     def test_precond_viz_config_runs_at_any_valid_rank(self, r, tmp_path):
         cfg = tmp_path / "pv.cfg"

@@ -79,6 +79,28 @@ class TestPlateauSchedule:
             prev = eta
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PlateauSchedule(NAN),
+    lambda: PlateauSchedule(INF),
+    lambda: ConstantSchedule(NAN),
+    lambda: ConstantSchedule(INF),
+    lambda: ExponentialSchedule(0.9, NAN),
+    lambda: ExponentialSchedule(0.9, INF),
+    lambda: SequenceSchedule([1.0, NAN]),
+    lambda: SequenceSchedule([1.0, INF]),
+    lambda: SequenceSchedule([]),
+], ids=["plateau-nan", "plateau-inf", "constant-nan", "constant-inf", "exponential-nan",
+        "exponential-inf", "sequence-nan", "sequence-inf", "sequence-empty"])
+def test_schedules_reject_non_finite_or_empty_parameters(make):
+    # accepted, each would surface only later in a run: as a divergence at
+    # t = 1 or 2, or as an IndexError at the empty sequence's first eta
+    with pytest.raises(PreconditionError):
+        make()
+
+
 class TestSteps:
     def test_muon_hand_example(self):
         x = np.array([[2.0], [0.0]])
@@ -290,14 +312,19 @@ class TestRunTrajectory:
     ])
     def test_svds_per_record(self, monkeypatch, algo, per_step):
         # 2(k + r) <= d, so the spectral error takes no SVD of its own;
-        # each call is logged by whether it computes singular vectors
+        # each matrix factored is logged by whether it computes singular
+        # vectors, so a stacked call counts its batch size
         calls = []
         svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda a, **kw: calls.append(kw.get("compute_uv", True)) or svd(a, **kw))
+
+        def counting_svd(a, **kw):
+            calls.extend([kw.get("compute_uv", True)] * int(np.prod(a.shape[:-2])))
+            return svd(a, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         run_trajectory(self._instance(d=8), algo, ConstantSchedule(0.01),
                        RandomStream(26).gaussian_matrix(8, 2) * 0.1, 5)
-        assert calls == per_step * 5 + per_step[:1]
+        assert sorted(calls) == sorted(per_step * 5 + per_step[:1])
 
     def test_sequence_schedule_replay(self):
         inst = self._instance()
