@@ -18,12 +18,8 @@ from .errors import (
 )
 from .linalg import (
     RANK_TOL,
-    SvdFactors,
     SymEigFactors,
-    condition_number,
     qr_householder,
-    spectral_norm,
-    svd,
     symmetric_eig,
 )
 from .lowerbounds import (
@@ -44,10 +40,8 @@ from .lowerbounds import (
 from .msign import (
     NewtonSchulzConfig,
     NewtonSchulzResult,
-    dsign,
     msign_exact,
     msign_newton_schulz,
-    sign_entrywise,
 )
 from .optimizers import (
     ConstantSchedule,
@@ -87,11 +81,9 @@ from .problems import (
     MfInstance,
     icl_loss_grad,
     icl_monte_carlo_loss,
-    icl_spectral_error,
     make_icl_instance,
     make_mf_instance,
     mf_loss_grad,
-    mf_spectral_error,
 )
 from .rng import RandomStream
 

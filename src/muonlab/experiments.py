@@ -27,7 +27,6 @@ from .optimizers import (
     OptimizerConfig,
     PlateauSchedule,
     SequenceSchedule,
-    TrajectoryRecord,
     materialize_etas,
     run_trajectory,
 )
@@ -88,6 +87,7 @@ class ExperimentConfig:
 
 # defaults that differ from the field defaults, by kind
 KIND_DEFAULTS = {
+    "rank_sweep": {"kappa": (1.0,)},
     "lower_bound": {"rho": 0.98, "T": 600},
     "precond_viz": {"d": 10, "r": 5, "k": 5, "alpha": 1e-10},
 }
@@ -148,6 +148,18 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def _kappa_label(kappa: float) -> str:
+    """The kappa part of an output file name."""
+    return f"kappa{kappa:g}"
+
+
+def _distinct(items) -> bool:
+    """Whether no two items are equal: cells that share a label would write
+    the same file."""
+    items = list(items)
+    return len(set(items)) == len(items)
+
+
 def _validate(cfg: ExperimentConfig):
     if cfg.kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
@@ -157,9 +169,15 @@ def _validate(cfg: ExperimentConfig):
         ("r", 1 <= cfg.r <= cfg.d, f"need 1 <= r <= d, got r={cfg.r}, d={cfg.d}"),
         ("k", cfg.k >= cfg.r, f"need k >= r, got k={cfg.k}, r={cfg.r}"),
         ("kappa", all(1.0 <= x < math.inf for x in cfg.kappa), "kappa values must be finite and >= 1"),
+        ("kappa", cfg.kind != "rank_sweep" or len(cfg.kappa) == 1,
+         f"rank_sweep takes exactly one kappa, got {cfg.kappa}"),
+        ("kappa", _distinct(map(_kappa_label, cfg.kappa)),
+         f"kappa values must have distinct file labels, got {cfg.kappa}"),
         ("ranks", all(k >= cfg.r for k in cfg.ranks), "ranks must be >= r"),
+        ("ranks", _distinct(cfg.ranks), f"ranks must be distinct, got {cfg.ranks}"),
         ("algorithms", all(a in ALGORITHMS for a in cfg.algorithms),
          f"algorithms must be among {ALGORITHMS}, got {cfg.algorithms}"),
+        ("algorithms", _distinct(cfg.algorithms), f"algorithms must be distinct, got {cfg.algorithms}"),
         ("schedule", cfg.schedule in ("plateau", "exponential"), f"unknown schedule {cfg.schedule!r}"),
         ("rho", 0.5 <= cfg.rho < 1.0, f"rho must lie in [1/2, 1), got {cfg.rho}"),
         ("prefactor", cfg.prefactor in ("fixed", "per_iteration"), f"unknown prefactor {cfg.prefactor!r}"),
@@ -173,6 +191,7 @@ def _validate(cfg: ExperimentConfig):
         ("family", cfg.family in FAMILIES, f"family must be one of {FAMILIES}, got {cfg.family!r}"),
         ("r0", 0 < cfg.r0 <= 1.0 / 16.0, "r0 must lie in (0, 1/16]"),
         ("steps", all(s >= 0 for s in cfg.steps), "steps must be nonnegative"),
+        ("steps", _distinct(cfg.steps), f"steps must be distinct, got {cfg.steps}"),
         ("suite", cfg.suite in SUITES, f"suite must be one of {SUITES}, got {cfg.suite!r}"),
     )
     for key, ok, message in checks:
@@ -200,25 +219,6 @@ def write_csv(path: str, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(map(str, row)) + "\n")
-
-
-def parse_records_csv(text: str) -> list[TrajectoryRecord]:
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise PreconditionError(f"bad CSV header: {lines[:1]}")
-    out = []
-    for line in lines[1:]:
-        t, eta, loss, err, gsm = line.split(",")
-        out.append(
-            TrajectoryRecord(
-                t=int(t),
-                eta=float(eta),
-                loss=float(loss),
-                spectral_error=float(err),
-                grad_sigma_min=float(gsm),
-            )
-        )
-    return out
 
 
 def write_records_csv(path: str, records, diagnostic_t: int | None = None):
@@ -310,10 +310,10 @@ def _sweep_points(cfg: ExperimentConfig):
     """(label, kappa, k) triples for the requested sweep; k is the iterate's
     column count (d for the square covariance problem)."""
     if cfg.kind == "rank_sweep":
-        kappa = cfg.kappa[0]
-        return [(f"kappa{kappa:g}_k{k}", kappa, k) for k in cfg.ranks]
+        (kappa,) = cfg.kappa
+        return [(f"{_kappa_label(kappa)}_k{k}", kappa, k) for k in cfg.ranks]
     k = cfg.d if cfg.kind == "icl_sweep" else cfg.k
-    return [(f"kappa{kappa:g}_k{k}", kappa, k) for kappa in cfg.kappa]
+    return [(f"{_kappa_label(kappa)}_k{k}", kappa, k) for kappa in cfg.kappa]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutput:
@@ -435,7 +435,7 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
     summary_rows: list[dict] = []
     for kappa in cfg.kappa:
         res = run_lower_bound(cfg.family, kappa, cfg.T, rho=cfg.rho, eta0=cfg.eta0, r0=cfg.r0)
-        path = os.path.join(out_dir, f"lower_bound_{cfg.family}_kappa{kappa:g}.csv")
+        path = os.path.join(out_dir, f"lower_bound_{cfg.family}_{_kappa_label(kappa)}.csv")
         write_csv(path, "t,metric", ((t, format_float(v)) for t, v in enumerate(res.metric)))
         csv_paths.append(path)
         bound = (kappa - 1.0) / 4.0
@@ -512,19 +512,17 @@ def preconditioner_report(
     alpha: float = _PRECOND_VIZ.alpha,
     steps: tuple[int, ...] = _PRECOND_VIZ.steps,
     seed: int = _PRECOND_VIZ.seed,
-    kappa: float = 5.0,
-    T: int | None = None,
     out_dir: str | None = None,
 ) -> PreconditionerReport:
-    """Run exact-msign Muon on a small factorization task and compare its
-    implicit preconditioner block with ScaledGD's at the requested steps."""
+    """Run exact-msign Muon at kappa = 5 on a small factorization task, up to
+    the last requested step, and compare its implicit preconditioner block
+    with ScaledGD's at the requested steps."""
     if any(s < 0 for s in steps):
         raise PreconditionError(f"steps must be nonnegative, got {tuple(steps)}")
     master = RandomStream(seed)
-    inst = make_mf_instance(master.derive(1), d, r, k, kappa, lambda_max=1.0)
+    inst = make_mf_instance(master.derive(1), d, r, k, 5.0, lambda_max=1.0)
     init = scaled_orthonormal_init(master.derive(2), d, k, alpha)
-    if T is None:
-        T = max(steps)
+    T = max(steps)
     sched = PlateauSchedule(initial_eta=math.sqrt(inst.lambda_max))
     traj = run_trajectory(
         inst, OptimizerConfig("muon"), sched, init, T, stream=master.derive(3),
@@ -533,8 +531,6 @@ def preconditioner_report(
     iterates = traj.iterates if traj is not None else [init]
     muon_blocks, sgd_blocks, diffs = [], [], []
     for s in steps:
-        if s >= len(iterates):
-            raise PreconditionError(f"step {s} beyond trajectory length {len(iterates)}")
         u = iterates[s]
         _, grad = mf_loss_grad(inst, u)
         p_muon = psd_sqrt(grad.T @ grad)

@@ -1,4 +1,4 @@
-"""Matrix sign operators: exact (via SVD), Newton-Schulz, entrywise, diagonal.
+"""Matrix sign operators: exact (via SVD) and Newton-Schulz.
 
 ``msign_exact(Z)`` is the nearest matrix with orthonormal rows or columns in
 Frobenius norm, computed as left @ right.T from the compact SVD.  Components
@@ -13,10 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import _numerical_rank, check_matrix
-
-# Off-diagonal magnitude above which dsign refuses its input.
-_DIAGONAL_TOL = 1e-14
+from .linalg import RANK_TOL, check_matrix
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ def msign_exact(z) -> np.ndarray:
 def _msign_from_svd(u, s, vt) -> np.ndarray:
     """msign from a trusted compact SVD.  A Fortran-ordered right factor
     multiplies bitwise as U @ V.T always has, which a C-ordered one does not."""
-    r = _numerical_rank(s)
+    r = int(np.count_nonzero(s > RANK_TOL * s[:1]))
     return u[:, :r] @ np.asfortranarray(vt[:r])
 
 
@@ -97,28 +94,3 @@ def msign_newton_schulz(z, config: NewtonSchulzConfig | None = None) -> NewtonSc
     return NewtonSchulzResult(
         matrix=x, iterations=config.max_iters, residual=residual, converged=False
     )
-
-
-def sign_entrywise(z) -> np.ndarray:
-    """Entrywise sign with sign(0) = 0."""
-    z = check_matrix(z, "sign input")
-    return np.sign(z)
-
-
-def dsign(d) -> np.ndarray:
-    """Sign of a diagonal matrix, applied to the diagonal only.
-
-    Inputs with any off-diagonal entry above 1e-14 in magnitude are rejected:
-    this operator is only meaningful on (numerically) diagonal matrices.
-    """
-    d = check_matrix(d, "dsign input")
-    n, m = d.shape
-    if n != m:
-        raise PreconditionError(f"dsign needs a square diagonal matrix, got {n}x{m}")
-    off = d - np.diag(np.diag(d))
-    max_off = float(np.max(np.abs(off))) if off.size else 0.0
-    if max_off > _DIAGONAL_TOL:
-        raise PreconditionError(
-            f"dsign input has off-diagonal entries up to {max_off:.3e} (> {_DIAGONAL_TOL})"
-        )
-    return np.diag(np.sign(np.diag(d)))

@@ -47,6 +47,8 @@ class ExponentialSchedule:
             raise PreconditionError(f"base_scale must be positive and finite, got {base_scale}")
         if prefactor_mode not in ("fixed", "per_iteration"):
             raise PreconditionError(f"unknown prefactor_mode {prefactor_mode!r}")
+        if fixed_prefactor is not None and not 0.0 < fixed_prefactor < np.inf:
+            raise PreconditionError(f"fixed_prefactor must be positive and finite, got {fixed_prefactor}")
         self.rho = rho
         self.base_scale = base_scale
         self.prefactor_mode = prefactor_mode
@@ -87,7 +89,7 @@ class PlateauSchedule:
         self._stall = 0
 
     def eta(self, t: int, current_loss: float, stream: RandomStream | None = None) -> float:
-        if not np.isfinite(current_loss):
+        if current_loss is None or not np.isfinite(current_loss):
             raise PreconditionError("plateau schedule needs a finite loss")
         if self._best_loss is None:
             self._best_loss = current_loss

@@ -123,27 +123,17 @@ def scalar_muon_trajectory(
     lambda_max: float,
     rho: float,
     T: int,
-    c_eta: float | None = None,
-    stream: RandomStream | None = None,
-    per_step_c: bool = False,
+    c_eta: float,
 ) -> ScalarTrace:
-    """Scalar factorization recursion with eta_t = C * sqrt(lambda_max) * rho^t.
-
-    C is either fixed (``c_eta``, or one U[1,2] draw from ``stream``) or
-    redrawn from U[1,2] every step (``per_step_c``, which per the varying-
-    prefactor analysis needs rho >= 2/3).  With a fixed C, ``u0``,
-    ``lambda_star``, ``lambda_max`` and ``c_eta`` may be per-trace arrays.
-    """
+    """Scalar factorization recursion with eta_t = C * sqrt(lambda_max) * rho^t
+    for a fixed prefactor C = ``c_eta``; ``u0``, ``lambda_star``,
+    ``lambda_max`` and ``c_eta`` may be per-trace arrays."""
     if np.any(u0 == 0.0):
         raise PreconditionError("u0 must be nonzero")
     if not np.all((0.0 <= lambda_star) & (lambda_star <= lambda_max)):
         raise PreconditionError("need 0 <= lambda_star <= lambda_max")
-    _check_rho(rho, 2.0 / 3.0 if per_step_c else 0.5)
-    if not per_step_c and c_eta is None:
-        c_eta = stream.uniform(*PREFACTOR_RANGE) if stream is not None else 1.0
-    powers = _powers(rho, T, u0, lambda_star, lambda_max, 1.0 if per_step_c else c_eta)
-    prefactors = stream.uniforms(T, *PREFACTOR_RANGE) if per_step_c else c_eta
-    etas = prefactors * np.sqrt(lambda_max) * powers
+    _check_rho(rho, 0.5)
+    etas = c_eta * np.sqrt(lambda_max) * _powers(rho, T, u0, lambda_star, lambda_max, c_eta)
     values = mf_modes(u0, lambda_star, etas)
     return ScalarTrace(values, etas, lambda_star, rho, lambda_max=lambda_max)
 

@@ -200,12 +200,6 @@ def mf_loss_grad(inst: MfInstance, u):
     return inst.loss_grad(u)
 
 
-def mf_spectral_error(inst: MfInstance, u) -> float:
-    """Spectral-norm recovery error ||U U^T - M|| of a finite d x k U."""
-    (u,) = check_matrices(inst.iterate_shape(), U=u)
-    return inst.spectral_error(u)
-
-
 def make_icl_instance(
     stream: RandomStream,
     d: int,
@@ -249,13 +243,6 @@ def icl_loss_grad(inst: IclInstance, q):
     a finite d x d parameter Q."""
     (q,) = check_matrices(inst.iterate_shape(), Q=q)
     return inst.loss_grad(q)
-
-
-def icl_spectral_error(inst: IclInstance, q) -> float:
-    """Spectral-norm distance to the minimizer, ||Q - S^-1||, of a finite
-    d x d Q."""
-    (q,) = check_matrices(inst.iterate_shape(), Q=q)
-    return inst.spectral_error(q)
 
 
 def icl_monte_carlo_loss(

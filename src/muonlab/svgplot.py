@@ -36,10 +36,10 @@ def emit_svg_plot(
     title: str = "",
     xlabel: str = "iteration",
     ylabel: str = "value",
-    log_y: bool = True,
     path: str | None = None,
 ) -> str:
-    """Render named (xs, ys) series as polylines and return the SVG text.
+    """Render named (xs, ys) series as polylines on a log-scaled y axis and
+    return the SVG text.
 
     ``series`` maps legend label -> (xs, ys).  With ``path`` set, the text is
     also written to disk with LF endings.
@@ -53,30 +53,21 @@ def emit_svg_plot(
         ys = [float(v) for v in ys]
         if len(xs) != len(ys) or not xs:
             raise PreconditionError(f"series {name!r} must be nonempty with equal lengths")
-        if log_y:
-            fixed = []
-            for v in ys:
-                if v <= 0.0:
-                    clamped = True
-                    v = _LOG_FLOOR
-                fixed.append(v)
-            ys = fixed
-        data[name] = (xs, ys)
+        fixed = []
+        for v in ys:
+            if v <= 0.0:
+                clamped = True
+                v = _LOG_FLOOR
+            fixed.append(v)
+        data[name] = (xs, fixed)
 
     xmin = min(min(xs) for xs, _ in data.values())
     xmax = max(max(xs) for xs, _ in data.values())
-    if log_y:
-        ymin = min(min(ys) for _, ys in data.values())
-        ymax = max(max(ys) for _, ys in data.values())
-        ylo, yhi = math.floor(math.log10(ymin)), math.ceil(math.log10(ymax))
-        if ylo == yhi:
-            yhi = ylo + 1
-    else:
-        ymin = min(min(ys) for _, ys in data.values())
-        ymax = max(max(ys) for _, ys in data.values())
-        if ymin == ymax:
-            ymax = ymin + 1.0
-        ylo, yhi = ymin, ymax
+    ymin = min(min(ys) for _, ys in data.values())
+    ymax = max(max(ys) for _, ys in data.values())
+    ylo, yhi = math.floor(math.log10(ymin)), math.ceil(math.log10(ymax))
+    if ylo == yhi:
+        yhi = ylo + 1
     if xmin == xmax:
         xmax = xmin + 1.0
 
@@ -87,10 +78,7 @@ def emit_svg_plot(
         return _MARGIN_L + (x - xmin) / (xmax - xmin) * plot_w
 
     def sy(y: float) -> float:
-        if log_y:
-            frac = (math.log10(y) - ylo) / (yhi - ylo)
-        else:
-            frac = (y - ylo) / (yhi - ylo)
+        frac = (math.log10(y) - ylo) / (yhi - ylo)
         return _MARGIN_T + (1.0 - frac) * plot_h
 
     out = [
@@ -106,32 +94,18 @@ def emit_svg_plot(
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
     # y ticks
-    if log_y:
-        span = yhi - ylo
-        step = max(1, span // 6)
-        ticks = list(range(ylo, yhi + 1, step))
-        for tick in ticks:
-            y = sy(10.0**tick)
-            out.append(
-                f'<line x1="{_MARGIN_L - 4}" y1="{_fmt(y)}" x2="{_MARGIN_L}" y2="{_fmt(y)}" '
-                f'stroke="black"/>'
-            )
-            out.append(
-                f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-                f'font-size="11" font-family="sans-serif">1e{tick}</text>'
-            )
-    else:
-        for i in range(5):
-            val = ylo + (yhi - ylo) * i / 4
-            y = sy(val)
-            out.append(
-                f'<line x1="{_MARGIN_L - 4}" y1="{_fmt(y)}" x2="{_MARGIN_L}" y2="{_fmt(y)}" '
-                f'stroke="black"/>'
-            )
-            out.append(
-                f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-                f'font-size="11" font-family="sans-serif">{val:.3g}</text>'
-            )
+    span = yhi - ylo
+    step = max(1, span // 6)
+    for tick in range(ylo, yhi + 1, step):
+        y = sy(10.0**tick)
+        out.append(
+            f'<line x1="{_MARGIN_L - 4}" y1="{_fmt(y)}" x2="{_MARGIN_L}" y2="{_fmt(y)}" '
+            f'stroke="black"/>'
+        )
+        out.append(
+            f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
+            f'font-size="11" font-family="sans-serif">1e{tick}</text>'
+        )
     # x ticks
     for i in range(5):
         val = xmin + (xmax - xmin) * i / 4

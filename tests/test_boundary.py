@@ -17,17 +17,14 @@ from muonlab import (
     RandomStream,
     gd_step,
     icl_loss_grad,
-    icl_spectral_error,
     make_icl_instance,
     make_mf_instance,
     mf_loss_grad,
-    mf_spectral_error,
     msign_exact,
     muon_step,
     run_trajectory,
     scaledgd_step,
     signgd_step,
-    spectral_norm,
 )
 
 MF = make_mf_instance(RandomStream(40), 6, 2, 2, 4.0)
@@ -39,9 +36,7 @@ G = RandomStream(43).gaussian_matrix(6, 2)
 # a shape of None means any 2-D shape is valid
 ENTRY_POINTS = {
     "mf_loss_grad": ((6, 2), lambda a: mf_loss_grad(MF, a)),
-    "mf_spectral_error": ((6, 2), lambda a: mf_spectral_error(MF, a)),
     "icl_loss_grad": ((4, 4), lambda a: icl_loss_grad(ICL, a)),
-    "icl_spectral_error": ((4, 4), lambda a: icl_spectral_error(ICL, a)),
     "muon_step.iterate": ((6, 2), lambda a: muon_step(a, G, MuonState.zeros((6, 2)), 0.1)),
     "muon_step.gradient": ((6, 2), lambda a: muon_step(X, a, MuonState.zeros((6, 2)), 0.1)),
     "gd_step.iterate": ((6, 2), lambda a: gd_step(a, G, 0.1)),
@@ -51,7 +46,6 @@ ENTRY_POINTS = {
     "scaledgd_step.iterate": ((6, 2), lambda a: scaledgd_step(a, G, 0.1)),
     "scaledgd_step.gradient": ((6, 2), lambda a: scaledgd_step(X, a, 0.1)),
     "msign_exact": (None, msign_exact),
-    "spectral_norm": (None, spectral_norm),
     "run_trajectory.init": (
         (6, 2),
         lambda a: run_trajectory(MF, OptimizerConfig("gd"), ConstantSchedule(0.01), a, 2),

@@ -19,16 +19,22 @@ POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 
 @st.composite
 def config_texts(draw):
-    """A valid config text of any kind, setting a random subset of keys."""
-    lines = [f"kind = {draw(st.sampled_from(KINDS))}"]
+    """A valid config text of any kind, setting a random subset of keys.
+    List items that name output files are distinct (kappa by its file label),
+    and a rank sweep has one kappa."""
+    kind = draw(st.sampled_from(KINDS))
+    lines = [f"kind = {kind}"]
     if draw(st.booleans()):  # the shape keys constrain each other, so set all or none
         d = draw(st.integers(1, 200))
         r = draw(st.integers(1, d))
+        ranks = draw(st.lists(st.integers(r, 300), min_size=1, unique=True))
         lines += [f"d = {d}", f"r = {r}", f"k = {draw(st.integers(r, 300))}",
-                  "ranks = " + ",".join(map(str, draw(st.lists(st.integers(r, 300), min_size=1))))]
+                  "ranks = " + ",".join(map(str, ranks))]
+    kappas = st.lists(st.floats(1.0, 1e12), min_size=1,
+                      max_size=1 if kind == "rank_sweep" else None, unique_by=lambda x: f"{x:g}")
     optional = {
-        "kappa": st.lists(st.floats(1.0, 1e12), min_size=1).map(lambda xs: ",".join(map(repr, xs))),
-        "algorithms": st.lists(st.sampled_from(ALGORITHMS), min_size=1).map(",".join),
+        "kappa": kappas.map(lambda xs: ",".join(map(repr, xs))),
+        "algorithms": st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True).map(",".join),
         "schedule": st.sampled_from(("plateau", "exponential")),
         "rho": st.floats(0.5, 1.0, exclude_max=True).map(repr),
         "prefactor": st.sampled_from(("fixed", "per_iteration")),
@@ -42,7 +48,8 @@ def config_texts(draw):
         "out": st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
         "family": st.sampled_from(FAMILIES),
         "r0": st.floats(0.0, 1.0 / 16.0, exclude_min=True).map(repr),
-        "steps": st.lists(st.integers(0, 10**6), min_size=1).map(lambda xs: ",".join(map(str, xs))),
+        "steps": st.lists(st.integers(0, 10**6), min_size=1, unique=True)
+        .map(lambda xs: ",".join(map(str, xs))),
         "suite": st.sampled_from(SUITES),
     }
     for key, values in optional.items():
@@ -67,6 +74,7 @@ class TestParseConfig:
         assert (pv.d, pv.r, pv.k, pv.alpha, pv.steps, pv.seed) == (10, 5, 5, 1e-10, (0, 500, 1000), 42)
         sweep = parse_config("")
         assert (sweep.rho, sweep.T, sweep.d, sweep.alpha) == (0.5, 5000, 100, 0.1)
+        assert parse_config("kind = rank_sweep").kappa == (1.0,)
 
     def test_set_keys_beat_kind_defaults_in_any_order(self):
         cfg = parse_config("rho = 0.9\nT = 30\nkind = lower_bound\n")
@@ -96,6 +104,8 @@ class TestCliConfigErrors:
         (["lower-bound", "--family", "cubic", "--kappa", "21"], "family"),
         (["verify", "--suite", "nonsense"], "suite"),
         (["lower-bound", "--family", "quadratic", "--kappa", "21\nkind = verify"], "kappa"),
+        (["lower-bound", "--family", "quadratic", "--kappa", "21,21.000001"], "kappa"),
+        (["precond-viz", "--steps", "0,10,0"], "steps"),
     ])
     def test_bad_flag_exits_2_naming_the_key(self, argv, key, tmp_path, capsys):
         out = ["--out", str(tmp_path)] if argv[0] != "verify" else []
@@ -113,6 +123,21 @@ class TestCliConfigErrors:
         # an inf eta and a NaN diagnostic row
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"kind = mf_sweep\nd = 6\nkappa = 1\nalgorithms = gd\nT = 5\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines, key", [
+        ("kappa = 5, 5.000001", "kappa"), ("kappa = 5, 1, 5", "kappa"),
+        ("algorithms = gd, muon, gd", "algorithms"), ("kind = rank_sweep\nranks = 2, 3, 2", "ranks"),
+        ("kind = rank_sweep\nkappa = 5, 25", "kappa"),
+    ])
+    def test_cells_sharing_a_file_or_dropped_exit_2_naming_the_key(self, lines, key, tmp_path, capsys):
+        # accepted, two cells wrote one CSV (the SVG lost a curve) or a rank
+        # sweep ran at the first kappa alone, and the run exited 0
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"kind = mf_sweep\nd = 6\nalgorithms = gd\nT = 5\n{lines}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err

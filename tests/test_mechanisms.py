@@ -137,12 +137,6 @@ class TestBatchedRecursions:
         sched = ExponentialSchedule(0.77, 1.0, fixed_prefactor=1.3)
         assert trace.etas.tolist() == [sched.eta(t) for t in range(60)]
 
-    def test_per_step_prefactors_draw_in_order(self):
-        trace = scalar_muon_trajectory(0.3, 0.5, 1.0, 0.8, 20, stream=RandomStream(5), per_step_c=True)
-        stream = RandomStream(5)
-        draws = [stream.uniform(*PREFACTOR_RANGE) for _ in range(20)]
-        assert trace.etas.tolist() == [c * 1.0 * 0.8**t for t, c in enumerate(draws)]
-
 
 def single(trace, j):
     """Trace j of a batched trace, as a one-trace ScalarTrace."""

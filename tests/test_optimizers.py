@@ -20,6 +20,7 @@ from muonlab import (
     gd_step,
     make_icl_instance,
     make_mf_instance,
+    materialize_etas,
     msign_exact,
     muon_step,
     run_trajectory,
@@ -69,6 +70,11 @@ class TestPlateauSchedule:
         assert etas[:6] == [1.0] * 6
         assert etas[6] == pytest.approx(0.3)
 
+    def test_rejects_a_missing_loss(self):
+        # a plateau schedule reads the loss, so it has no loss-free etas
+        with pytest.raises(PreconditionError):
+            materialize_etas(PlateauSchedule(initial_eta=0.1), 3)
+
     def test_never_increases(self):
         sched = PlateauSchedule(initial_eta=1.0, patience=2)
         stream = RandomStream(3)
@@ -89,14 +95,20 @@ NAN, INF = float("nan"), float("inf")
     lambda: ConstantSchedule(INF),
     lambda: ExponentialSchedule(0.9, NAN),
     lambda: ExponentialSchedule(0.9, INF),
+    lambda: ExponentialSchedule(0.9, 1.0, fixed_prefactor=NAN),
+    lambda: ExponentialSchedule(0.9, 1.0, fixed_prefactor=INF),
+    lambda: ExponentialSchedule(0.9, 1.0, fixed_prefactor=-1.0),
+    lambda: ExponentialSchedule(0.9, 1.0, fixed_prefactor=0.0),
     lambda: SequenceSchedule([1.0, NAN]),
     lambda: SequenceSchedule([1.0, INF]),
     lambda: SequenceSchedule([]),
 ], ids=["plateau-nan", "plateau-inf", "constant-nan", "constant-inf", "exponential-nan",
-        "exponential-inf", "sequence-nan", "sequence-inf", "sequence-empty"])
+        "exponential-inf", "prefactor-nan", "prefactor-inf", "prefactor-negative", "prefactor-zero",
+        "sequence-nan", "sequence-inf", "sequence-empty"])
 def test_schedules_reject_non_finite_or_empty_parameters(make):
     # accepted, each would surface only later in a run: as a divergence at
-    # t = 1 or 2, or as an IndexError at the empty sequence's first eta
+    # t = 1 or 2, as an IndexError at the empty sequence's first eta, or
+    # (a nonpositive prefactor) as a GD run that ascends and exits normally
     with pytest.raises(PreconditionError):
         make()
 

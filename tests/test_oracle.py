@@ -21,7 +21,6 @@ from muonlab import (
     make_icl_instance,
     make_mf_instance,
     materialize_etas,
-    mf_spectral_error,
     oracle_vs_full_divergence,
     run_trajectory,
     scalar_icl_trajectory,
@@ -135,7 +134,7 @@ class TestDecoupledMf:
         init = aligned_mf_init(inst, np.sqrt(inst.eigenvalues), RandomStream(32))
         oracle = decoupled_mf_trajectory(init, [0.5**t for t in range(20)])
         assert_allclose(oracle.sigmas[-1], oracle.sigmas[0], rtol=0)
-        assert mf_spectral_error(inst, oracle.matrix_at(19)) <= 1e-12
+        assert inst.spectral_error(oracle.matrix_at(19)) <= 1e-12
 
     def test_spectral_error_equals_worst_mode(self):
         inst = make_mf_instance(RandomStream(33), 8, 3, 5, 16.0)
@@ -145,7 +144,7 @@ class TestDecoupledMf:
         oracle = decoupled_mf_trajectory(init, etas)
         for t in (1, 5, 10):
             expected = np.abs(oracle.sigmas[t] ** 2 - oracle.lambdas).max()
-            assert mf_spectral_error(inst, oracle.matrix_at(t)) == pytest.approx(
+            assert inst.spectral_error(oracle.matrix_at(t)) == pytest.approx(
                 expected, abs=1e-12
             )
 
