@@ -517,8 +517,8 @@ def preconditioner_report(
     """Run exact-msign Muon at kappa = 5 on a small factorization task, up to
     the last requested step, and compare its implicit preconditioner block
     with ScaledGD's at the requested steps."""
-    if any(s < 0 for s in steps):
-        raise PreconditionError(f"steps must be nonnegative, got {tuple(steps)}")
+    if not steps or any(s < 0 for s in steps):
+        raise PreconditionError(f"steps must be nonempty and nonnegative, got {tuple(steps)}")
     master = RandomStream(seed)
     inst = make_mf_instance(master.derive(1), d, r, k, 5.0, lambda_max=1.0)
     init = scaled_orthonormal_init(master.derive(2), d, k, alpha)

@@ -54,6 +54,8 @@ def msign_exact(z) -> np.ndarray:
 def _msign_from_svd(u, s, vt) -> np.ndarray:
     """msign from a trusted compact SVD.  A Fortran-ordered right factor
     multiplies bitwise as U @ V.T always has, which a C-ordered one does not."""
+    if s[-1] > RANK_TOL * s[0]:  # full rank: s is descending
+        return u @ np.asfortranarray(vt)
     r = int(np.count_nonzero(s > RANK_TOL * s[:1]))
     return u[:, :r] @ np.asfortranarray(vt[:r])
 

@@ -9,6 +9,7 @@ any of them over a problem instance and logs one record per iterate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,7 +90,7 @@ class PlateauSchedule:
         self._stall = 0
 
     def eta(self, t: int, current_loss: float, stream: RandomStream | None = None) -> float:
-        if current_loss is None or not np.isfinite(current_loss):
+        if current_loss is None or not math.isfinite(current_loss):
             raise PreconditionError("plateau schedule needs a finite loss")
         if self._best_loss is None:
             self._best_loss = current_loss
@@ -197,6 +198,8 @@ class Trajectory:
 def _muon_update(x, grad, eta, state: MuonState, algo: OptimizerConfig, factors=None):
     if eta <= 0.0:
         raise PreconditionError("eta must be positive")
+    if factors is not None:  # a zero gradient has s = 0, so msign is 0 by the rank rule
+        return x - eta * _msign_from_svd(*factors), state, True
     # mu == 0 takes the gradient verbatim, so simplified Muon is bitwise
     # exact, and leaves the unused buffer as it is.
     if state.mu != 0.0:
@@ -205,8 +208,7 @@ def _muon_update(x, grad, eta, state: MuonState, algo: OptimizerConfig, factors=
     if not np.any(grad):
         return x.copy(), state, True
     if algo.msign_backend == "exact":
-        direction = msign_exact(grad) if factors is None else _msign_from_svd(*factors)
-        return x - eta * direction, state, True
+        return x - eta * msign_exact(grad), state, True
     result = msign_newton_schulz(grad, algo.ns_config)
     return x - eta * result.matrix, state, result.converged
 
@@ -327,12 +329,12 @@ def run_trajectory(
 
     def records():
         flush()
-        return [TrajectoryRecord(t, eta, loss, float(errs[t]), float(gsms[t]), ok)
-                for t, eta, loss, ok in rows]
+        err, gsm = errs.tolist(), gsms.tolist()
+        return [TrajectoryRecord(t, eta, loss, err[t], gsm[t], ok) for t, eta, loss, ok in rows]
 
     for t in range(T + 1):
         loss, grad = inst.loss_grad(x)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise NumericalDivergenceError(f"non-finite loss at iteration {t}", iteration=t, records=records())
         factors = np.linalg.svd(grad, full_matrices=False) if factored else None
         gsms[t] = factors[1][-1] if factored else np.nan  # else filled by flush

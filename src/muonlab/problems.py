@@ -59,7 +59,7 @@ class MfInstance:
         ``run_trajectory`` guarantees.  ``mf_loss_grad`` checks first.
         """
         delta = u @ u.T - self.target
-        loss = 0.25 * float(np.sum(delta * delta))
+        loss = 0.25 * float((delta * delta).sum())
         return loss, delta @ u
 
     def spectral_error(self, u) -> float:
@@ -133,8 +133,9 @@ class IclInstance:
         ``run_trajectory`` guarantees.  ``icl_loss_grad`` checks first.
         """
         s = self.covariance
-        resid = s @ q - np.eye(self.d)
-        loss = 0.5 * float(np.trace(resid @ s @ resid.T))
+        resid = s @ q
+        resid.ravel()[:: self.d + 1] -= 1.0  # SQ - I; a fresh product, so ravel is a view
+        loss = 0.5 * float((resid @ s @ resid.T).trace())
         return loss, s @ resid @ s
 
     def spectral_error(self, q) -> float:

@@ -182,6 +182,13 @@ class TestPreconditionerReport:
         for name in written:
             assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "cfg" / name).read_bytes()
 
+    @pytest.mark.parametrize("steps", [(), []])
+    def test_empty_steps_rejected(self, steps):
+        from muonlab import PreconditionError
+
+        with pytest.raises(PreconditionError, match="nonempty and nonnegative"):
+            preconditioner_report(steps=steps)
+
     def test_kronecker_identity(self):
         assert kronecker_identity_gap(d=4, k=2) <= 1e-12
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -70,12 +70,13 @@ DIMS = st.integers(1, 12)
 
 
 @st.composite
-def spectral_inputs(draw, full_rank=False, dims=DIMS):
+def spectral_inputs(draw, full_rank=False, dims=DIMS, deficient=False):
     """(Z, rank) with Z = U diag(s) V^T for Haar U, V, rank-many singular
     values spanning at most four decades, and Z's overall scale anywhere in
-    1e-100..1e100."""
+    1e-100..1e100.  ``deficient`` draws rank < min(d, k)."""
     d, k = draw(dims), draw(dims)
-    r = min(d, k) if full_rank else draw(st.integers(1, min(d, k)))
+    assume(not deficient or min(d, k) >= 2)
+    r = min(d, k) if full_rank else draw(st.integers(1, min(d, k) - int(deficient)))
     stream = RandomStream(draw(st.integers(0, 2**32 - 1)))
     svals = 10.0 ** (draw(st.floats(-100.0, 100.0)) - np.sort(stream.uniforms(r, 0.0, 4.0)))
     return (stream.haar_orthonormal(d, r) * svals) @ stream.haar_orthonormal(k, r).T, r
@@ -117,6 +118,30 @@ class TestMsignExactProperties:
         m = msign_exact(np.zeros((d, k)))
         assert m.shape == (d, k)
         assert not np.any(m) and not np.any(np.signbit(m))
+
+
+class TestMsignExactRankDeficient:
+    # rank-deficient input takes the count-and-slice side of the rank rule,
+    # full-rank input (above) the side that skips it
+
+    @PROPERTY
+    @given(spectral_inputs(deficient=True))
+    def test_partial_isometry(self, zr):
+        z, r = zr
+        svals = np.linalg.svd(msign_exact(z), compute_uv=False)
+        assert np.abs(svals[:r] - 1.0).max() <= 1e-12 and np.abs(svals[r:]).max() <= 1e-12
+
+    @PROPERTY
+    @given(spectral_inputs(deficient=True))
+    def test_idempotent(self, zr):
+        m = msign_exact(zr[0])
+        assert np.linalg.norm(msign_exact(m) - m, 2) <= 1e-12
+
+    @PROPERTY
+    @given(spectral_inputs(deficient=True), st.floats(-100.0, 100.0))
+    def test_positive_scale_invariant(self, zr, log_c):
+        z = zr[0]
+        assert np.linalg.norm(msign_exact(10.0**log_c * z) - msign_exact(z), 2) <= 1e-9
 
 
 class TestNewtonSchulz:
