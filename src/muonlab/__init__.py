@@ -16,12 +16,7 @@ from .errors import (
     RankDeficiencyError,
     TieEventError,
 )
-from .linalg import (
-    RANK_TOL,
-    SymEigFactors,
-    qr_householder,
-    symmetric_eig,
-)
+from .linalg import RANK_TOL, qr_householder
 from .lowerbounds import (
     AdversarialInit,
     HardIclInstance,

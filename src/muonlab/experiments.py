@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, NumericalDivergenceError, PreconditionError
-from .linalg import symmetric_eig
 from .lowerbounds import FAMILIES, first_hit_time, run_lower_bound
 from .msign import msign_exact, msign_newton_schulz
 from .optimizers import (
@@ -326,9 +325,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
     (``precond_viz``); sweeps have none.
     """
     if cfg.kind == "verify":
-        report = verify(cfg.suite)
-        return RunOutput(csv_paths=[], summary_path=None, metadata_path=None,
-                         lines=report.lines, passed=report.passed)
+        return verify(cfg.suite)
     out_dir = out_dir or cfg.out
     os.makedirs(out_dir, exist_ok=True)
     if cfg.kind == "lower_bound":
@@ -493,16 +490,16 @@ class PreconditionerReport:
     difference_path: str | None = None
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via the eigendecomposition; eigenvalues
-    rounded up to zero at the -1e-10 * lambda_max level, harder negativity
-    raises."""
-    f = symmetric_eig(a)
-    lam = f.eigenvalues
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Square root of a Gram matrix g.T @ g via its eigendecomposition;
+    eigenvalues rounded up to zero at the -1e-10 * lambda_max level, harder
+    negativity raises."""
+    lam, vecs = np.linalg.eigh(a)
+    lam, vecs = lam[::-1], vecs[:, ::-1]  # descending: the summation order the outputs pin
     floor = -1e-10 * max(lam[0], 0.0)
     if lam[-1] < floor:
         raise PreconditionError(f"matrix is not PSD: min eigenvalue {lam[-1]:.3e}")
-    return (f.eigenvectors * np.sqrt(np.clip(lam, 0.0, None))) @ f.eigenvectors.T
+    return (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.T
 
 
 def preconditioner_report(
@@ -523,7 +520,7 @@ def preconditioner_report(
     inst = make_mf_instance(master.derive(1), d, r, k, 5.0, lambda_max=1.0)
     init = scaled_orthonormal_init(master.derive(2), d, k, alpha)
     T = max(steps)
-    sched = PlateauSchedule(initial_eta=math.sqrt(inst.lambda_max))
+    sched = PlateauSchedule(initial_eta=default_eta0("muon", inst))
     traj = run_trajectory(
         inst, OptimizerConfig("muon"), sched, init, T, stream=master.derive(3),
         keep_iterates=True,
@@ -533,7 +530,7 @@ def preconditioner_report(
     for s in steps:
         u = iterates[s]
         _, grad = mf_loss_grad(inst, u)
-        p_muon = psd_sqrt(grad.T @ grad)
+        p_muon = _psd_sqrt(grad.T @ grad)
         p_sgd = u.T @ u
         muon_blocks.append(p_muon)
         sgd_blocks.append(p_sgd)
@@ -570,7 +567,7 @@ def kronecker_identity_gap(d: int = 4, k: int = 2, seed: int = 7) -> float:
     I-kron-P product applied to the row-major vectorized gradient."""
     stream = RandomStream(seed)
     g = stream.gaussian_matrix(d, k)
-    p = psd_sqrt(g.T @ g)
+    p = _psd_sqrt(g.T @ g)
     full = np.kron(np.eye(d), p)
     via_kron = full @ g.reshape(-1)
     via_block = (g @ p).reshape(-1)
@@ -580,12 +577,6 @@ def kronecker_identity_gap(d: int = 4, k: int = 2, seed: int = 7) -> float:
 # ---------------------------------------------------------------------------
 # Verification suites
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class VerifyReport:
-    lines: list[str]
-    passed: bool
 
 
 def finite_difference_gradient(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -723,9 +714,9 @@ def _suite_montecarlo(seed: int = 2024):
     return ok, f"max |estimate - closed|/SE = {worst_sigmas:.2f} (limit 5)"
 
 
-def verify(suite: str) -> VerifyReport:
-    """Run a named verification suite; returns machine-readable result lines
-    (``SUITE <name> PASS|FAIL <detail>``) and the overall outcome."""
+def verify(suite: str) -> RunOutput:
+    """Run a named verification suite; the result has no paths, machine-readable
+    lines (``SUITE <name> PASS|FAIL <detail>``) and the overall outcome."""
     if suite not in SUITES:
         raise PreconditionError(f"unknown suite {suite!r}; options: {SUITES}")
     runners = {
@@ -745,4 +736,4 @@ def verify(suite: str) -> VerifyReport:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         passed = passed and ok
         lines.append(f"SUITE {name} {'PASS' if ok else 'FAIL'} {detail}")
-    return VerifyReport(lines=lines, passed=passed)
+    return RunOutput(csv_paths=[], summary_path=None, metadata_path=None, lines=lines, passed=passed)

@@ -2,14 +2,12 @@
 
 Everything is double precision and desk scale (matrices up to a few hundred
 rows), so the implementations lean on LAPACK via ``numpy.linalg`` and add the
-contracts the rest of the library relies on: descending spectra, an explicit
-effective-rank cutoff, sign-normalized QR, and structured errors for violated
+contracts the rest of the library relies on: an explicit effective-rank
+cutoff, sign-normalized QR, and structured errors for violated
 preconditions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,43 +44,6 @@ def check_matrices(shape: tuple[int, ...], **named) -> list[np.ndarray]:
             raise PreconditionError(f"{name} must have shape {tuple(shape)}, got {a.shape}")
         out.append(a)
     return out
-
-
-@dataclass(frozen=True)
-class SymEigFactors:
-    """Eigendecomposition A = V @ diag(eigenvalues) @ V.T.
-
-    ``eigenvalues`` are sorted descending; ``eigenvectors`` holds the matching
-    orthonormal columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        n = self.eigenvalues.shape[0]
-        if self.eigenvectors.shape != (self.eigenvectors.shape[0], n):
-            raise PreconditionError("eigenvector/eigenvalue shape mismatch")
-        if not (np.all(np.isfinite(self.eigenvalues)) and np.all(np.isfinite(self.eigenvectors))):
-            raise PreconditionError("non-finite eigendecomposition")
-
-
-def symmetric_eig(a) -> SymEigFactors:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    The input must be square and symmetric to 1e-12 relative in Frobenius
-    norm; asymmetry beyond that raises ``PreconditionError`` rather than
-    being silently symmetrized.
-    """
-    a = check_matrix(a, "symmetric_eig input")
-    n, m = a.shape
-    if n != m:
-        raise PreconditionError(f"symmetric_eig needs a square matrix, got {n}x{m}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > 1e-12 * max(scale, 1e-300):
-        raise PreconditionError("symmetric_eig input is not symmetric to 1e-12 relative")
-    vals, vecs = np.linalg.eigh(a)
-    return SymEigFactors(eigenvalues=vals[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
 
 
 def qr_householder(g):

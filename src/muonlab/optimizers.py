@@ -15,12 +15,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalDivergenceError, PreconditionError, RankDeficiencyError
-from .linalg import check_matrices, symmetric_eig
-from .msign import NewtonSchulzConfig, _msign_from_svd, msign_exact, msign_newton_schulz
+from .linalg import check_matrices
+from .msign import NewtonSchulzConfig, _msign_from_svd, msign_newton_schulz
 from .rng import RandomStream
 
 # The interval U[lo, hi) that random learning-rate prefactors C are drawn from.
 PREFACTOR_RANGE = (1.0, 2.0)
+# The relative loss gain ``PlateauSchedule`` counts as an improvement, so
+# float-noise gains (a period-2 cycle's loss drifts down by about 1e-19 a
+# cycle) cannot reset its patience forever.
+PLATEAU_MIN_GAIN = 1e-3
 # Bytes of iterates (546 of a d = 30, k = 2 factor) queued before
 # ``run_trajectory`` stacks their metrics; the queue holds their gradients
 # too, so about twice this.  Not tuned.
@@ -70,9 +74,9 @@ class PlateauSchedule:
     non-improving losses.
 
     The first call records a baseline loss; each later call either improves
-    the best seen (resetting the stall counter) or increments it, decaying
-    eta and resetting once the counter reaches ``patience``.  eta never
-    increases.
+    the best seen by more than ``PLATEAU_MIN_GAIN`` relative (resetting the
+    stall counter) or increments it, decaying eta and resetting once the
+    counter reaches ``patience``.  eta never increases.
     """
 
     def __init__(self, initial_eta: float, decay_factor: float = 0.3, patience: int = 50):
@@ -94,7 +98,7 @@ class PlateauSchedule:
             raise PreconditionError("plateau schedule needs a finite loss")
         if self._best_loss is None:
             self._best_loss = current_loss
-        elif current_loss < self._best_loss:
+        elif current_loss < self._best_loss * (1.0 - PLATEAU_MIN_GAIN):
             self._best_loss = current_loss
             self._stall = 0
         else:
@@ -109,7 +113,8 @@ class ConstantSchedule:
     """Fixed learning rate (the classical GD baseline choice).
 
     Zero is allowed: a zero-rate GD run is the degenerate constant
-    trajectory.  Muon itself still rejects eta = 0 at the step level.
+    trajectory.  Muon rejects a first eta of 0 (``run_trajectory``,
+    ``muon_step``).
     """
 
     def __init__(self, eta: float):
@@ -191,13 +196,12 @@ class Trajectory:
 
 # Update kernels: (x, grad, eta, state, algo, factors) -> (x_next, state_next,
 # msign_converged); ``factors`` is the caller's compact SVD of ``grad``, given
-# only when the step is msign(grad) itself.  They trust their array inputs:
-# ``run_trajectory`` checks its initial point once, the ``*_step`` functions theirs.
+# only when the step is msign(grad) itself.  They trust their inputs:
+# ``run_trajectory`` checks its initial point and Muon's first eta once, the
+# ``*_step`` functions theirs.  A later eta that underflows to 0 leaves x put.
 
 
 def _muon_update(x, grad, eta, state: MuonState, algo: OptimizerConfig, factors=None):
-    if eta <= 0.0:
-        raise PreconditionError("eta must be positive")
     if factors is not None:  # a zero gradient has s = 0, so msign is 0 by the rank rule
         return x - eta * _msign_from_svd(*factors), state, True
     # mu == 0 takes the gradient verbatim, so simplified Muon is bitwise
@@ -205,10 +209,10 @@ def _muon_update(x, grad, eta, state: MuonState, algo: OptimizerConfig, factors=
     if state.mu != 0.0:
         grad = grad + state.mu * state.buffer
         state = replace(state, buffer=grad)
-    if not np.any(grad):
+    if algo.msign_backend == "exact":  # a zero gradient has s = 0, as above
+        return x - eta * _msign_from_svd(*np.linalg.svd(grad, full_matrices=False)), state, True
+    if not np.any(grad):  # Newton-Schulz raises on the zero matrix
         return x.copy(), state, True
-    if algo.msign_backend == "exact":
-        return x - eta * msign_exact(grad), state, True
     result = msign_newton_schulz(grad, algo.ns_config)
     return x - eta * result.matrix, state, result.converged
 
@@ -222,11 +226,11 @@ def _signgd_update(x, grad, eta, state, algo, factors=None):
 
 
 def _scaledgd_update(u, grad, eta, state, algo, factors=None):
-    eig = symmetric_eig(u.T @ u)
-    lam = eig.eigenvalues
+    lam, vecs = np.linalg.eigh(u.T @ u)
+    lam, vecs = lam[::-1], vecs[:, ::-1]  # descending: the summation order the outputs pin
     if lam[0] <= 0.0 or lam[-1] <= (1e-12) ** 2 * lam[0]:
         raise RankDeficiencyError("scaledgd: U^T U is numerically singular")
-    gram_inv = (eig.eigenvectors / lam) @ eig.eigenvectors.T
+    gram_inv = (vecs / lam) @ vecs.T
     return u - eta * grad @ gram_inv, state, True
 
 
@@ -249,11 +253,14 @@ def muon_step(
 ):
     """One Muon update: B' = grad + mu*B, X' = X - eta * msign(B').
 
-    Returns (x_next, state_next, msign_converged).  A zero momentum buffer
-    update leaves X unchanged (msign(0) = 0) rather than raising.  With
-    mu = 0 the buffer is bypassed and ``state`` comes back as it was.
+    Returns (x_next, state_next, msign_converged); eta must be positive and
+    finite.  A zero momentum buffer update leaves X unchanged (msign(0) = 0)
+    rather than raising.  With mu = 0 the buffer is bypassed and ``state``
+    comes back as it was.
     """
     x, grad = check_matrices(state.buffer.shape, iterate=x, gradient=grad)
+    if not 0.0 < eta < np.inf:
+        raise PreconditionError(f"eta must be positive and finite, got {eta}")
     algo = OptimizerConfig("muon", msign_backend=backend, ns_config=ns_config or NewtonSchulzConfig())
     return _muon_update(x, grad, eta, state, algo)
 
@@ -297,7 +304,8 @@ def run_trajectory(
     sigma_min of each gradient is logged at every d, from the one SVD that
     exact Muon with mu = 0 also steps with, else from a values-only SVD.
     ``init`` is the only array checked: 2-D, finite, ``inst.iterate_shape()``.
-    Every later iterate comes from the update kernels, and one that is no
+    Muon's first eta must be positive; a later one is used as given, so a
+    schedule that underflows to 0 leaves the iterate in place.  Every later iterate comes from the update kernels, and one that is no
     longer finite shows up as a non-finite loss, which aborts with
     ``NumericalDivergenceError`` carrying the records so far.  ``stop_below``
     ends the run once the spectral error reaches it.
@@ -345,6 +353,8 @@ def run_trajectory(
         if t == T or (stop_below is not None and not queue and errs[t] <= stop_below):
             rows.append((t, eta, loss, True))
             break
+        if t == 0 and algo.algorithm == "muon" and not eta > 0.0:
+            raise PreconditionError("eta must be positive")
         x, state, converged = update(x, grad, eta, state, algo, factors)
         rows.append((t, eta, loss, converged))
         if keep_iterates:

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from muonlab.experiments import (
     verify,
 )
 from muonlab.svgplot import emit_svg_heatmap, emit_svg_plot
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # random-init factorization at search rank k < d wants the per-iteration
 # prefactor recipe with rho >= 2/3; faster decay stalls before the subspace
@@ -123,6 +126,20 @@ class TestRunExperiment:
             text = fh.read()
         assert text.strip().splitlines()[-1].endswith("nan,nan,nan,nan")
         assert all(math.isinf(row["first_hit"]) for row in out.summary_rows)
+
+    @pytest.mark.parametrize("seed", [42, 3, 5, 15])
+    def test_shipped_small_sweep_muon_hits_every_level(self, seed, tmp_path):
+        # seeds at which a strict-< plateau rule let a period-2 cycle reset
+        # patience forever (kappa 5, 125, 625 and 5); Muon draws nothing from
+        # its trajectory stream here, so a Muon-only run gives the full
+        # sweep's Muon cells
+        text = (ROOT / "demos" / "configs" / "mf_sweep_small.cfg").read_text()
+        cfg = parse_config(text + f"\nalgorithms = muon\nseed = {seed}\n")
+        out = run_experiment(cfg, out_dir=str(tmp_path))
+        assert len(out.summary_rows) == len(cfg.kappa) * len(cfg.epsilons)
+        misses = [(row["kappa"], row["epsilon"]) for row in out.summary_rows
+                  if not math.isfinite(row["first_hit"])]
+        assert misses == []
 
     def test_lower_bound_kind(self, tmp_path):
         cfg = parse_config("kind = lower_bound\nfamily = quadratic\nkappa = 21\nT = 300\n")

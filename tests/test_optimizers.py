@@ -27,6 +27,7 @@ from muonlab import (
     scaledgd_step,
     signgd_step,
 )
+from muonlab.optimizers import PLATEAU_MIN_GAIN
 
 
 class TestExponentialSchedule:
@@ -83,6 +84,27 @@ class TestPlateauSchedule:
             eta = sched.eta(t, stream.uniform(0.0, 1.0))
             assert eta <= prev
             prev = eta
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        patience=st.integers(1, 8),
+        factors=st.lists(st.one_of(st.just(1.0), st.floats(0.998, 1.002), st.floats(0.5, 2.0)),
+                         min_size=1, max_size=120),
+    )
+    def test_decays_only_after_patience_calls_without_a_relative_gain(self, patience, factors):
+        # a non-improving call gains less than PLATEAU_MIN_GAIN on the best
+        # loss, which is one of the earlier losses, so it also gains less on
+        # their minimum; each decay must end a run of ``patience`` such calls,
+        # none of them the baseline call
+        losses = list(np.cumprod(factors))
+        sched = PlateauSchedule(initial_eta=1.0, patience=patience)
+        etas = [sched.eta(t, v) for t, v in enumerate(losses)]
+        assert all(b <= a for a, b in zip([1.0] + etas, etas))
+        decays = [t for t in range(len(etas)) if etas[t] < (etas[t - 1] if t else 1.0)]
+        for prev, t in zip([0] + decays, decays):
+            assert t - prev >= patience
+            for j in range(t - patience + 1, t + 1):
+                assert losses[j] >= min(losses[:j]) * (1.0 - PLATEAU_MIN_GAIN)
 
 
 NAN, INF = float("nan"), float("inf")

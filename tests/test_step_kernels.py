@@ -1,20 +1,34 @@
 """Bitwise guards for the per-step kernels of ``run_trajectory``.
 
 Each kernel was rewritten to drop numpy calls whose answer the driver
-already has.  Every test keeps the earlier expression as its reference and
-requires the kernel to return the same bits, so the sweep outputs cannot
-move through these kernels.
+already has, or checks of inputs ``run_trajectory`` has already checked.  Every
+test keeps the earlier expression as its reference and requires the kernel
+to return the same bits, so the sweep outputs cannot move through these
+kernels.
 """
 
+import os
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from muonlab import RandomStream, make_icl_instance, make_mf_instance
+from muonlab import (
+    ExponentialSchedule,
+    PreconditionError,
+    RandomStream,
+    make_icl_instance,
+    make_mf_instance,
+    muon_step,
+    run_trajectory,
+)
+from muonlab.cli import main
+from muonlab.experiments import _psd_sqrt
 from muonlab.linalg import RANK_TOL
 from muonlab.msign import _msign_from_svd
-from muonlab.optimizers import MuonState, OptimizerConfig, _muon_update
+from muonlab.optimizers import MuonState, OptimizerConfig, _muon_update, _scaledgd_update
 
 PROPERTY = settings(max_examples=150, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -135,3 +149,83 @@ class TestMuonUpdate:
             x, grad, eta, state, OptimizerConfig("muon"), np.linalg.svd(grad, full_matrices=False))
         assert same_bits(out, x)
         assert state_out is state and converged
+
+
+def descending_eig(a):
+    """The eigendecomposition the kernels used to take: eigenvalues and
+    eigenvectors in descending order, as contiguous copies."""
+    vals, vecs = np.linalg.eigh(a)
+    return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+
+@st.composite
+def gram_factors(draw, tall):
+    """A d x k factor with k >= 3, where the order of a k-term sum shows in
+    its bits; ``tall`` keeps d >= k, so its Gram matrix is invertible."""
+    k = draw(st.integers(3, 12))
+    d = draw(st.integers(k, 30)) if tall else draw(st.integers(1, 30))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return scale * RandomStream(draw(SEEDS)).gaussian_matrix(d, k)
+
+
+class TestEigenKernels:
+    @PROPERTY
+    @given(gram_factors(tall=True), st.data(), st.floats(1e-6, 1e3))
+    def test_scaledgd_bitwise_the_descending_copy_form(self, u, data, eta):
+        grad = RandomStream(data.draw(SEEDS)).gaussian_matrix(*u.shape)
+        lam, vecs = descending_eig(u.T @ u)
+        assume(lam[-1] > (1e-12) ** 2 * lam[0])
+        out, _, _ = _scaledgd_update(u, grad, eta, None, None)
+        assert same_bits(out, u - eta * grad @ ((vecs / lam) @ vecs.T))
+
+    @PROPERTY
+    @given(gram_factors(tall=False))
+    def test_psd_sqrt_bitwise_the_descending_copy_form(self, g):
+        lam, vecs = descending_eig(g.T @ g)
+        assert same_bits(_psd_sqrt(g.T @ g), (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.T)
+
+
+UNDERFLOW_SWEEP = """
+kind = mf_sweep
+d = 30
+r = 2
+k = 2
+kappa = 1, 5, 25
+algorithms = muon
+schedule = exponential
+rho = 0.5
+T = 2000
+epsilon = 1e-12
+epsilons = 1e-6, 1e-9
+seed = 42
+"""
+
+
+class TestMuonEta:
+    """Muon checks its first eta where it enters; a later eta, even one a
+    schedule underflowed to 0 (0.5**1075 == 0.0), is used as given."""
+
+    def test_underflowed_sweep_writes_every_cell(self, tmp_path):
+        cfg, out = tmp_path / "underflow.cfg", tmp_path / "out"
+        cfg.write_text(UNDERFLOW_SWEEP)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        names = set(os.listdir(out))
+        for kappa in (1, 5, 25):
+            assert f"mf_sweep_muon_kappa{kappa}_k2_rep0.csv" in names
+        assert "summary.csv" in names
+
+    def test_library_run_past_the_underflow_stays_put(self):
+        inst = make_mf_instance(RandomStream(4), 10, 2, 2, 5.0)
+        init = 0.1 * RandomStream(5).haar_orthonormal(10, 2)
+        sched = ExponentialSchedule(0.5, 1.0, fixed_prefactor=1.0)
+        traj = run_trajectory(inst, OptimizerConfig("muon"), sched, init, 1080, keep_iterates=True)
+        assert traj.records[1074].eta > 0.0
+        assert all(rec.eta == 0.0 for rec in traj.records[1075:])
+        assert all(same_bits(x, traj.iterates[1075]) for x in traj.iterates[1076:])
+        assert same_bits(traj.final, traj.iterates[1075])
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan])
+    def test_muon_step_rejects_a_nonpositive_or_non_finite_eta(self, eta):
+        x, grad = np.ones((3, 2)), np.ones((3, 2))
+        with pytest.raises(PreconditionError):
+            muon_step(x, grad, MuonState.zeros((3, 2)), eta)
