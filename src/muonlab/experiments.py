@@ -10,7 +10,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -203,31 +202,22 @@ def _validate(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def format_float(x: float) -> str:
-    """Shortest round-trip decimal form of a float."""
-    return repr(float(x))
-
-
-def write_csv(path: str, header: str, rows) -> None:
-    """Write ``header`` and one comma-joined line per row, LF endings.
-
-    Cells go through ``str``, so floats should arrive already formatted by
-    ``format_float``.
-    """
+def write_csv(path: str, header: str, lines) -> None:
+    """Write ``header`` and the already-formatted ``lines`` in one write, LF
+    endings.  Callers format floats with ``f"{x}"``, which is ``str(x)``: the
+    shortest round-trip form for a Python float or ``np.float64`` (an int
+    needs ``float()``)."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+        fh.write("\n".join([header, *lines, ""]))
 
 
 def write_records_csv(path: str, records, diagnostic_t: int | None = None):
     """Write trajectory records; a diagnostic NaN row marks an aborted run."""
-    rows = (
-        (rec.t, *map(format_float, (rec.eta, rec.loss, rec.spectral_error, rec.grad_sigma_min)))
-        for rec in records
-    )
-    diagnostic = [] if diagnostic_t is None else [(diagnostic_t, "nan", "nan", "nan", "nan")]
-    write_csv(path, CSV_HEADER, itertools.chain(rows, diagnostic))
+    # !s calls str directly, skipping format()'s spec dispatch: the same text
+    lines = [f"{t},{eta!s},{loss!s},{err!s},{gsm!s}" for t, eta, loss, err, gsm, _ in records]
+    if diagnostic_t is not None:
+        lines.append(f"{diagnostic_t},nan,nan,nan,nan")
+    write_csv(path, CSV_HEADER, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +392,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
                     )
     summary_path = os.path.join(out_dir, "summary.csv")
     header = "algorithm,kappa,k,replicate,epsilon,first_hit,final_error,iterations"
-    write_csv(summary_path, header, (
-        (row["algorithm"], format_float(row["kappa"]), row["k"], row["replicate"],
-         *map(format_float, (row["epsilon"], row["first_hit"], row["final_error"])),
-         row["iterations"])
+    write_csv(summary_path, header, [
+        f"{row['algorithm']},{float(row['kappa'])},{row['k']},{row['replicate']},"
+        f"{float(row['epsilon'])},{float(row['first_hit'])},{row['final_error']},{row['iterations']}"
         for row in summary_rows
-    ))
+    ])
     figure_paths: list[str] = []
     for algorithm, series in curves.items():
         if series:
@@ -433,7 +422,7 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
     for kappa in cfg.kappa:
         res = run_lower_bound(cfg.family, kappa, cfg.T, rho=cfg.rho, eta0=cfg.eta0, r0=cfg.r0)
         path = os.path.join(out_dir, f"lower_bound_{cfg.family}_{_kappa_label(kappa)}.csv")
-        write_csv(path, "t,metric", ((t, format_float(v)) for t, v in enumerate(res.metric)))
+        write_csv(path, "t,metric", [f"{t},{v}" for t, v in enumerate(res.metric)])
         csv_paths.append(path)
         bound = (kappa - 1.0) / 4.0
         summary_rows.append(
@@ -447,11 +436,11 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
             }
         )
     summary_path = os.path.join(out_dir, "lower_bound_summary.csv")
-    floats = ("kappa", "epsilon", "first_hit", "bound")
-    write_csv(summary_path, "family,kappa,epsilon,first_hit,bound,satisfied", (
-        (row["family"], *(format_float(row[key]) for key in floats), int(row["satisfied"]))
+    write_csv(summary_path, "family,kappa,epsilon,first_hit,bound,satisfied", [
+        f"{row['family']},{float(row['kappa'])},{float(row['epsilon'])},{float(row['first_hit'])},"
+        f"{row['bound']},{int(row['satisfied'])}"
         for row in summary_rows
-    ))
+    ])
     meta = _write_metadata(cfg, out_dir)
     return RunOutput(
         csv_paths=csv_paths, summary_path=summary_path, metadata_path=meta,
@@ -551,7 +540,7 @@ def preconditioner_report(
             heatmaps.extend([pa, pb])
         diff_path = os.path.join(out_dir, "precond_differences.csv")
         write_csv(diff_path, "t,normalized_difference",
-                  ((s, format_float(v)) for s, v in zip(steps, diffs)))
+                  [f"{s},{v}" for s, v in zip(steps, diffs)])
     return PreconditionerReport(
         steps=tuple(steps),
         muon_blocks=muon_blocks,

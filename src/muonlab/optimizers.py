@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,8 +176,7 @@ class OptimizerConfig:
             raise PreconditionError(f"unknown msign backend {self.msign_backend!r}")
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """One logged iterate: metrics at time t plus the eta used to leave it."""
 
     t: int

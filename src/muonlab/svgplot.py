@@ -53,13 +53,10 @@ def emit_svg_plot(
         ys = [float(v) for v in ys]
         if len(xs) != len(ys) or not xs:
             raise PreconditionError(f"series {name!r} must be nonempty with equal lengths")
-        fixed = []
-        for v in ys:
-            if v <= 0.0:
-                clamped = True
-                v = _LOG_FLOOR
-            fixed.append(v)
-        data[name] = (xs, fixed)
+        if any(v <= 0.0 for v in ys):
+            clamped = True
+            ys = [_LOG_FLOOR if v <= 0.0 else v for v in ys]
+        data[name] = (xs, ys)
 
     xmin = min(min(xs) for xs, _ in data.values())
     xmax = max(max(xs) for xs, _ in data.values())
@@ -74,12 +71,13 @@ def emit_svg_plot(
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
+    xspan, yspan = xmax - xmin, yhi - ylo
+
     def sx(x: float) -> float:
-        return _MARGIN_L + (x - xmin) / (xmax - xmin) * plot_w
+        return _MARGIN_L + (x - xmin) / xspan * plot_w
 
     def sy(y: float) -> float:
-        frac = (math.log10(y) - ylo) / (yhi - ylo)
-        return _MARGIN_T + (1.0 - frac) * plot_h
+        return _MARGIN_T + (1.0 - (math.log10(y) - ylo) / yspan) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -94,8 +92,7 @@ def emit_svg_plot(
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
     # y ticks
-    span = yhi - ylo
-    step = max(1, span // 6)
+    step = max(1, yspan // 6)
     for tick in range(ylo, yhi + 1, step):
         y = sy(10.0**tick)
         out.append(
@@ -130,7 +127,11 @@ def emit_svg_plot(
     # series + legend
     for i, (name, (xs, ys)) in enumerate(data.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+        pts = " ".join([  # sx and sy inlined, as every point calls them
+            f"{_MARGIN_L + (x - xmin) / xspan * plot_w:.3f},"
+            f"{_MARGIN_T + (1.0 - (math.log10(y) - ylo) / yspan) * plot_h:.3f}"
+            for x, y in zip(xs, ys)
+        ])
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 16 + 18 * i
         lx = _WIDTH - _MARGIN_R + 12

@@ -3,20 +3,26 @@
 import csv
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from muonlab import ConfigError
 from muonlab.cli import main
 from muonlab.experiments import (
+    CSV_HEADER,
     kronecker_identity_gap,
     parse_config,
     preconditioner_report,
     run_experiment,
     verify,
+    write_records_csv,
 )
+from muonlab.optimizers import TrajectoryRecord
 from muonlab.svgplot import emit_svg_heatmap, emit_svg_plot
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,6 +155,56 @@ class TestRunExperiment:
         assert row["first_hit"] >= row["bound"]
 
 
+def _per_float_line(rec) -> str:
+    """A record line as one ``repr(float(x))`` call per float formatted it."""
+    return ",".join([str(rec.t), *(repr(float(x)) for x in rec[1:5])])
+
+
+class TestCsvFormat:
+    """Rows are formatted by one f-string each; the bytes must equal the
+    shortest round-trip ``repr(float(x))`` form, for Python and numpy floats."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t=st.integers(0, 10**6),
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                        min_size=4, max_size=4),
+        as_numpy=st.booleans(),
+    )
+    @example(t=0, values=[math.nan, math.inf, -math.inf, -0.0], as_numpy=False)
+    @example(t=0, values=[math.nan, math.inf, -math.inf, -0.0], as_numpy=True)
+    @example(t=7, values=[1e-320, 5e-324, 1e16, 0.1], as_numpy=True)
+    def test_record_line_is_shortest_round_trip(self, t, values, as_numpy):
+        rec = TrajectoryRecord(t, *(np.float64(v) if as_numpy else v for v in values))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.csv")
+            write_records_csv(path, [rec])
+            with open(path, newline="") as fh:
+                assert fh.read() == f"{CSV_HEADER}\n{_per_float_line(rec)}\n"
+
+    def test_diagnostic_row(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(str(path), [TrajectoryRecord(0, 1.0, 2.0, 3.0, 4.0)], diagnostic_t=1)
+        assert path.read_bytes() == f"{CSV_HEADER}\n0,1.0,2.0,3.0,4.0\n1,nan,nan,nan,nan\n".encode()
+        write_records_csv(str(path), [], diagnostic_t=0)
+        assert path.read_bytes() == f"{CSV_HEADER}\n0,nan,nan,nan,nan\n".encode()
+
+    def test_summaries_print_first_hit_as_float(self, tmp_path):
+        # first_hit is an int step or math.inf; f"{5}" would print "5"
+        sweep = run_experiment(parse_config(SMALL_SWEEP), out_dir=str(tmp_path / "sweep"))
+        bound = run_experiment(
+            parse_config("kind = lower_bound\nfamily = quadratic\nkappa = 21, 101\nT = 300\n"),
+            out_dir=str(tmp_path / "bound"),
+        )
+        for out in (sweep, bound):
+            with open(out.summary_path, newline="") as fh:
+                printed = [row["first_hit"] for row in csv.DictReader(fh)]
+            hits = [row["first_hit"] for row in out.summary_rows]
+            assert any(isinstance(hit, int) for hit in hits) and math.inf in hits
+            assert printed == [repr(float(hit)) for hit in hits]
+            assert "inf" in printed and all(p == "inf" or p.endswith(".0") for p in printed)
+
+
 class TestSvg:
     def test_single_series_polyline(self, tmp_path):
         path = str(tmp_path / "p.svg")
@@ -167,6 +223,24 @@ class TestSvg:
     def test_byte_identical(self):
         series = {"a": ([0, 1, 2], [3.0, 2.0, 1.0])}
         assert emit_svg_plot(series) == emit_svg_plot(series)
+
+    def test_polyline_points_match_per_point_formula(self):
+        # the comprehension inlines sx and sy; a clamped zero, a NaN and an
+        # int x must still give the per-point formula's text
+        from muonlab import svgplot as sp
+
+        xs, ys = [0, 1, 2, 3, 4], [1.0, 0.0, 3e-7, float("nan"), 42.0]
+        text = emit_svg_plot({"a": (xs, ys)})
+        ylo, yhi = math.floor(math.log10(sp._LOG_FLOOR)), math.ceil(math.log10(42.0))
+        plot_w = sp._WIDTH - sp._MARGIN_L - sp._MARGIN_R
+        plot_h = sp._HEIGHT - sp._MARGIN_T - sp._MARGIN_B
+        plotted = [1.0, sp._LOG_FLOOR, 3e-7, float("nan"), 42.0]  # 0.0 clamped, NaN kept
+        want = " ".join(
+            f"{sp._MARGIN_L + (x - 0.0) / (4.0 - 0.0) * plot_w:.3f},"
+            f"{sp._MARGIN_T + (1.0 - (math.log10(y) - ylo) / (yhi - ylo)) * plot_h:.3f}"
+            for x, y in zip(xs, plotted)
+        )
+        assert f'<polyline points="{want}"' in text
 
     def test_nonpositive_clamped_with_warning(self):
         text = emit_svg_plot({"a": ([0, 1], [1.0, 0.0])})

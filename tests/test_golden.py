@@ -1,0 +1,90 @@
+"""Golden output digests: the shipped commands write the same bytes as when
+``tests/golden_digests.json`` was written.
+
+Each command runs through ``cli.main`` into a fresh directory.  A command
+that writes files is digested with the benchmark's ``digest_files``, so this
+test and ``bench/`` agree on what "the same output" means; ``verify`` writes
+nothing and is digested by its printed lines.
+
+A change that moves output bytes on purpose rewrites the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names each moved digest in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from muonlab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "bench"))
+from workloads import digest_files  # noqa: E402
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+CONFIGS = ROOT / "demos" / "configs"
+
+# name -> (argv before --out, writes files)
+COMMANDS = {
+    "run_mf_sweep_small": (["run", "--config", str(CONFIGS / "mf_sweep_small.cfg")], True),
+    "run_icl_sweep_small": (["run", "--config", str(CONFIGS / "icl_sweep_small.cfg")], True),
+    **{
+        f"lower_bound_{family}": (["lower-bound", "--family", family, "--kappa", "21,41,101"], True)
+        for family in ("quadratic", "mf", "icl")
+    },
+    "precond_viz": (["precond-viz"], True),
+    "verify_all": (["verify", "--suite", "all"], False),
+}
+
+
+def versions() -> dict[str, str]:
+    """The numeric stack the digests were taken on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def command_digest(name: str, workdir: Path) -> str:
+    """SHA-256 of one command's output directory (or printed lines)."""
+    argv, writes_files = COMMANDS[name]
+    out_dir = workdir / name
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv + (["--out", str(out_dir)] if writes_files else []))
+    assert code == 0, f"{name} exited {code}"
+    if writes_files:
+        return digest_files(str(out_dir))
+    return hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
+def test_golden_digests(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert golden["versions"] == versions(), (
+        f"digests were taken on {golden['versions']}, this stack is {versions()}; "
+        "rerun the commands and rewrite tests/golden_digests.json if the bytes are expected to move"
+    )
+    assert sorted(golden["digests"]) == sorted(COMMANDS)
+    moved = [name for name in COMMANDS if command_digest(name, tmp_path) != golden["digests"][name]]
+    assert not moved, f"output bytes moved for: {', '.join(moved)}"
+
+
+def write_digests() -> None:
+    """Rewrite ``golden_digests.json`` from the current code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: command_digest(name, Path(tmp)) for name in COMMANDS}
+    GOLDEN.write_text(json.dumps({"versions": versions(), "digests": digests}, indent=2) + "\n")
+    print(f"wrote {GOLDEN}")
+
+
+if __name__ == "__main__":
+    write_digests()

@@ -27,7 +27,7 @@ from muonlab import (
     scaledgd_step,
     signgd_step,
 )
-from muonlab.optimizers import PLATEAU_MIN_GAIN
+from muonlab.optimizers import PLATEAU_MIN_GAIN, TrajectoryRecord
 
 
 class TestExponentialSchedule:
@@ -371,6 +371,37 @@ class TestRunTrajectory:
             SequenceSchedule([r.eta for r in first.records]), init, 10,
         )
         assert first.records == replay.records
+
+
+class TestTrajectoryRecord:
+    def test_fields_are_read_only(self):
+        rec = TrajectoryRecord(0, 1.0, 2.0, 3.0, 4.0)
+        with pytest.raises(AttributeError):
+            rec.loss = 0.0
+
+    def test_field_order_and_default(self):
+        assert TrajectoryRecord._fields == (
+            "t", "eta", "loss", "spectral_error", "grad_sigma_min", "msign_converged",
+        )
+        rec = TrajectoryRecord(3, 0.5, 0.25, 0.125, 0.0625)
+        assert (rec.t, rec.eta, rec.loss, rec.spectral_error, rec.grad_sigma_min) == (
+            3, 0.5, 0.25, 0.125, 0.0625,
+        )
+        assert rec.msign_converged is True
+        assert TrajectoryRecord(3, 0.5, 0.25, 0.125, 0.0625, False).msign_converged is False
+
+    @pytest.mark.parametrize("algorithm", ["muon", "signgd", "gd"])
+    def test_same_seed_records_compare_equal(self, algorithm):
+        inst = make_mf_instance(RandomStream(12), 8, 2, 2, 4.0)
+        init = RandomStream(13).gaussian_matrix(8, 2) * 0.1
+
+        def run():
+            return run_trajectory(inst, OptimizerConfig(algorithm), PlateauSchedule(0.1, patience=3),
+                                  init, 40, stream=RandomStream(14)).records
+
+        first, second = run(), run()
+        assert len(first) == 41
+        assert first == second
 
 
 @st.composite
