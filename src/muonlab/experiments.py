@@ -571,15 +571,15 @@ def kronecker_identity_gap(d: int = 4, k: int = 2, seed: int = 7) -> float:
 def finite_difference_gradient(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Entrywise central differences of a scalar loss; the independent
     oracle for analytic gradients."""
+    x = x.copy()  # private: each entry is moved to +h, then -h, then restored
     g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        xp, xm = x.copy(), x.copy()
-        xp[idx] += h
-        xm[idx] -= h
-        g[idx] = (loss_fn(xp) - loss_fn(xm)) / (2.0 * h)
-        it.iternext()
+    flat, g_flat = x.reshape(-1), g.reshape(-1)
+    for i, orig in enumerate(flat.tolist()):
+        flat[i] = orig + h
+        plus = loss_fn(x)
+        flat[i] = orig - h
+        g_flat[i] = (plus - loss_fn(x)) / (2.0 * h)
+        flat[i] = orig
     return g
 
 
@@ -674,13 +674,13 @@ def _suite_gradients(seed: int = 2024):
         inst = make_mf_instance(master.derive(i), d=6, r=2, k=3, kappa=10.0)
         u = master.derive(1000 + i).gaussian_matrix(6, 3)
         _, grad = mf_loss_grad(inst, u)
-        fd = finite_difference_gradient(lambda x: mf_loss_grad(inst, x)[0], u)
+        fd = finite_difference_gradient(lambda x: inst.loss_grad(x)[0], u)
         worst = max(worst, float(np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))))
     for i in range(50):
         inst = make_icl_instance(master.derive(5000 + i), d=5, kappa_s=3.0)
         q = master.derive(6000 + i).gaussian_matrix(5, 5)
         _, grad = icl_loss_grad(inst, q)
-        fd = finite_difference_gradient(lambda x: icl_loss_grad(inst, x)[0], q)
+        fd = finite_difference_gradient(lambda x: inst.loss_grad(x)[0], q)
         worst = max(worst, float(np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))))
     ok = worst <= 1e-6
     return ok, f"max relative finite-difference error {worst:.3e}"

@@ -133,26 +133,29 @@ def signgd_quadratic_run(
     zt = np.empty((T + 1, 2))
     zs[0] = z
     zt[0] = hq.rotation.T @ z
-    first_hit = 0 if np.linalg.norm(z) <= init.epsilon else math.inf
-    for t in range(T):
-        ztil = hq.rotation.T @ z
-        if np.any(z) and abs(hq.kappa * ztil[0]) == abs(ztil[1]):
-            raise TieEventError(f"switching tie at t={t}: ztilde={ztil}")
-        z = z - etas[t] * np.sign(hq.hessian @ z)
+    norm = float(np.linalg.norm(z))
+    first_hit = 0 if norm <= init.epsilon else math.inf
+    # the tests run on Python floats: x, y hold z_t and ztilde_t; w, v step t + 1
+    (x0, x1), (y0, y1) = z.tolist(), zt[0].tolist()
+    for t, eta in enumerate(etas[:T].tolist()):
+        if (x0 != 0.0 or x1 != 0.0) and abs(hq.kappa * y0) == abs(y1):
+            raise TieEventError(f"switching tie at t={t}: ztilde={zt[t]}")
+        z = z - eta * np.sign(hq.hessian @ z)
         zs[t + 1] = z
-        ztil_next = hq.rotation.T @ z
-        delta = ztil_next - zt[t]
+        zt[t + 1] = hq.rotation.T @ z
+        (w0, w1), (v0, v1) = z.tolist(), zt[t + 1].tolist()
         # the moved coordinate shifts by sqrt(2)*eta; the frozen one only by
         # rounding noise proportional to ||z||, so split on half a step
-        moved = np.abs(delta) > 0.5 * SQRT2 * etas[t]
-        size_tol = 1e-9 * etas[t] + 1e-13 * float(np.linalg.norm(zs[t]))
-        if np.any(z != zs[t]) and (
-            moved.sum() != 1 or abs(np.abs(delta).max() - SQRT2 * etas[t]) > size_tol
-        ):
-            raise TieEventError(f"switching law violated at t={t}: delta={delta}")
-        zt[t + 1] = ztil_next
-        if math.isinf(first_hit) and np.linalg.norm(z) <= init.epsilon:
+        a0, a1 = abs(v0 - y0), abs(v1 - y1)
+        moved = (a0 > 0.5 * SQRT2 * eta) + (a1 > 0.5 * SQRT2 * eta)
+        peak = max(a0, a1) if a0 == a0 and a1 == a1 else math.nan  # nan like numpy's max
+        size_tol = 1e-9 * eta + 1e-13 * norm
+        if (w0 != x0 or w1 != x1) and (moved != 1 or abs(peak - SQRT2 * eta) > size_tol):
+            raise TieEventError(f"switching law violated at t={t}: delta={zt[t + 1] - zt[t]}")
+        norm = float(np.linalg.norm(z))
+        if math.isinf(first_hit) and norm <= init.epsilon:
             first_hit = t + 1
+        x0, x1, y0, y1 = w0, w1, v0, v1
     return QuadraticRun(iterates=zs, rotated=zt, first_hit=first_hit)
 
 

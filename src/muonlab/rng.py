@@ -15,6 +15,10 @@ import numpy as np
 from .errors import PreconditionError
 from .linalg import qr_householder
 
+# Box-Muller pairs per block of ``RandomStream.gaussians``: bounds its
+# temporaries; the transform is elementwise, so it never changes a draw.
+GAUSSIAN_BLOCK_PAIRS = 8192
+
 
 class RandomStream:
     """Single-owner random source; derive one stream per trajectory.
@@ -56,22 +60,21 @@ class RandomStream:
             out[0] = self._cached_gaussian
             self._cached_gaussian = None
             start = 1
-        remaining = n - start
-        if remaining > 0:
-            pairs = (remaining + 1) // 2
-            # each pair consumes two consecutive uniforms, so batched and
-            # one-at-a-time calls walk the underlying stream identically
+        while start < n:
+            pairs = min((n - start + 1) // 2, GAUSSIAN_BLOCK_PAIRS)
+            # each pair consumes two consecutive uniforms, so blocked, batched
+            # and one-at-a-time calls walk the underlying stream identically
             u = self._gen.random(2 * pairs)
-            u1, u2 = u[0::2], u[1::2]
-            # 1 - u1 lies in (0, 1], keeping the log finite.
-            radius = np.sqrt(-2.0 * np.log1p(-u1))
-            angle = 2.0 * np.pi * u2
-            z = np.empty(2 * pairs)
-            z[0::2] = radius * np.cos(angle)
-            z[1::2] = radius * np.sin(angle)
-            out[start:] = z[:remaining]
-            if 2 * pairs > remaining:
-                self._cached_gaussian = float(z[remaining])
+            # 1 - u lies in (0, 1], keeping the log finite.
+            radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+            angle = 2.0 * np.pi * u[1::2]
+            stop = min(start + 2 * pairs, n)
+            out[start:stop:2] = radius * np.cos(angle)
+            sines = radius * np.sin(angle)
+            out[start + 1 : stop : 2] = sines[: (stop - start) // 2]
+            if stop - start < 2 * pairs:
+                self._cached_gaussian = float(sines[-1])
+            start = stop
         return out
 
     def gaussian(self) -> float:

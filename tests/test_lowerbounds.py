@@ -1,6 +1,7 @@
 """Adversarial SignGD instances and the learning-rate-barrier construction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from muonlab import (
     AdversarialInit,
     PreconditionError,
+    TieEventError,
     adversarial_quadratic_init,
     build_hard_icl_instance,
     build_hard_mf_instance,
@@ -106,6 +108,48 @@ class TestQuadraticRun:
         init = adversarial_quadratic_init(kappa, 1.0 / kappa, etas, T)
         run = signgd_quadratic_run(build_hard_quadratic(kappa), init, etas, T)
         assert run.first_hit >= (kappa - 1.0) / 4.0
+
+
+def _hand_init(z0) -> AdversarialInit:
+    return AdversarialInit(
+        z0=np.array(z0), x0=np.zeros(2), barrier_steps=0, epsilon=1e-3, x1_chain=np.zeros(1)
+    )
+
+
+class TestQuadraticRunTieEvents:
+    """Both ``TieEventError`` paths, with the step and message they report."""
+
+    def test_exact_switching_tie(self):
+        # kappa = 1, H = I: z = (2, 1) steps by (1, 1) to (1, 0), whose
+        # rotated coordinates (c, -c) tie exactly at t = 1
+        hq = build_hard_quadratic(1.0)
+        with pytest.raises(TieEventError) as err:
+            signgd_quadratic_run(hq, _hand_init([2.0, 1.0]), np.ones(5), 5)
+        ztil = hq.rotation.T @ np.array([1.0, 0.0])
+        assert abs(ztil[0]) == abs(ztil[1])
+        assert str(err.value) == f"switching tie at t=1: ztilde={ztil}"
+
+    def test_switching_law_violation(self):
+        # H = [[1, 0], [1, -1]] walks (3, 1) -> (2, 0) -> (1, -1) -> (0, -2),
+        # each a one-coordinate rotated move; at (0, -2) sign(H z) = (0, 1)
+        # moves each rotated coordinate by eta/sqrt(2), so not exactly one moves
+        hq = replace(build_hard_quadratic(21.0), hessian=np.array([[1.0, 0.0], [1.0, -1.0]]))
+        with pytest.raises(TieEventError) as err:
+            signgd_quadratic_run(hq, _hand_init([3.0, 1.0]), np.ones(6), 6)
+        delta = hq.rotation.T @ np.array([0.0, -3.0]) - hq.rotation.T @ np.array([0.0, -2.0])
+        assert str(err.value) == f"switching law violated at t=3: delta={delta}"
+
+    @pytest.mark.parametrize("nan_column", [0, 1])
+    def test_nan_delta_skips_the_size_test(self, nan_column):
+        # a rotation with a nan column keeps that rotated coordinate nan; the
+        # other moves by 2*eta, not sqrt(2)*eta, yet numpy's max of |delta|
+        # is nan, so the size test never fires, whichever column holds it
+        rotation = np.ones((2, 2))
+        rotation[:, nan_column] = math.nan
+        hq = replace(build_hard_quadratic(21.0), rotation=rotation)
+        run = signgd_quadratic_run(hq, _hand_init([1.0, 1.0]), np.ones(2), 1)
+        assert np.isnan(run.rotated[:, nan_column]).all()
+        assert_allclose(run.rotated[:, 1 - nan_column], [2.0, 0.0])
 
 
 class TestHardMf:

@@ -182,7 +182,38 @@ class TestMonteCarloLoss:
             icl_monte_carlo_loss(inst, np.eye(4), RandomStream(0), 99)
 
 
+def _two_copies_fd(loss_fn, x, h=1e-5):
+    """Reference central differences: two fresh copies of x per entry."""
+    g = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[idx] += h
+        xm[idx] -= h
+        g[idx] = (loss_fn(xp) - loss_fn(xm)) / (2.0 * h)
+    return g
+
+
 class TestGradientsAgainstFiniteDifferences:
+    @pytest.mark.parametrize("kind", ["mf", "icl", "icl_transposed_view"])
+    def test_same_bits_as_two_copies_and_input_untouched(self, kind):
+        stream = RandomStream(28)
+        if kind == "mf":
+            inst, loss_grad = make_mf_instance(stream.derive(0), 6, 2, 3, 8.0), mf_loss_grad
+            x = stream.derive(1).gaussian_matrix(6, 3)
+        else:
+            inst, loss_grad = make_icl_instance(stream.derive(0), 5, 3.0), icl_loss_grad
+            x = stream.derive(1).gaussian_matrix(5, 5)
+            x = x.T if kind == "icl_transposed_view" else x
+
+        def loss(v):
+            return loss_grad(inst, v)[0]
+
+        before = x.copy()
+        got = finite_difference_gradient(loss, x)
+        assert x.tobytes() == before.tobytes()
+        want = _two_copies_fd(loss, before)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_mf(self):
         master = RandomStream(26)
         for i in range(5):

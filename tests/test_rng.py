@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from muonlab import PreconditionError, RandomStream
+from muonlab.rng import GAUSSIAN_BLOCK_PAIRS as B
 
 
 class TestDeterminism:
@@ -49,6 +50,61 @@ class TestGaussian:
         z = RandomStream(3).gaussians(100_000)
         assert abs(z.mean()) <= 0.02  # 3 sigma / sqrt(n) headroom
         assert abs(z.var() - 1.0) <= 0.03
+
+
+class _UnblockedBoxMuller:
+    """Reference sampler: every pair of one call from a single uniform draw,
+    on the generator ``RandomStream(seed, stream_id)`` wraps."""
+
+    def __init__(self, seed, stream_id=0):
+        self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_id))))
+        self.cached = None
+
+    def gaussians(self, n):
+        head = [] if self.cached is None else [self.cached]
+        self.cached = None
+        rest = n - len(head)
+        pairs = (rest + 1) // 2
+        u = self.gen.random(2 * pairs)
+        radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+        angle = 2.0 * np.pi * u[1::2]
+        z = np.empty(2 * pairs)
+        z[0::2] = radius * np.cos(angle)
+        z[1::2] = radius * np.sin(angle)
+        if 2 * pairs > rest:
+            self.cached = float(z[rest])
+        return np.concatenate([head, z[:rest]])
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestGaussianBlocks:
+    """Blocked Box-Muller draws the same bits as the unblocked transform."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 600_000]
+        + [2 * p - odd for p in (B - 1, B, B + 1, 2 * B + 1) for odd in (0, 1)],
+    )
+    @pytest.mark.parametrize("leftover", [False, True])
+    def test_matches_unblocked(self, n, leftover):
+        stream, ref = RandomStream(11, 3), _UnblockedBoxMuller(11, 3)
+        if leftover:  # an odd first call caches the second output of its pair
+            _assert_same_bits(stream.gaussians(3), ref.gaussians(3))
+            assert stream._cached_gaussian == ref.cached is not None
+        _assert_same_bits(stream.gaussians(n), ref.gaussians(n))
+        assert stream._cached_gaussian == ref.cached
+        _assert_same_bits(stream.gaussians(5), ref.gaussians(5))
+
+    def test_split_calls_straddle_a_block_boundary(self):
+        stream, ref = RandomStream(12), _UnblockedBoxMuller(12)
+        first = stream.gaussians(2 * B - 3)  # odd: caches its last pair's sine
+        second = stream.gaussians(2 * B + 7)  # the cached normal, then B + 3 pairs
+        _assert_same_bits(np.concatenate([first, second]), ref.gaussians(4 * B + 4))
+        assert stream._cached_gaussian == ref.cached
 
 
 class TestHaar:
