@@ -5,52 +5,37 @@ kappa runs over {1, 5, 25, 125, 625}, all under the plateau schedule (learning
 rate cut by 0.3 after 50 non-improving steps).  Muon's iteration count barely
 moves with kappa; the entrywise and vanilla gradient methods slow down badly.
 
-A smaller dimension than the paper-scale d=100 keeps this demo under a few
-seconds; rerun with D = 100, T = 5000 to reproduce the full figure.
+The sweep is ``demos/configs/mf_sweep_small.cfg`` (d = 30, T = 2000, seed 42)
+run through ``run_experiment``, so its numbers are those of
+
+    muonlab run --config demos/configs/mf_sweep_small.cfg
+
+For the paper-scale d = 100, T = 5000 figure, run ``mf_sweep_full.cfg`` the
+same way.
 """
 
 import os
 
-import muonlab as ml
-from muonlab.experiments import default_eta0, scaled_orthonormal_init
-from muonlab.optimizers import OptimizerConfig, PlateauSchedule, run_trajectory
-from muonlab.svgplot import emit_svg_plot
+from muonlab.experiments import parse_config, run_experiment
 
-D, R, K, T, ALPHA = 30, 2, 2, 2000, 0.1
-KAPPAS = (1.0, 5.0, 25.0, 125.0, 625.0)
-OUT = os.path.join(os.path.dirname(__file__), "output")
-os.makedirs(OUT, exist_ok=True)
+HERE = os.path.dirname(__file__)
+EPSILON = 1e-9
 
-master = ml.RandomStream(7)
-curves = {algo: {} for algo in ("muon", "signgd", "gd")}
-hits = {algo: {} for algo in curves}
+with open(os.path.join(HERE, "configs", "mf_sweep_small.cfg")) as fh:
+    cfg = parse_config(fh.read())
+out = run_experiment(cfg, out_dir=os.path.join(HERE, "output"))
 
-for i, kappa in enumerate(KAPPAS):
-    inst = ml.make_mf_instance(master.derive(10 + i), D, R, K, kappa, lambda_max=1.0)
-    init = scaled_orthonormal_init(master.derive(20 + i), D, K, ALPHA)
-    for algo in curves:
-        sched = PlateauSchedule(initial_eta=default_eta0(algo, inst))
-        traj = run_trajectory(
-            inst, OptimizerConfig(algo), sched, init, T,
-            stream=master.derive(100 + i), stop_below=1e-12,
-        )
-        errs = [rec.spectral_error for rec in traj.records]
-        curves[algo][kappa] = errs
-        hits[algo][kappa] = ml.first_hit_time(errs, 1e-9)
+hits = {
+    (row["algorithm"], row["kappa"]): row["first_hit"]
+    for row in out.summary_rows if row["epsilon"] == EPSILON
+}
+print(f"first iteration with ||U U^T - M|| <= {EPSILON:g}  "
+      f"(d={cfg.d}, r={cfg.r}, k={cfg.k}, T={cfg.T}, seed={cfg.seed})")
+print(f"{'kappa':>8} " + " ".join(f"{a:>8}" for a in cfg.algorithms))
+for kappa in cfg.kappa:
+    print(f"{kappa:>8g} " + " ".join(f"{hits[a, kappa]:>8}" for a in cfg.algorithms))
 
-print(f"first iteration with ||U U^T - M|| <= 1e-9  (d={D}, r={R}, k={K}, T={T})")
-print(f"{'kappa':>8} {'muon':>8} {'signgd':>8} {'gd':>8}")
-for kappa in KAPPAS:
-    row = [hits[a][kappa] for a in ("muon", "signgd", "gd")]
-    print(f"{kappa:>8g} " + " ".join(f"{h:>8}" for h in row))
-
-for algo in curves:
-    series = {
-        f"kappa={kappa:g}": (range(len(errs)), errs) for kappa, errs in curves[algo].items()
-    }
-    path = os.path.join(OUT, f"factorization_{algo}.svg")
-    emit_svg_plot(series, title=f"{algo} on matrix factorization",
-                  xlabel="iteration", ylabel="spectral error", path=path)
+for path in out.figure_paths + [out.summary_path]:
     print("wrote", path)
 
 print("""

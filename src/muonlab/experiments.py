@@ -1,5 +1,5 @@
-"""Config-driven experiment runner: condition-number sweeps, rank sweeps,
-lower-bound runs, preconditioner visualization, and verification suites.
+"""Config-driven experiment runner: condition-number sweeps, lower-bound
+runs, preconditioner visualization, and verification suites.
 
 Configs are flat ``key = value`` text files (``#`` comments, comma-separated
 lists).  Every run is a pure function of (seed, config): per-cell random
@@ -49,7 +49,7 @@ from .problems import (
 from .rng import RandomStream
 from .svgplot import emit_svg_heatmap, emit_svg_plot
 
-KINDS = ("mf_sweep", "icl_sweep", "rank_sweep", "lower_bound", "precond_viz", "verify")
+KINDS = ("mf_sweep", "icl_sweep", "lower_bound", "precond_viz", "verify")
 SUITES = ("msign", "oracle", "lemmas", "lowerbounds", "gradients", "montecarlo", "all")
 CSV_HEADER = "t,eta,loss,spectral_error,grad_sigma_min"
 
@@ -64,7 +64,6 @@ class ExperimentConfig:
     r: int = 2
     k: int = 2
     kappa: tuple[float, ...] = (1.0, 5.0, 25.0, 125.0, 625.0)
-    ranks: tuple[int, ...] = (2, 3, 100)
     algorithms: tuple[str, ...] = ("muon", "signgd", "gd")
     schedule: str = "plateau"
     rho: float = 0.5
@@ -85,7 +84,6 @@ class ExperimentConfig:
 
 # defaults that differ from the field defaults, by kind
 KIND_DEFAULTS = {
-    "rank_sweep": {"kappa": (1.0,)},
     "lower_bound": {"rho": 0.98, "T": 600},
     "precond_viz": {"d": 10, "r": 5, "k": 5, "alpha": 1e-10},
 }
@@ -96,7 +94,6 @@ _SWEEP_KEYS = {"d", "kappa", "algorithms", "schedule", "rho", "prefactor", "eta0
 _KIND_KEYS = {
     "mf_sweep": _SWEEP_KEYS | {"r", "k", "alpha"},
     "icl_sweep": _SWEEP_KEYS,
-    "rank_sweep": _SWEEP_KEYS | {"r", "ranks", "alpha"},
     "lower_bound": {"family", "kappa", "rho", "eta0", "T", "r0", "out"},
     "precond_viz": {"d", "r", "k", "alpha", "steps", "seed", "out"},
     "verify": {"suite"},
@@ -167,12 +164,8 @@ def _validate(cfg: ExperimentConfig):
         ("r", 1 <= cfg.r <= cfg.d, f"need 1 <= r <= d, got r={cfg.r}, d={cfg.d}"),
         ("k", cfg.k >= cfg.r, f"need k >= r, got k={cfg.k}, r={cfg.r}"),
         ("kappa", all(1.0 <= x < math.inf for x in cfg.kappa), "kappa values must be finite and >= 1"),
-        ("kappa", cfg.kind != "rank_sweep" or len(cfg.kappa) == 1,
-         f"rank_sweep takes exactly one kappa, got {cfg.kappa}"),
         ("kappa", _distinct(map(_kappa_label, cfg.kappa)),
          f"kappa values must have distinct file labels, got {cfg.kappa}"),
-        ("ranks", all(k >= cfg.r for k in cfg.ranks), "ranks must be >= r"),
-        ("ranks", _distinct(cfg.ranks), f"ranks must be distinct, got {cfg.ranks}"),
         ("algorithms", all(a in ALGORITHMS for a in cfg.algorithms),
          f"algorithms must be among {ALGORITHMS}, got {cfg.algorithms}"),
         ("algorithms", _distinct(cfg.algorithms), f"algorithms must be distinct, got {cfg.algorithms}"),
@@ -272,7 +265,6 @@ class RunOutput:
 
     csv_paths: list[str]
     summary_path: str | None
-    metadata_path: str | None
     summary_rows: list[dict] = field(default_factory=list)
     figure_paths: list[str] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
@@ -298,9 +290,6 @@ def _write_metadata(cfg: ExperimentConfig, out_dir: str) -> str:
 def _sweep_points(cfg: ExperimentConfig):
     """(label, kappa, k) triples for the requested sweep; k is the iterate's
     column count (d for the square covariance problem)."""
-    if cfg.kind == "rank_sweep":
-        (kappa,) = cfg.kappa
-        return [(f"{_kappa_label(kappa)}_k{k}", kappa, k) for k in cfg.ranks]
     k = cfg.d if cfg.kind == "icl_sweep" else cfg.k
     return [(f"{_kappa_label(kappa)}_k{k}", kappa, k) for kappa in cfg.kappa]
 
@@ -325,11 +314,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
             d=cfg.d, r=cfg.r, k=cfg.k, alpha=cfg.alpha, steps=cfg.steps,
             seed=cfg.seed, out_dir=out_dir,
         )
-        meta = _write_metadata(cfg, out_dir)
+        _write_metadata(cfg, out_dir)
         return RunOutput(
             csv_paths=list(report.heatmap_paths),
             summary_path=report.difference_path,
-            metadata_path=meta,
             lines=[f"t={t}: trace-normalized block difference {diff:.6f}"
                    for t, diff in zip(report.steps, report.normalized_differences)],
         )
@@ -409,9 +397,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
                 path=fig_path,
             )
             figure_paths.append(fig_path)
-    meta = _write_metadata(cfg, out_dir)
+    _write_metadata(cfg, out_dir)
     return RunOutput(
-        csv_paths=csv_paths, summary_path=summary_path, metadata_path=meta,
+        csv_paths=csv_paths, summary_path=summary_path,
         summary_rows=summary_rows, figure_paths=figure_paths,
     )
 
@@ -441,10 +429,9 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
         f"{row['bound']},{int(row['satisfied'])}"
         for row in summary_rows
     ])
-    meta = _write_metadata(cfg, out_dir)
+    _write_metadata(cfg, out_dir)
     return RunOutput(
-        csv_paths=csv_paths, summary_path=summary_path, metadata_path=meta,
-        summary_rows=summary_rows,
+        csv_paths=csv_paths, summary_path=summary_path, summary_rows=summary_rows,
         lines=[
             f"{row['family']} kappa={row['kappa']:g}: first_hit={row['first_hit']} "
             f">= bound={row['bound']:g}? {'OK' if row['satisfied'] else 'VIOLATED'}"
@@ -655,13 +642,15 @@ def _suite_lemmas(seed: int = 2024):
 
 
 def _suite_lowerbounds():
+    # cells that reach their epsilon within T = 600 at rho = 0.98 (every
+    # family is censored at kappa 101): a censored inf would pass the bound
     lines = []
     ok = True
-    for family, kappa in (("quadratic", 21.0), ("quadratic", 101.0), ("quadratic", 401.0),
-                          ("mf", 41.0), ("icl", 101.0)):
+    for family, kappa in (("quadratic", 21.0), ("quadratic", 81.0), ("mf", 41.0),
+                          ("mf", 81.0), ("icl", 81.0)):
         res = run_lower_bound(family, kappa, 600)
         bound, dev = (kappa - 1.0) / 4.0, res.slice_deviation
-        ok = ok and res.first_hit >= bound and (dev is None or dev <= 1e-14)
+        ok = ok and bound <= res.first_hit < math.inf and (dev is None or dev <= 1e-14)
         detail = f"bound={bound:g}" if dev is None else f"slice_dev={dev:.2e}"
         lines.append(f"{family} kappa={kappa:g} hit={res.first_hit} {detail}")
     return ok, "; ".join(lines)
@@ -725,4 +714,4 @@ def verify(suite: str) -> RunOutput:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         passed = passed and ok
         lines.append(f"SUITE {name} {'PASS' if ok else 'FAIL'} {detail}")
-    return RunOutput(csv_paths=[], summary_path=None, metadata_path=None, lines=lines, passed=passed)
+    return RunOutput(csv_paths=[], summary_path=None, lines=lines, passed=passed)

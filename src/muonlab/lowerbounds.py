@@ -167,7 +167,6 @@ class HardMfInstance:
     u_star: np.ndarray
     u0: np.ndarray
     epsilon: float  # loss target of the lower bound
-    epsilon_q: float  # quadratic-level target (4/3)*sqrt(epsilon)
     quad_init: AdversarialInit
     r0: float
 
@@ -220,7 +219,6 @@ def build_hard_mf_instance(
         u_star=u_star,
         u0=u0,
         epsilon=float(epsilon),
-        epsilon_q=eps_q,
         quad_init=quad,
         r0=r0,
     )

@@ -26,6 +26,8 @@ PREFACTOR_RANGE = (1.0, 2.0)
 # float-noise gains (a period-2 cycle's loss drifts down by about 1e-19 a
 # cycle) cannot reset its patience forever.
 PLATEAU_MIN_GAIN = 1e-3
+# The factor ``PlateauSchedule`` cuts eta by once its patience runs out.
+PLATEAU_DECAY = 0.3
 # Bytes of iterates (546 of a d = 30, k = 2 factor) queued before
 # ``run_trajectory`` stacks their metrics; the queue holds their gradients
 # too, so about twice this.  Not tuned.
@@ -71,7 +73,7 @@ class ExponentialSchedule:
 
 
 class PlateauSchedule:
-    """Constant eta, cut by ``decay_factor`` after ``patience`` consecutive
+    """Constant eta, cut by ``PLATEAU_DECAY`` after ``patience`` consecutive
     non-improving losses.
 
     The first call records a baseline loss; each later call either improves
@@ -80,15 +82,12 @@ class PlateauSchedule:
     counter reaches ``patience``.  eta never increases.
     """
 
-    def __init__(self, initial_eta: float, decay_factor: float = 0.3, patience: int = 50):
+    def __init__(self, initial_eta: float, patience: int = 50):
         if not 0.0 < initial_eta < np.inf:
             raise PreconditionError(f"initial_eta must be positive and finite, got {initial_eta}")
-        if not 0.0 < decay_factor < 1.0:
-            raise PreconditionError("decay_factor must lie in (0, 1)")
         if patience < 1:
             raise PreconditionError("patience must be >= 1")
         self.initial_eta = initial_eta
-        self.decay_factor = decay_factor
         self.patience = patience
         self._eta = initial_eta
         self._best_loss: float | None = None
@@ -105,7 +104,7 @@ class PlateauSchedule:
         else:
             self._stall += 1
             if self._stall >= self.patience:
-                self._eta *= self.decay_factor
+                self._eta *= PLATEAU_DECAY
                 self._stall = 0
         return self._eta
 

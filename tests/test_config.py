@@ -20,18 +20,14 @@ POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 @st.composite
 def config_texts(draw):
     """A valid config text of any kind, setting a random subset of keys.
-    List items that name output files are distinct (kappa by its file label),
-    and a rank sweep has one kappa."""
+    List items that name output files are distinct (kappa by its file label)."""
     kind = draw(st.sampled_from(KINDS))
     lines = [f"kind = {kind}"]
     if draw(st.booleans()):  # the shape keys constrain each other, so set all or none
         d = draw(st.integers(1, 200))
         r = draw(st.integers(1, d))
-        ranks = draw(st.lists(st.integers(r, 300), min_size=1, unique=True))
-        lines += [f"d = {d}", f"r = {r}", f"k = {draw(st.integers(r, 300))}",
-                  "ranks = " + ",".join(map(str, ranks))]
-    kappas = st.lists(st.floats(1.0, 1e12), min_size=1,
-                      max_size=1 if kind == "rank_sweep" else None, unique_by=lambda x: f"{x:g}")
+        lines += [f"d = {d}", f"r = {r}", f"k = {draw(st.integers(r, 300))}"]
+    kappas = st.lists(st.floats(1.0, 1e12), min_size=1, unique_by=lambda x: f"{x:g}")
     optional = {
         "kappa": kappas.map(lambda xs: ",".join(map(repr, xs))),
         "algorithms": st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True).map(",".join),
@@ -74,23 +70,22 @@ class TestParseConfig:
         assert (pv.d, pv.r, pv.k, pv.alpha, pv.steps, pv.seed) == (10, 5, 5, 1e-10, (0, 500, 1000), 42)
         sweep = parse_config("")
         assert (sweep.rho, sweep.T, sweep.d, sweep.alpha) == (0.5, 5000, 100, 0.1)
-        assert parse_config("kind = rank_sweep").kappa == (1.0,)
 
     def test_set_keys_beat_kind_defaults_in_any_order(self):
         cfg = parse_config("rho = 0.9\nT = 30\nkind = lower_bound\n")
         assert (cfg.rho, cfg.T) == (0.9, 30)
 
-    @pytest.mark.parametrize("key", ["lb_rho", "lb_eta0"])
+    @pytest.mark.parametrize("key", ["lb_rho", "lb_eta0", "ranks"])
     def test_folded_keys_are_unknown(self, key):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-            parse_config(f"kind = lower_bound\n{key} = 0.9\n")
+            parse_config(f"kind = lower_bound\n{key} = 2\n")
 
     def test_checks_only_the_keys_the_kind_reads(self):
-        # ranks is read by rank_sweep alone, d only by the sweeps and precond_viz
-        parse_config("kind = precond_viz\nd = 10\nr = 3\nk = 5\n")
+        # family is read by lower_bound alone, d only by the sweeps and precond_viz
+        parse_config("kind = precond_viz\nd = 10\nr = 3\nk = 5\nfamily = cubic\n")
         parse_config("kind = verify\nd = 0\nrho = 2\n")
-        with pytest.raises(ConfigError, match="ranks"):
-            parse_config("kind = rank_sweep\nr = 3\n")
+        with pytest.raises(ConfigError, match="family"):
+            parse_config("kind = lower_bound\nfamily = cubic\n")
         with pytest.raises(ConfigError, match="rho"):
             parse_config("kind = lower_bound\nrho = 0.2\n")
 
@@ -130,12 +125,11 @@ class TestCliConfigErrors:
 
     @pytest.mark.parametrize("lines, key", [
         ("kappa = 5, 5.000001", "kappa"), ("kappa = 5, 1, 5", "kappa"),
-        ("algorithms = gd, muon, gd", "algorithms"), ("kind = rank_sweep\nranks = 2, 3, 2", "ranks"),
-        ("kind = rank_sweep\nkappa = 5, 25", "kappa"),
+        ("algorithms = gd, muon, gd", "algorithms"),
     ])
     def test_cells_sharing_a_file_or_dropped_exit_2_naming_the_key(self, lines, key, tmp_path, capsys):
-        # accepted, two cells wrote one CSV (the SVG lost a curve) or a rank
-        # sweep ran at the first kappa alone, and the run exited 0
+        # accepted, two cells wrote one CSV (the SVG lost a curve) and the
+        # run exited 0
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"kind = mf_sweep\nd = 6\nalgorithms = gd\nT = 5\n{lines}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -304,6 +304,28 @@ class TestVerify:
         assert not report.passed
         assert report.lines[0].startswith("SUITE msign FAIL")
 
+    def test_lowerbounds_suite_hits_every_cell(self):
+        (line,) = verify("lowerbounds").lines
+        assert line.startswith("SUITE lowerbounds PASS")
+        assert "hit=inf" not in line and line.count("hit=") == 5
+
+    def test_censored_lower_bound_fails_its_suite(self, monkeypatch):
+        # a run that never reaches epsilon says nothing about the bound
+        import dataclasses
+
+        import muonlab.experiments as exp
+
+        real = exp.run_lower_bound
+
+        def censor_mf(family, kappa, T, **kw):
+            res = real(family, kappa, T, **kw)
+            return dataclasses.replace(res, first_hit=math.inf) if family == "mf" else res
+
+        monkeypatch.setattr(exp, "run_lower_bound", censor_mf)
+        report = exp.verify("lowerbounds")
+        assert not report.passed
+        assert report.lines[0].startswith("SUITE lowerbounds FAIL")
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Every ``muonlab ...`` line of README's "Command line" block runs and
-exits 0, so the documented commands cannot drift from the CLI."""
+exits 0, so the documented commands cannot drift from the CLI; and every
+experiment kind is reached by a shipped config or one of those commands."""
 
 import re
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from muonlab.cli import main
+from muonlab.experiments import KINDS, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +34,17 @@ def test_readme_command_exits_0(command, tmp_path, monkeypatch):
         argv[i] = str(ROOT / argv[i])
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
+
+
+def _kind(argv: list[str]) -> str:
+    """The kind a command line runs: its config's for ``run``, else the
+    subcommand's."""
+    if argv[0] == "run":
+        return parse_config((ROOT / argv[argv.index("--config") + 1]).read_text()).kind
+    return argv[0].replace("-", "_")
+
+
+def test_every_kind_has_a_caller():
+    reached = {parse_config(path.read_text()).kind for path in (ROOT / "demos" / "configs").glob("*.cfg")}
+    reached |= {_kind(shlex.split(command, comments=True)[1:]) for command in _commands()}
+    assert sorted(reached) == sorted(KINDS)
