@@ -15,19 +15,7 @@ the per-step error bounds the scalar dynamics obey.
 import numpy as np
 
 import muonlab as ml
-from muonlab.optimizers import (
-    ExponentialSchedule,
-    OptimizerConfig,
-    SequenceSchedule,
-    materialize_etas,
-    run_trajectory,
-)
-from muonlab.oracle import (
-    aligned_mf_init,
-    decoupled_icl_trajectory,
-    decoupled_mf_trajectory,
-    oracle_vs_full_divergence,
-)
+from muonlab.oracle import decoupling_gap
 
 master = ml.RandomStream(404)
 D, R, T = 20, 4, 100
@@ -35,26 +23,12 @@ D, R, T = 20, 4, 100
 print("=== factorization: full Muon vs diagonal oracle ===")
 for i, k in enumerate((R, R + 3, D)):
     inst = ml.make_mf_instance(master.derive(i), D, R, k, kappa=125.0)
-    stream = master.derive(100 + i)
-    etas = materialize_etas(ExponentialSchedule(0.5, 1.0), T + 1, stream)
-    init = aligned_mf_init(inst, stream.uniforms(R, 0.05, 0.95) * etas[0], stream)
-    full = run_trajectory(
-        inst, OptimizerConfig("muon"), SequenceSchedule(etas), init.matrix, T,
-        keep_iterates=True,
-    )
-    oracle = decoupled_mf_trajectory(init, etas[:T])
-    gap = oracle_vs_full_divergence(oracle, full.iterates)
+    gap = decoupling_gap(inst, master.derive(100 + i), T)
     print(f"  search rank k={k:>2}: max per-step spectral gap = {gap:.3e}")
 
 print("\n=== covariance inverse: full Muon vs diagonal oracle ===")
 inst = ml.make_icl_instance(master.derive(300), D, 625.0 ** (1.0 / 3.0), sigma_min=1.0)
-etas = materialize_etas(ExponentialSchedule(0.5, 1.0), T, master.derive(301))
-full = run_trajectory(
-    inst, OptimizerConfig("muon"), SequenceSchedule(etas), np.zeros((D, D)), T,
-    keep_iterates=True,
-)
-oracle = decoupled_icl_trajectory(inst, etas)
-print(f"  d={D}: max per-step spectral gap = {oracle_vs_full_divergence(oracle, full.iterates):.3e}")
+print(f"  d={D}: max per-step spectral gap = {decoupling_gap(inst, master.derive(301), T):.3e}")
 
 print("\n=== scalar error bounds along one mode ===")
 trace = ml.scalar_muon_trajectory(0.3, 0.8, 1.0, 0.5, 12, c_eta=1.4)

@@ -4,7 +4,7 @@ Subcommands: ``run`` (config-driven sweeps), ``lower-bound`` (adversarial
 SignGD instances), ``precond-viz`` (preconditioner heatmaps), ``verify``
 (property suites).  Each command line is one config text, read and
 validated by ``parse_config``.  Exit codes: 0 success, 1 failed suite or
-violated lower bound, 2 config error, 3 runtime numerical failure.
+lower bound not shown, 2 config error, 3 runtime numerical failure.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _config_text(args: dict) -> str:
 def main(argv=None) -> int:
     """Run one subcommand.  It prints the kind's result lines (suite lines,
     bound checks, block differences), then the written paths; a failed suite
-    or a violated lower bound exits 1."""
+    or a lower bound the run does not show (VIOLATED, UNDECIDED) exits 1."""
     args = vars(_build_parser().parse_args(argv))
     out_dir = args.pop("out", None)
     try:

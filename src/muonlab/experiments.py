@@ -17,23 +17,18 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, NumericalDivergenceError, PreconditionError
-from .lowerbounds import FAMILIES, first_hit_time, run_lower_bound
+from .lowerbounds import FAMILIES, first_hit_time, lower_bound_holds, run_lower_bound
 from .msign import msign_exact, msign_newton_schulz
 from .optimizers import (
     ALGORITHMS,
     ExponentialSchedule,
     OptimizerConfig,
     PlateauSchedule,
-    SequenceSchedule,
-    materialize_etas,
     run_trajectory,
 )
 from .oracle import (
     FLOAT_SLACK,
-    aligned_mf_init,
-    decoupled_icl_trajectory,
-    decoupled_mf_trajectory,
-    oracle_vs_full_divergence,
+    decoupling_gap,
     sweep_icl_bounds,
     sweep_mf_bounds,
     sweep_mf_bounds_varying,
@@ -162,13 +157,22 @@ def _validate(cfg: ExperimentConfig):
     checks = (  # (key, ok, message), in the order they are reported
         ("d", cfg.d >= 1, "d must be positive"),
         ("r", 1 <= cfg.r <= cfg.d, f"need 1 <= r <= d, got r={cfg.r}, d={cfg.d}"),
+        ("r", cfg.kind != "precond_viz" or cfg.r >= 2,
+         f"precond_viz runs at kappa 5, so r must be >= 2, got r={cfg.r}"),
         ("k", cfg.k >= cfg.r, f"need k >= r, got k={cfg.k}, r={cfg.r}"),
         ("kappa", all(1.0 <= x < math.inf for x in cfg.kappa), "kappa values must be finite and >= 1"),
         ("kappa", _distinct(map(_kappa_label, cfg.kappa)),
          f"kappa values must have distinct file labels, got {cfg.kappa}"),
+        ("kappa", cfg.kind not in ("mf_sweep", "icl_sweep") or set(cfg.kappa) == {1.0}
+         or (cfg.d if cfg.kind == "icl_sweep" else cfg.r) >= 2,
+         f"kappa values other than 1 need r >= 2 (mf_sweep) or d >= 2 (icl_sweep), got {cfg.kappa}"),
+        ("kappa", cfg.kind != "lower_bound" or cfg.family not in ("mf", "icl") or min(cfg.kappa) >= 2.0,
+         f"kappa values must be >= 2 for family {cfg.family}, got {cfg.kappa}"),
         ("algorithms", all(a in ALGORITHMS for a in cfg.algorithms),
          f"algorithms must be among {ALGORITHMS}, got {cfg.algorithms}"),
         ("algorithms", _distinct(cfg.algorithms), f"algorithms must be distinct, got {cfg.algorithms}"),
+        ("algorithms", "scaledgd" not in cfg.algorithms or (cfg.kind == "mf_sweep" and cfg.k <= cfg.d),
+         "algorithms may hold scaledgd only on mf_sweep with k <= d, where U_0^T U_0 is invertible"),
         ("schedule", cfg.schedule in ("plateau", "exponential"), f"unknown schedule {cfg.schedule!r}"),
         ("rho", 0.5 <= cfg.rho < 1.0, f"rho must lie in [1/2, 1), got {cfg.rho}"),
         ("prefactor", cfg.prefactor in ("fixed", "per_iteration"), f"unknown prefactor {cfg.prefactor!r}"),
@@ -300,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
     metadata file; ``lower_bound`` and ``precond_viz`` write their CSVs and
     the metadata file too.  ``kind = verify`` writes nothing.  The result
     lines are the suite lines (``verify``), one bound check per kappa
-    (``lower_bound``, failed if violated) or one block difference per step
+    (``lower_bound``, failed unless shown) or one block difference per step
     (``precond_viz``); sweeps have none.
     """
     if cfg.kind == "verify":
@@ -412,15 +416,14 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
         path = os.path.join(out_dir, f"lower_bound_{cfg.family}_{_kappa_label(kappa)}.csv")
         write_csv(path, "t,metric", [f"{t},{v}" for t, v in enumerate(res.metric)])
         csv_paths.append(path)
-        bound = (kappa - 1.0) / 4.0
         summary_rows.append(
             {
                 "family": cfg.family,
                 "kappa": kappa,
                 "epsilon": res.epsilon,
                 "first_hit": res.first_hit,
-                "bound": bound,
-                "satisfied": res.first_hit >= bound,
+                "bound": (kappa - 1.0) / 4.0,
+                "satisfied": lower_bound_holds(res.first_hit, kappa, cfg.T),
             }
         )
     summary_path = os.path.join(out_dir, "lower_bound_summary.csv")
@@ -433,8 +436,8 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
     return RunOutput(
         csv_paths=csv_paths, summary_path=summary_path, summary_rows=summary_rows,
         lines=[
-            f"{row['family']} kappa={row['kappa']:g}: first_hit={row['first_hit']} "
-            f">= bound={row['bound']:g}? {'OK' if row['satisfied'] else 'VIOLATED'}"
+            f"{row['family']} kappa={row['kappa']:g}: first_hit={row['first_hit']} >= bound={row['bound']:g}? "
+            + ("OK" if row["satisfied"] else "UNDECIDED" if math.isinf(row["first_hit"]) else "VIOLATED")
             for row in summary_rows
         ],
         passed=all(row["satisfied"] for row in summary_rows),
@@ -603,30 +606,10 @@ def _suite_msign(seed: int = 2024):
 
 def _suite_oracle(seed: int = 2024):
     master = RandomStream(seed)
-    worst = 0.0
-    r = 4
-    for i, k in enumerate((r, r + 3, 20)):
-        inst = make_mf_instance(master.derive(100 + i), 20, r, k, kappa=25.0)
-        stream = master.derive(200 + i)
-        # one eta realization drives both the full run and the oracle
-        etas = materialize_etas(ExponentialSchedule(rho=0.5, base_scale=1.0), 101, stream)
-        sigma0 = stream.uniforms(r, 0.05, 0.95) * etas[0]
-        init = aligned_mf_init(inst, sigma0, stream)
-        full = run_trajectory(
-            inst, OptimizerConfig("muon"), SequenceSchedule(etas), init.matrix, 100,
-            keep_iterates=True,
-        )
-        worst = max(worst, oracle_vs_full_divergence(decoupled_mf_trajectory(init, etas[:100]), full.iterates))
-    icl = make_icl_instance(master.derive(300), 20, 625.0 ** (1.0 / 3.0), sigma_min=1.0)
-    stream = master.derive(301)
-    etas = materialize_etas(ExponentialSchedule(rho=0.5, base_scale=1.0), 100, stream)
-    full = run_trajectory(
-        icl, OptimizerConfig("muon"), SequenceSchedule(etas), np.zeros((20, 20)), 100,
-        keep_iterates=True,
-    )
-    worst = max(worst, oracle_vs_full_divergence(decoupled_icl_trajectory(icl, etas), full.iterates))
-    ok = worst <= 1e-10
-    return ok, f"decoupling gap {worst:.3e} (tolerance 1e-10)"
+    cells = [make_mf_instance(master.derive(100 + i), 20, 4, k, kappa=25.0) for i, k in enumerate((4, 7, 20))]
+    cells.append(make_icl_instance(master.derive(300), 20, 625.0 ** (1.0 / 3.0), sigma_min=1.0))
+    worst = max(decoupling_gap(inst, master.derive(s), 100) for inst, s in zip(cells, (200, 201, 202, 301)))
+    return worst <= 1e-10, f"decoupling gap {worst:.3e} (tolerance 1e-10)"
 
 
 def _suite_lemmas(seed: int = 2024):
@@ -642,17 +625,17 @@ def _suite_lemmas(seed: int = 2024):
 
 
 def _suite_lowerbounds():
-    # cells that reach their epsilon within T = 600 at rho = 0.98 (every
-    # family is censored at kappa 101): a censored inf would pass the bound
+    # cells that reach their epsilon within T = 600 at rho = 0.98 (every family
+    # is censored at kappa 101); a censored run would show these bounds too
     lines = []
     ok = True
     for family, kappa in (("quadratic", 21.0), ("quadratic", 81.0), ("mf", 41.0),
                           ("mf", 81.0), ("icl", 81.0)):
         res = run_lower_bound(family, kappa, 600)
-        bound, dev = (kappa - 1.0) / 4.0, res.slice_deviation
-        ok = ok and bound <= res.first_hit < math.inf and (dev is None or dev <= 1e-14)
-        detail = f"bound={bound:g}" if dev is None else f"slice_dev={dev:.2e}"
-        lines.append(f"{family} kappa={kappa:g} hit={res.first_hit} {detail}")
+        hit, dev = res.first_hit, res.slice_deviation
+        ok = ok and hit < math.inf and lower_bound_holds(hit, kappa, 600) and (dev is None or dev <= 1e-14)
+        detail = f"bound={(kappa - 1.0) / 4.0:g}" if dev is None else f"slice_dev={dev:.2e}"
+        lines.append(f"{family} kappa={kappa:g} hit={hit} {detail}")
     return ok, "; ".join(lines)
 
 

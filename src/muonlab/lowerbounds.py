@@ -362,3 +362,10 @@ def first_hit_time(values, epsilon: float) -> float:
         if v <= epsilon:
             return t
     return math.inf
+
+
+def lower_bound_holds(first_hit: float, kappa: float, T: int) -> bool:
+    """Whether a T-step run shows first_hit >= (kappa - 1)/4.  A censored
+    run (first_hit = inf) shows only first_hit >= T + 1, so it counts
+    exactly when T + 1 reaches the bound."""
+    return min(first_hit, T + 1) >= (kappa - 1.0) / 4.0

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .optimizers import PREFACTOR_RANGE
+from .optimizers import (PREFACTOR_RANGE, ExponentialSchedule, OptimizerConfig, SequenceSchedule,
+                         materialize_etas, run_trajectory)
 from .problems import IclInstance, MfInstance
 from .rng import RandomStream
 
@@ -298,6 +299,21 @@ def oracle_vs_full_divergence(oracle: DiagonalTrajectory, iterates) -> float:
     if not np.all(np.isfinite(gaps)):
         raise PreconditionError("iterates must be finite")
     return float(np.max(np.linalg.svd(gaps, compute_uv=False)[:, :1], initial=0.0))
+
+
+def decoupling_gap(inst: MfInstance | IclInstance, stream: RandomStream, T: int) -> float:
+    """Divergence of T steps of full Muon from its oracle, both driven by T + 1
+    etas drawn from ``ExponentialSchedule(0.5, 1.0)`` on ``stream``.  Muon starts
+    from ``aligned_mf_init`` with r mode values in [0.05, 0.95) * eta_0 drawn
+    next on ``stream`` (factorization), or from Q_0 = 0 (covariance)."""
+    etas = materialize_etas(ExponentialSchedule(rho=0.5, base_scale=1.0), T + 1, stream)
+    if isinstance(inst, MfInstance):
+        init = aligned_mf_init(inst, stream.uniforms(inst.r, 0.05, 0.95) * etas[0], stream)
+        x0, oracle = init.matrix, decoupled_mf_trajectory(init, etas[:T])
+    else:
+        x0, oracle = np.zeros((inst.d, inst.d)), decoupled_icl_trajectory(inst, etas[:T])
+    full = run_trajectory(inst, OptimizerConfig("muon"), SequenceSchedule(etas), x0, T, keep_iterates=True)
+    return oracle_vs_full_divergence(oracle, full.iterates)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from muonlab import ConfigError
 from muonlab.cli import main
-from muonlab.experiments import FAMILIES, KINDS, SUITES, _write_metadata, parse_config
+from muonlab.experiments import FAMILIES, KINDS, SUITES, ExperimentConfig, _write_metadata, parse_config
 from muonlab.optimizers import ALGORITHMS
 
 POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
@@ -20,17 +20,25 @@ POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 @st.composite
 def config_texts(draw):
     """A valid config text of any kind, setting a random subset of keys.
-    List items that name output files are distinct (kappa by its file label)."""
+    List items that name output files are distinct (kappa by its file label).
+    Shapes have r >= 2 (a sweep's kappa > 1 needs two eigenvalues, precond_viz
+    runs at kappa 5); lower_bound sets kappa, as ``--kappa`` must, to values
+    >= 2 (the mf and icl families need it); scaledgd appears only where
+    U_0^T U_0 is invertible, on mf_sweep with k <= d."""
     kind = draw(st.sampled_from(KINDS))
     lines = [f"kind = {kind}"]
+    d, k = ExperimentConfig.d, ExperimentConfig.k
     if draw(st.booleans()):  # the shape keys constrain each other, so set all or none
-        d = draw(st.integers(1, 200))
-        r = draw(st.integers(1, d))
-        lines += [f"d = {d}", f"r = {r}", f"k = {draw(st.integers(r, 300))}"]
-    kappas = st.lists(st.floats(1.0, 1e12), min_size=1, unique_by=lambda x: f"{x:g}")
+        d = draw(st.integers(2, 200))
+        r = draw(st.integers(2, d))
+        k = draw(st.integers(r, 300))
+        lines += [f"d = {d}", f"r = {r}", f"k = {k}"]
+    kappa_min = 2.0 if kind == "lower_bound" else 1.0
+    kappas = st.lists(st.floats(kappa_min, 1e12), min_size=1, unique_by=lambda x: f"{x:g}")
+    algorithms = [a for a in ALGORITHMS if a != "scaledgd" or (kind == "mf_sweep" and k <= d)]
     optional = {
         "kappa": kappas.map(lambda xs: ",".join(map(repr, xs))),
-        "algorithms": st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True).map(",".join),
+        "algorithms": st.lists(st.sampled_from(algorithms), min_size=1, unique=True).map(",".join),
         "schedule": st.sampled_from(("plateau", "exponential")),
         "rho": st.floats(0.5, 1.0, exclude_max=True).map(repr),
         "prefactor": st.sampled_from(("fixed", "per_iteration")),
@@ -49,7 +57,7 @@ def config_texts(draw):
         "suite": st.sampled_from(SUITES),
     }
     for key, values in optional.items():
-        if draw(st.booleans()):
+        if (key, kind) == ("kappa", "lower_bound") or draw(st.booleans()):
             lines.append(f"{key} = {draw(values)}")
     return "\n".join(draw(st.permutations(lines)))
 
@@ -101,6 +109,9 @@ class TestCliConfigErrors:
         (["lower-bound", "--family", "quadratic", "--kappa", "21\nkind = verify"], "kappa"),
         (["lower-bound", "--family", "quadratic", "--kappa", "21,21.000001"], "kappa"),
         (["precond-viz", "--steps", "0,10,0"], "steps"),
+        # accepted, each of these failed in the library after writing part of its output
+        (["lower-bound", "--family", "mf", "--kappa", "41,1.5"], "kappa"),
+        (["lower-bound", "--family", "icl", "--kappa", "41,1.5"], "kappa"),
     ])
     def test_bad_flag_exits_2_naming_the_key(self, argv, key, tmp_path, capsys):
         out = ["--out", str(tmp_path)] if argv[0] != "verify" else []
@@ -136,6 +147,28 @@ class TestCliConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("kind = icl_sweep\nd = 5\nalgorithms = muon, scaledgd", "algorithms"),  # Q_0 = 0 is singular
+        ("kind = mf_sweep\nd = 3\nr = 2\nk = 5\nalgorithms = muon, scaledgd", "algorithms"),  # k > d
+        ("kind = mf_sweep\nd = 5\nr = 1\nk = 2", "kappa"),  # one eigenvalue, kappa 5
+        ("kind = icl_sweep\nd = 1", "kappa"),
+        ("kind = precond_viz\nr = 1", "r"),  # it runs at kappa 5
+    ])
+    def test_config_that_cannot_be_built_exits_2_naming_the_key(self, text, key, tmp_path, capsys):
+        # accepted, each failed in the library after making its output
+        # directory, and each sweep exited 2 or 3 after its first cells' CSVs
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{text}\nkappa = 1, 5\nT = 5\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_single_eigenvalue_and_scaledgd_run_where_they_can(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kind = mf_sweep\nd = 5\nr = 1\nk = 1\nkappa = 1\nalgorithms = scaledgd, muon\nT = 5\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("r", [3, 5])
     def test_precond_viz_config_runs_at_any_valid_rank(self, r, tmp_path):

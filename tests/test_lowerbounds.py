@@ -22,6 +22,7 @@ from muonlab import (
     signgd_quadratic_run,
 )
 from muonlab.cli import main
+from muonlab.lowerbounds import lower_bound_holds
 
 SQRT2 = math.sqrt(2.0)
 
@@ -230,6 +231,19 @@ class TestFirstHit:
     def test_epsilon_guard(self):
         with pytest.raises(PreconditionError):
             first_hit_time([1.0], 0.0)
+
+
+class TestLowerBoundHolds:
+    def test_finite_hit_against_the_bound(self):
+        # kappa = 41: (kappa - 1)/4 = 10
+        assert lower_bound_holds(10, 41.0, 600) and lower_bound_holds(600, 41.0, 600)
+        assert not lower_bound_holds(9, 41.0, 600) and not lower_bound_holds(0, 41.0, 600)
+
+    def test_censored_run_shows_only_its_budget(self):
+        # first_hit = inf after T steps shows first_hit >= T + 1, nothing more
+        assert lower_bound_holds(math.inf, 41.0, 9)
+        assert not lower_bound_holds(math.inf, 41.0, 8)
+        assert lower_bound_holds(math.inf, 2405.0, 600) and not lower_bound_holds(math.inf, 2409.0, 600)
 
 
 class TestDefaultEpsilon:

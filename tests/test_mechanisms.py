@@ -2,6 +2,8 @@
 recursions behind every oracle path, the batched bound checkers, and the one
 lower-bound family runner behind the CLI, the verify suite and the demos."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,17 @@ class TestCliReport:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
         out = capsys.readouterr().out
         assert "VIOLATED" in out and "lower_bound_summary.csv" in out
+
+    def test_censored_run_shows_the_bound_only_within_its_budget(self, tmp_path, capsys):
+        # both runs are censored at T = 600: 601 reaches (2401 - 1)/4 = 600,
+        # not (10001 - 1)/4 = 2500; the second once printed OK and exited 0
+        code = main(["lower-bound", "--family", "quadratic", "--kappa", "2401,10001", "--out", str(tmp_path)])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["quadratic kappa=2401: first_hit=inf >= bound=600? OK",
+                             "quadratic kappa=10001: first_hit=inf >= bound=2500? UNDECIDED"]
+        with open(tmp_path / "lower_bound_summary.csv", newline="") as fh:
+            assert [row["satisfied"] for row in csv.DictReader(fh)] == ["1", "0"]
 
     def test_lower_bound_run_prints_checks_then_paths(self, tmp_path, capsys):
         cfg = tmp_path / "lb.cfg"

@@ -15,7 +15,6 @@ from muonlab import (
     aligned_mf_init,
     check_scalar_icl_bounds,
     check_scalar_mf_bounds,
-    check_scalar_mf_bounds_varying,
     decoupled_icl_trajectory,
     decoupled_mf_trajectory,
     make_icl_instance,
@@ -28,6 +27,7 @@ from muonlab import (
 )
 from muonlab.oracle import (
     FLOAT_SLACK,
+    decoupling_gap,
     sweep_icl_bounds,
     sweep_mf_bounds,
     sweep_mf_bounds_varying,
@@ -153,15 +153,7 @@ class TestDecoupledMf:
         r = 4
         for i, k in enumerate((r, r + 3, 20)):
             inst = make_mf_instance(master.derive(i), 20, r, k, 25.0)
-            stream = master.derive(100 + i)
-            etas = materialize_etas(ExponentialSchedule(0.5, 1.0), 51, stream)
-            init = aligned_mf_init(inst, stream.uniforms(r, 0.05, 0.95) * etas[0], stream)
-            full = run_trajectory(
-                inst, OptimizerConfig("muon"), SequenceSchedule(etas), init.matrix, 50,
-                keep_iterates=True,
-            )
-            gap = oracle_vs_full_divergence(decoupled_mf_trajectory(init, etas[:50]), full.iterates)
-            assert gap <= 1e-10
+            assert decoupling_gap(inst, master.derive(100 + i), 50) <= 1e-10
 
 
 class TestDecoupledIcl:
@@ -187,14 +179,29 @@ class TestDecoupledIcl:
 
     def test_full_equivalence(self):
         inst = make_icl_instance(RandomStream(39), 20, 625.0 ** (1.0 / 3.0), sigma_min=1.0)
-        stream = RandomStream(40)
-        etas = materialize_etas(ExponentialSchedule(0.5, 1.0), 50, stream)
+        assert decoupling_gap(inst, RandomStream(40), 50) <= 1e-10
+
+
+class TestDecouplingGap:
+    def test_equals_the_hand_written_composition(self):
+        # factorization: k > r, so the aligned init also draws a basis completion
+        inst = make_mf_instance(RandomStream(41), 12, 3, 5, 25.0)
+        stream = RandomStream(42)
+        etas = materialize_etas(ExponentialSchedule(0.5, 1.0), 31, stream)
+        init = aligned_mf_init(inst, stream.uniforms(3, 0.05, 0.95) * etas[0], stream)
         full = run_trajectory(
-            inst, OptimizerConfig("muon"), SequenceSchedule(etas), np.zeros((20, 20)), 50,
-            keep_iterates=True,
+            inst, OptimizerConfig("muon"), SequenceSchedule(etas), init.matrix, 30, keep_iterates=True,
         )
-        gap = oracle_vs_full_divergence(decoupled_icl_trajectory(inst, etas), full.iterates)
-        assert gap <= 1e-10
+        expected = oracle_vs_full_divergence(decoupled_mf_trajectory(init, etas[:30]), full.iterates)
+        assert decoupling_gap(inst, RandomStream(42), 30) == expected
+        # covariance from Q_0 = 0, written with T etas; decoupling_gap draws T + 1
+        inst = make_icl_instance(RandomStream(43), 12, 5.0, sigma_min=1.0)
+        etas = materialize_etas(ExponentialSchedule(0.5, 1.0), 30, RandomStream(44))
+        full = run_trajectory(
+            inst, OptimizerConfig("muon"), SequenceSchedule(etas), np.zeros((12, 12)), 30, keep_iterates=True,
+        )
+        expected = oracle_vs_full_divergence(decoupled_icl_trajectory(inst, etas), full.iterates)
+        assert decoupling_gap(inst, RandomStream(44), 30) == expected
 
 
 class TestDivergenceHelper:
