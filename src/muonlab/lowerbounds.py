@@ -41,7 +41,9 @@ def build_hard_quadratic(kappa: float) -> HardQuadratic:
         raise PreconditionError(f"kappa must be >= 1, got {kappa}")
     h = 0.5 * np.array([[kappa + 1.0, kappa - 1.0], [kappa - 1.0, kappa + 1.0]])
     diag = ROTATION.T @ h @ ROTATION
-    if abs(diag[0, 0] - kappa) > 1e-12 * max(kappa, 1.0) or abs(diag[1, 1] - 1.0) > 1e-12:
+    # both entries round at the scale of h's entries, about kappa
+    tol = 1e-12 * max(kappa, 1.0)
+    if abs(diag[0, 0] - kappa) > tol or abs(diag[1, 1] - 1.0) > tol:
         raise PreconditionError("hard quadratic eigen-identity failed at construction")
     return HardQuadratic(kappa=float(kappa), hessian=h, rotation=ROTATION.copy())
 

@@ -19,6 +19,11 @@ from .errors import PreconditionError
 from .linalg import check_matrix, check_matrices
 from .rng import RandomStream
 
+# Tasks per chunk of ``icl_monte_carlo_loss``: bounds its per-task
+# temporaries; each task's value is computed from its own row alone, so
+# chunking never changes one.
+ICL_TASK_CHUNK = 4096
+
 
 def _max_abs_eigs(s: np.ndarray) -> np.ndarray:
     """Each stacked symmetric matrix's spectral norm: its largest |eigenvalue|."""
@@ -255,7 +260,9 @@ def icl_monte_carlo_loss(
     predicts w^T S Q x_q against the true label w^T x_q, and averages the
     squared halves.  The closed-form loss is the exact expectation of this
     estimator, so the pair (estimate, standard_error) is an independent
-    check on ``icl_loss_grad``.
+    check on ``icl_loss_grad``.  The per-task values are filled
+    ``ICL_TASK_CHUNK`` tasks at a time, so only the draws themselves scale
+    with ``n_tasks``.
     """
     q = check_matrix(q, "parameter Q")
     if inst.samples is None:
@@ -265,10 +272,14 @@ def icl_monte_carlo_loss(
     n_samples = inst.samples.shape[0]
     w = stream.gaussian_matrix(n_tasks, inst.d)
     idx = np.floor(stream.uniforms(n_tasks, 0.0, float(n_samples))).astype(np.intp)
-    queries = inst.samples[idx]  # (n_tasks, d)
-    # prediction error w^T (S Q - I) x_q, one dot product per task
-    mapped = queries @ (inst.covariance @ q - np.eye(inst.d)).T
-    vals = 0.5 * np.einsum("ij,ij->i", w, mapped) ** 2
+    # prediction error w^T (S Q - I) x_q, one dot product per task; the
+    # sample set has only N = d rows, so each is mapped once
+    table = inst.samples @ (inst.covariance @ q - np.eye(inst.d)).T
+    vals = np.empty(n_tasks)
+    for start in range(0, n_tasks, ICL_TASK_CHUNK):
+        chunk = slice(start, start + ICL_TASK_CHUNK)
+        vals[chunk] = 0.5 * np.einsum("ij,ij->i", w[chunk], table[idx[chunk]]) ** 2
+    del w, idx  # freed before the statistics' temporaries
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n_tasks))
     return estimate, stderr

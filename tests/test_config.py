@@ -3,6 +3,7 @@ with per-kind defaults, checks on the keys each kind reads, and a
 ``run_metadata.txt`` that reads back as the config it records."""
 
 import os
+import re
 import tempfile
 
 import pytest
@@ -15,6 +16,13 @@ from muonlab.experiments import FAMILIES, KINDS, SUITES, ExperimentConfig, _writ
 from muonlab.optimizers import ALGORITHMS
 
 POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+PREFIX = "config error:"
+
+
+def names_key(err: str, key: str) -> bool:
+    """True when ``err`` is a config error naming ``key`` as a whole word
+    after its prefix (the prefix alone contains ``r``)."""
+    return err.startswith(PREFIX) and re.search(rf"\b{re.escape(key)}\b", err[len(PREFIX):]) is not None
 
 
 @st.composite
@@ -99,6 +107,12 @@ class TestParseConfig:
 
 
 class TestCliConfigErrors:
+    def test_names_key_needs_the_whole_word_after_the_prefix(self):
+        assert names_key("config error: r must be >= 2, got r=1", "r")
+        assert not names_key("config error: T must be >= 1", "r")
+        assert not names_key("config error: kappa must be >= 1", "k")
+        assert not names_key("r: config error: T must be >= 1", "r")
+
     @pytest.mark.parametrize("argv, key", [
         (["lower-bound", "--family", "quadratic", "--kappa", "abc"], "kappa"),
         (["precond-viz", "--steps", "0,x"], "steps"),
@@ -117,7 +131,7 @@ class TestCliConfigErrors:
         out = ["--out", str(tmp_path)] if argv[0] != "verify" else []
         assert main(argv + out) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and key in err
+        assert names_key(err, key), err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("line, key", [
@@ -131,7 +145,7 @@ class TestCliConfigErrors:
         cfg.write_text(f"kind = mf_sweep\nd = 6\nkappa = 1\nalgorithms = gd\nT = 5\n{line}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and key in err
+        assert names_key(err, key), err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("lines, key", [
@@ -145,7 +159,7 @@ class TestCliConfigErrors:
         cfg.write_text(f"kind = mf_sweep\nd = 6\nalgorithms = gd\nT = 5\n{lines}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and key in err
+        assert names_key(err, key), err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, key", [
@@ -162,7 +176,7 @@ class TestCliConfigErrors:
         cfg.write_text(f"{text}\nkappa = 1, 5\nT = 5\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and key in err
+        assert names_key(err, key), err
         assert not (tmp_path / "out").exists()
 
     def test_single_eigenvalue_and_scaledgd_run_where_they_can(self, tmp_path):

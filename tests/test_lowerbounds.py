@@ -45,6 +45,23 @@ class TestHardQuadratic:
         with pytest.raises(PreconditionError):
             build_hard_quadratic(0.5)
 
+    @pytest.mark.parametrize("kappa", [23176.0, 1e6, 1e8, 1e12, 1e15])
+    def test_large_kappa_builds(self, kappa):
+        # the unit eigenvalue rounds at the scale of the entries, about
+        # kappa; an absolute 1e-12 first rejected integer kappa 23,176
+        hq = build_hard_quadratic(kappa)
+        diag = hq.rotation.T @ hq.hessian @ hq.rotation
+        assert abs(diag[1, 1] - 1.0) <= 1e-12 * kappa
+
+    def test_cli_large_kappa_runs_every_cell(self, tmp_path, capsys):
+        # once exited 2 after writing the kappa-41 CSV; the run at 1e6 is
+        # censored below its bound, so it ends UNDECIDED
+        code = main(["lower-bound", "--family", "mf", "--kappa", "41,1e6", "--out", str(tmp_path)])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("OK") and lines[1].endswith("UNDECIDED")
+        assert (tmp_path / "lower_bound_summary.csv").exists()
+
 
 class TestAdversarialInit:
     def test_worked_example(self):
