@@ -379,7 +379,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
                             "epsilon": eps,
                             "first_hit": first_hit_time(errors, eps),
                             "final_error": errors[-1] if errors else float("nan"),
-                            "iterations": len(records) - 1,
+                            # no records: the loss was not finite at t = 0
+                            "iterations": max(len(records) - 1, 0),
                         }
                     )
     summary_path = os.path.join(out_dir, "summary.csv")

@@ -61,16 +61,23 @@ def icl_modes(lambdas, etas) -> np.ndarray:
     return values
 
 
-def _pow(base, exponent) -> np.ndarray:
-    """Python's float pow, elementwise.  The schedules raise rho**t through
-    it, and numpy's vectorized power can differ from it in the last ulp."""
-    return np.asarray(np.frompyfunc(pow, 2, 1)(base, exponent), dtype=np.float64)
+def _pow(base, exponent: int) -> np.ndarray:
+    """Python's float pow of each base, through a list of Python floats.  The
+    schedules raise rho**t through it, and numpy's vectorized power can
+    differ from it in the last ulp."""
+    return np.reshape([b**exponent for b in np.ravel(base).tolist()], np.shape(base))
 
 
 def _powers(rho, n: int, *per_trace) -> np.ndarray:
     """rho**t for t = 0..n-1 down a leading axis that broadcasts against
-    the per-trace arrays (``rho`` among them)."""
-    return _pow(rho, np.arange(n).reshape((n,) + (1,) * np.broadcast(rho, *per_trace).ndim))
+    the per-trace arrays (``rho`` among them), as ``_pow`` builds them, one
+    row of Python floats at a time."""
+    bases = np.ravel(rho).tolist()
+    out = np.empty((n, len(bases)))
+    for t in range(n):
+        out[t] = [b**t for b in bases]
+    lead = (n,) + (1,) * (np.broadcast(rho, *per_trace).ndim - np.ndim(rho))
+    return out.reshape(lead + np.shape(rho))
 
 
 def _check_rho(rho, lo: float):
@@ -318,10 +325,16 @@ def decoupling_gap(inst: MfInstance | IclInstance, stream: RandomStream, T: int)
 
 # ---------------------------------------------------------------------------
 # Randomized sweeps over the scalar lemmas (shared by tests and `verify`).
-# Each takes one batched draw, laid out as a trace-by-trace loop would take
-# its draws, and evolves every trace at once: the bound sweeps in one
-# recursion call, the never-zero sweep in blocks of steps.
+# Each draws in the order a trace-by-trace loop would take its draws and
+# evolves many traces at once: the bound sweeps in chunks of traces, the
+# never-zero sweep in blocks of steps.
 # ---------------------------------------------------------------------------
+
+# Traces per draw-and-check of the bound sweeps: bounds their per-trace
+# arrays (101 rows of 256 traces is 0.2 MB); each trace's draws are
+# contiguous on the stream and the minimum is exact, so chunking never
+# changes a margin.
+BOUND_CHUNK_TRACES = 256
 
 # Steps per recursion call of ``sweep_never_zero``: bounds its iterate block
 # (33 rows of 10,000 traces is 2.6 MB); the recursion is elementwise and reads
@@ -329,10 +342,17 @@ def decoupling_gap(inst: MfInstance | IclInstance, stream: RandomStream, T: int)
 NEVER_ZERO_BLOCK_STEPS = 32
 
 
-def _trace_draws(seed: int, n_traces: int, m: int) -> np.ndarray:
-    """m raw uniforms per trace in per-trace order; row j holds every
-    trace's j-th draw."""
-    return RandomStream(seed, 0).uniforms(n_traces * m).reshape(n_traces, m).T
+def _worst_over_chunks(margin, seed: int, n_traces: int, m: int) -> float:
+    """Minimum of ``margin(draws)`` over chunks of ``BOUND_CHUNK_TRACES``
+    traces, where draws holds m raw uniforms per trace in per-trace order
+    (row j is every trace's j-th draw).  One (empty) chunk even at
+    n_traces = 0, so the parameters are always checked."""
+    stream = RandomStream(seed, 0)
+    worst = []
+    for start in range(0, max(n_traces, 1), BOUND_CHUNK_TRACES):
+        rows = min(BOUND_CHUNK_TRACES, n_traces - start)
+        worst.append(margin(stream.uniforms(rows * m).reshape(rows, m).T))
+    return float(np.min(worst))
 
 
 def _scaled(u, lo, hi):
@@ -347,41 +367,50 @@ def sweep_mf_bounds(n_traces: int, seed: int, rho: float = 0.5, T: int = 45) -> 
     T is capped so the geometric bound stays above the float64 rounding
     floor of the recursion itself.
     """
-    draws = _trace_draws(seed, n_traces, 4)
-    lambda_max = _scaled(draws[0], 0.5, 2.0)
-    lambda_star = _scaled(draws[1], 0.0, lambda_max)
-    c = _scaled(draws[2], *PREFACTOR_RANGE)
-    eta0 = c * np.sqrt(lambda_max)
-    u0 = _scaled(draws[3], -eta0, eta0)
-    u0 = np.where(u0 == 0.0, eta0 / 2.0, u0)
-    trace = scalar_muon_trajectory(u0, lambda_star, lambda_max, rho, T, c_eta=c)
-    return check_scalar_mf_bounds(trace).worst_margin
+
+    def margin(draws):
+        lambda_max = _scaled(draws[0], 0.5, 2.0)
+        lambda_star = _scaled(draws[1], 0.0, lambda_max)
+        c = _scaled(draws[2], *PREFACTOR_RANGE)
+        eta0 = c * np.sqrt(lambda_max)
+        u0 = _scaled(draws[3], -eta0, eta0)
+        u0 = np.where(u0 == 0.0, eta0 / 2.0, u0)
+        trace = scalar_muon_trajectory(u0, lambda_star, lambda_max, rho, T, c_eta=c)
+        return check_scalar_mf_bounds(trace).worst_margin
+
+    return _worst_over_chunks(margin, seed, n_traces, 4)
 
 
 def sweep_mf_bounds_varying(
     n_traces: int, seed: int, rho_range: tuple[float, float] = (2.0 / 3.0, 0.95), T: int = 100
 ) -> float:
     """Worst margin of the per-step-prefactor bounds over random draws."""
-    draws = _trace_draws(seed, n_traces, 4 + T)
-    rho = _scaled(draws[0], *rho_range)
-    _check_rho(rho, 2.0 / 3.0)
-    lambda_max = _scaled(draws[1], 0.5, 2.0)
-    lambda_star = _scaled(draws[2], 0.0, lambda_max)
-    eta0_min = np.sqrt(lambda_max)
-    u0 = _scaled(draws[3], -eta0_min, eta0_min)
-    u0 = np.where(u0 == 0.0, eta0_min / 2.0, u0)
-    etas = _scaled(draws[4:], *PREFACTOR_RANGE) * np.sqrt(lambda_max) * _powers(rho, T)
-    trace = ScalarTrace(mf_modes(u0, lambda_star, etas), etas, lambda_star, rho, lambda_max=lambda_max)
-    return check_scalar_mf_bounds_varying(trace).worst_margin
+
+    def margin(draws):
+        rho = _scaled(draws[0], *rho_range)
+        _check_rho(rho, 2.0 / 3.0)
+        lambda_max = _scaled(draws[1], 0.5, 2.0)
+        lambda_star = _scaled(draws[2], 0.0, lambda_max)
+        eta0_min = np.sqrt(lambda_max)
+        u0 = _scaled(draws[3], -eta0_min, eta0_min)
+        u0 = np.where(u0 == 0.0, eta0_min / 2.0, u0)
+        etas = _scaled(draws[4:], *PREFACTOR_RANGE) * np.sqrt(lambda_max) * _powers(rho, T)
+        trace = ScalarTrace(mf_modes(u0, lambda_star, etas), etas, lambda_star, rho, lambda_max=lambda_max)
+        return check_scalar_mf_bounds_varying(trace).worst_margin
+
+    return _worst_over_chunks(margin, seed, n_traces, 4 + T)
 
 
 def sweep_icl_bounds(n_traces: int, seed: int, rho: float = 0.5, T: int = 45) -> float:
     """Worst margin of the covariance-trace bound over random draws."""
-    draws = _trace_draws(seed, n_traces, 3)
-    lambda_min = _scaled(draws[0], 0.1, 2.0)
-    lambda_star = lambda_min * _scaled(draws[1], 1.0, 100.0)
-    trace = scalar_icl_trajectory(lambda_star, lambda_min, rho, _scaled(draws[2], *PREFACTOR_RANGE), T)
-    return check_scalar_icl_bounds(trace).worst_margin
+
+    def margin(draws):
+        lambda_min = _scaled(draws[0], 0.1, 2.0)
+        lambda_star = lambda_min * _scaled(draws[1], 1.0, 100.0)
+        trace = scalar_icl_trajectory(lambda_star, lambda_min, rho, _scaled(draws[2], *PREFACTOR_RANGE), T)
+        return check_scalar_icl_bounds(trace).worst_margin
+
+    return _worst_over_chunks(margin, seed, n_traces, 3)
 
 
 def sweep_never_zero(n_traces: int, steps: int, seed: int, rho: float = 0.5) -> bool:

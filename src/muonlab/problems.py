@@ -19,9 +19,9 @@ from .errors import PreconditionError
 from .linalg import check_matrix, check_matrices
 from .rng import RandomStream
 
-# Tasks per chunk of ``icl_monte_carlo_loss``: bounds its per-task
-# temporaries; each task's value is computed from its own row alone, so
-# chunking never changes one.
+# Tasks per chunk of ``icl_monte_carlo_loss``: bounds its draws and per-task
+# temporaries; each task's value is computed from its own row alone, and
+# chunked draws walk the stream as one draw does, so chunking never changes one.
 ICL_TASK_CHUNK = 4096
 
 
@@ -260,9 +260,14 @@ def icl_monte_carlo_loss(
     predicts w^T S Q x_q against the true label w^T x_q, and averages the
     squared halves.  The closed-form loss is the exact expectation of this
     estimator, so the pair (estimate, standard_error) is an independent
-    check on ``icl_loss_grad``.  The per-task values are filled
-    ``ICL_TASK_CHUNK`` tasks at a time, so only the draws themselves scale
-    with ``n_tasks``.
+    check on ``icl_loss_grad``.
+
+    On ``stream``, every task's w comes first, then every query index.  The
+    indices are read from a copy of the stream jumped past the whole w draw
+    (``RandomStream.advanced``), so both are drawn ``ICL_TASK_CHUNK`` tasks
+    at a time and only the per-task values scale with ``n_tasks``.  The
+    stream is left where one whole draw of each leaves it: the same next
+    uniform and the same cached Box-Muller sine.
     """
     q = check_matrix(q, "parameter Q")
     if inst.samples is None:
@@ -270,16 +275,20 @@ def icl_monte_carlo_loss(
     if n_tasks < 100:
         raise PreconditionError(f"need n_tasks >= 100, got {n_tasks}")
     n_samples = inst.samples.shape[0]
-    w = stream.gaussian_matrix(n_tasks, inst.d)
-    idx = np.floor(stream.uniforms(n_tasks, 0.0, float(n_samples))).astype(np.intp)
+    # Box-Muller takes its uniforms in pairs, after any sine cached at entry
+    cached = stream._cached_gaussian is not None
+    queries = stream.advanced(2 * ((n_tasks * inst.d - cached + 1) // 2))
     # prediction error w^T (S Q - I) x_q, one dot product per task; the
     # sample set has only N = d rows, so each is mapped once
     table = inst.samples @ (inst.covariance @ q - np.eye(inst.d)).T
     vals = np.empty(n_tasks)
     for start in range(0, n_tasks, ICL_TASK_CHUNK):
-        chunk = slice(start, start + ICL_TASK_CHUNK)
-        vals[chunk] = 0.5 * np.einsum("ij,ij->i", w[chunk], table[idx[chunk]]) ** 2
+        rows = min(ICL_TASK_CHUNK, n_tasks - start)
+        w = stream.gaussian_matrix(rows, inst.d)
+        idx = np.floor(queries.uniforms(rows, 0.0, float(n_samples))).astype(np.intp)
+        vals[start : start + rows] = 0.5 * np.einsum("ij,ij->i", w, table[idx]) ** 2
     del w, idx  # freed before the statistics' temporaries
+    stream._gen = queries._gen  # past the indices too, keeping the sine w left cached
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n_tasks))
     return estimate, stderr

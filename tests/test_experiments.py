@@ -133,6 +133,21 @@ class TestRunExperiment:
         assert text.strip().splitlines()[-1].endswith("nan,nan,nan,nan")
         assert all(math.isinf(row["first_hit"]) for row in out.summary_rows)
 
+    def test_cell_not_finite_at_t0_reports_zero_steps(self, tmp_path):
+        # alpha = 1e200 overflows the loss at the initial iterate, so the cell
+        # keeps no record at all; it once reported len([]) - 1 = -1 steps
+        cfg = parse_config("kind = mf_sweep\nd = 6\nkappa = 5\nalgorithms = gd\nalpha = 1e200\nT = 5\n")
+        with pytest.warns(RuntimeWarning) as caught:  # overflow, then invalid values
+            out = run_experiment(cfg, out_dir=str(tmp_path))
+        assert any("overflow" in str(w.message) for w in caught)
+        assert out.summary_rows
+        for row in out.summary_rows:
+            assert row["iterations"] == 0
+            assert math.isnan(row["final_error"])
+            assert math.isinf(row["first_hit"])
+        with open(out.summary_path, newline="") as fh:
+            assert {row["iterations"] for row in csv.DictReader(fh)} == {"0"}
+
     @pytest.mark.parametrize("seed", [42, 3, 5, 15])
     def test_shipped_small_sweep_muon_hits_every_level(self, seed, tmp_path):
         # seeds at which a strict-< plateau rule let a period-2 cycle reset

@@ -34,7 +34,7 @@ from muonlab import (
     signgd_quadratic_run,
 )
 from muonlab.cli import main
-from muonlab.oracle import sweep_icl_bounds, sweep_mf_bounds, sweep_mf_bounds_varying
+from muonlab.oracle import _pow, _powers, sweep_icl_bounds, sweep_mf_bounds, sweep_mf_bounds_varying
 from muonlab.optimizers import PREFACTOR_RANGE
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -138,6 +138,39 @@ class TestBatchedRecursions:
         trace = scalar_muon_trajectory(0.3, 0.5, 1.0, 0.77, 60, c_eta=1.3)
         sched = ExponentialSchedule(0.77, 1.0, fixed_prefactor=1.3)
         assert trace.etas.tolist() == [sched.eta(t) for t in range(60)]
+
+
+class TestPythonPow:
+    """``_pow`` and ``_powers`` are Python's float pow to the last bit, for a
+    shared base and for per-trace bases broadcast against other arrays."""
+
+    bases = st.floats(0.5, 1.0, exclude_max=True)
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).tobytes()
+
+    @PROPERTY
+    @given(base=bases, exponent=st.integers(0, 400))
+    def test_scalar_base(self, base, exponent):
+        assert np.shape(_pow(base, exponent)) == ()
+        assert self.bits(_pow(base, exponent)) == self.bits(pow(base, exponent))
+
+    @PROPERTY
+    @given(rhos=st.lists(bases, min_size=0, max_size=20), exponent=st.integers(0, 400))
+    def test_per_trace_bases(self, rhos, exponent):
+        assert self.bits(_pow(np.array(rhos), exponent)) == self.bits([pow(r, exponent) for r in rhos])
+
+    @PROPERTY
+    @given(rhos=st.lists(bases, min_size=1, max_size=20), n=st.integers(0, 120))
+    def test_powers_down_the_leading_axis(self, rhos, n):
+        per_trace = np.zeros(len(rhos))
+        shared = _powers(rhos[0], n, per_trace)  # broadcasts against the traces
+        assert shared.shape == (n, 1)
+        assert self.bits(shared[:, 0]) == self.bits([pow(rhos[0], t) for t in range(n)])
+        each = _powers(np.array(rhos), n, per_trace)
+        assert each.shape == (n, len(rhos))
+        assert self.bits(each) == self.bits([[pow(r, t) for r in rhos] for t in range(n)])
 
 
 def single(trace, j):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from muonlab import PreconditionError, RandomStream
@@ -105,6 +107,34 @@ class TestGaussianBlocks:
         second = stream.gaussians(2 * B + 7)  # the cached normal, then B + 3 pairs
         _assert_same_bits(np.concatenate([first, second]), ref.gaussians(4 * B + 4))
         assert stream._cached_gaussian == ref.cached
+
+
+class TestAdvanced:
+    """``advanced(n)`` is a copy n uniforms ahead: its draws are the ones the
+    stream itself makes after n uniforms, and the stream does not move."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(0, 20_000), k=st.integers(0, 50))
+    def test_copy_after_k_draws_is_the_stream_after_n_plus_k(self, seed, n, k):
+        stream = RandomStream(seed, 3)
+        ahead = stream.advanced(n)
+        assert ahead.uniforms(k).tolist() == RandomStream(seed, 3).uniforms(n + k)[n:].tolist()
+        assert stream.uniforms(n + k).tolist() == RandomStream(seed, 3).uniforms(n + k).tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), pairs=st.integers(0, 5_000), k=st.integers(1, 50))
+    def test_copy_caches_no_sine(self, seed, pairs, k):
+        # the stream has drawn one Box-Muller pair and caches its sine; the
+        # copy starts a fresh pair after 2 pairs' worth of uniforms
+        stream = RandomStream(seed)
+        stream.gaussian()
+        ahead = stream.advanced(2 * pairs)
+        expected = RandomStream(seed).gaussians(2 + 2 * pairs + k)[2 + 2 * pairs :]
+        assert ahead.gaussians(k).tolist() == expected.tolist()
+
+    def test_rejects_negative(self):
+        with pytest.raises(PreconditionError):
+            RandomStream(0).advanced(-1)
 
 
 class TestHaar:

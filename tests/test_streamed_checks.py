@@ -1,8 +1,12 @@
-"""The two large ``verify`` checks stream: ``sweep_never_zero`` runs the
-factorization recursion in blocks of steps and ``icl_monte_carlo_loss``
-fills its per-task values in chunks.  Against references that materialize
-every iterate and every task at once, their results are bitwise identical,
-and their peak allocation stays within a fixed budget."""
+"""The large ``verify`` checks stream.  The bound sweeps
+(``sweep_mf_bounds``, ``sweep_icl_bounds``, ``sweep_mf_bounds_varying``)
+draw and check ``BOUND_CHUNK_TRACES`` traces at a time, ``sweep_never_zero``
+runs the factorization recursion in blocks of steps, and
+``icl_monte_carlo_loss`` draws its tasks in chunks, reading the query
+indices from a copy of the stream jumped past the whole w draw.  Against
+references that draw every trace and every task at once, their results are
+bitwise identical, the Monte-Carlo call leaves its stream where the one-shot
+draw does, and each check's peak allocation stays within a fixed budget."""
 
 import tracemalloc
 
@@ -11,7 +15,8 @@ import pytest
 
 from muonlab import RandomStream, make_icl_instance, mf_modes
 from muonlab import oracle
-from muonlab.oracle import NEVER_ZERO_BLOCK_STEPS, sweep_never_zero
+from muonlab.oracle import (BOUND_CHUNK_TRACES, NEVER_ZERO_BLOCK_STEPS, sweep_icl_bounds, sweep_mf_bounds,
+                            sweep_mf_bounds_varying, sweep_never_zero)
 from muonlab.problems import ICL_TASK_CHUNK, icl_monte_carlo_loss
 
 
@@ -50,6 +55,22 @@ def peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+BOUND_SWEEPS = [sweep_mf_bounds, sweep_icl_bounds, sweep_mf_bounds_varying]
+
+
+class TestBoundChunks:
+    @pytest.mark.parametrize(
+        "n_traces", [1, BOUND_CHUNK_TRACES - 1, BOUND_CHUNK_TRACES, BOUND_CHUNK_TRACES + 1, 1000]
+    )
+    @pytest.mark.parametrize("seed", [60, 2024])
+    @pytest.mark.parametrize("sweep", BOUND_SWEEPS)
+    def test_chunked_margin_equals_one_materialized_draw(self, sweep, seed, n_traces, monkeypatch):
+        chunked = sweep(n_traces, seed)
+        # one chunk past every trace: one draw of the whole sweep, checked at once
+        monkeypatch.setattr(oracle, "BOUND_CHUNK_TRACES", n_traces + 1)
+        assert chunked == sweep(n_traces, seed)
 
 
 class TestNeverZeroBlocks:
@@ -112,9 +133,32 @@ class TestMonteCarloChunks:
         assert got == monte_carlo_reference(inst, q, RandomStream(4), n_tasks)
 
 
+class TestMonteCarloStreamState:
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize(
+        "d, n_tasks", [(5, 101), (6, 100), (5, ICL_TASK_CHUNK + 1), (3, 3 * ICL_TASK_CHUNK)]
+    )
+    def test_stream_stands_where_the_one_shot_draw_leaves_it(self, d, n_tasks, cached):
+        # odd n_tasks * d leaves a sine cached; a cached sine at entry is w's first entry
+        inst = make_icl_instance(RandomStream(d), d, 7.0)
+        q = RandomStream(3).gaussian_matrix(d, d)
+        streams = RandomStream(9), RandomStream(9)
+        if cached:
+            for stream in streams:
+                stream.gaussian()
+        got = icl_monte_carlo_loss(inst, q, streams[0], n_tasks)
+        assert got == monte_carlo_reference(inst, q, streams[1], n_tasks)
+        a, b = streams
+        assert a.gaussians(3).tolist() == b.gaussians(3).tolist()  # the cached sine, then pairs
+        assert a.uniforms(5).tolist() == b.uniforms(5).tolist()
+
+
 class TestMemoryBudget:
     """tracemalloc sees numpy's buffers, so these peaks do not depend on the
-    machine.  Materialized, the two checks peak at about 17 and 18 MB."""
+    machine.  Materialized, the never-zero sweep peaks at about 18 MB and one
+    100,000-task Monte-Carlo call at about 17 MB (6.6 MB with every w drawn
+    at once); at 1,000 traces the bound sweeps peak at about 2.3, 1.5 and
+    6.6 MB (mf, icl, varying) and grow with the trace count."""
 
     def test_monte_carlo_call_stays_under_10_mb(self):
         master = RandomStream(2024)
@@ -122,5 +166,19 @@ class TestMemoryBudget:
         q = master.derive(100).gaussian_matrix(6, 6) * 0.5
         assert peak_bytes(icl_monte_carlo_loss, inst, q, master.derive(200), 100_000) < 10e6
 
+    def test_monte_carlo_call_stays_under_2_5_mb(self):
+        # what is left is the per-task values and the statistics over them
+        master = RandomStream(2024)
+        inst = make_icl_instance(master.derive(1), d=6, kappa_s=2.0)
+        q = master.derive(100).gaussian_matrix(6, 6) * 0.5
+        assert peak_bytes(icl_monte_carlo_loss, inst, q, master.derive(200), 100_000) < 2.5e6
+
     def test_never_zero_sweep_stays_under_6_mb(self):
         assert peak_bytes(sweep_never_zero, 10_000, 200, 2027) < 6e6
+
+    @pytest.mark.parametrize("n_traces", [1000, 5000])
+    @pytest.mark.parametrize(
+        "sweep, budget", [(sweep_mf_bounds, 1.2e6), (sweep_icl_bounds, 0.8e6), (sweep_mf_bounds_varying, 2.5e6)]
+    )
+    def test_bound_sweep_stays_under_budget_at_any_trace_count(self, sweep, budget, n_traces):
+        assert peak_bytes(sweep, n_traces, 2024) < budget
