@@ -304,14 +304,20 @@ def run_trajectory(
     exact Muon with mu = 0 also steps with, else from a values-only SVD.
     ``init`` is the only array checked: 2-D, finite, ``inst.iterate_shape()``.
     Muon's first eta must be positive; a later one is used as given, so a
-    schedule that underflows to 0 leaves the iterate in place.  Every later iterate comes from the update kernels, and one that is no
-    longer finite shows up as a non-finite loss, which aborts with
+    schedule that underflows to 0 leaves the iterate in place.  Every later
+    iterate comes from the update kernels, and one that is no longer finite
+    shows up as a non-finite loss, which aborts with
     ``NumericalDivergenceError`` carrying the records so far.  ``stop_below``
     ends the run once the spectral error reaches it.
 
     Metrics that do not steer the run are filled by stacked calls over at
     most ``METRIC_BLOCK_BYTES`` of queued iterates; the error is computed on
     the spot only where ``inst.error_floor(loss) <= stop_below``.
+
+    An iterate bitwise equal to one of the last two evaluated is not evaluated
+    again (``inst.loss_grad`` must depend on the iterate's bytes alone): it
+    reuses that one's loss, gradient, SVD and metric row.  The schedule and
+    the update kernel still run every step.
     """
     if T < 1:
         raise PreconditionError("T must be >= 1")
@@ -320,11 +326,15 @@ def run_trajectory(
     state = MuonState.zeros(x.shape, mu=algo.mu)
     update = _UPDATES[algo.algorithm]
     factored = algo.algorithm == "muon" and algo.msign_backend == "exact" and algo.mu == 0.0
-    rows: list[tuple[int, float, float, bool]] = []  # t, eta, loss, msign_converged
+    rows: list[tuple[int, int, float, float, bool]] = []  # t, source row, eta, loss, msign_converged
     errs, gsms = np.empty(T + 1), np.empty(T + 1)
     queue: list[tuple[int, np.ndarray, np.ndarray]] = []  # (t, iterate, gradient)
     block = max(1, METRIC_BLOCK_BYTES // x.nbytes)
     iterates: list[np.ndarray] | None = [x.copy()] if keep_iterates else None
+    # The last two evaluated iterates, matched by bytes (-0.0 is not 0.0): depth
+    # 2 covers a frozen tail (period 1) and a sign method's limit cycle (period
+    # 2).  Entry: (bytes, row t, loss, grad, factors).
+    memo: list[tuple] = []
 
     def flush():
         if queue:
@@ -337,25 +347,33 @@ def run_trajectory(
     def records():
         flush()
         err, gsm = errs.tolist(), gsms.tolist()
-        return [TrajectoryRecord(t, eta, loss, err[t], gsm[t], ok) for t, eta, loss, ok in rows]
+        return [TrajectoryRecord(t, eta, loss, err[src], gsm[src], ok) for t, src, eta, loss, ok in rows]
 
-    for t in range(T + 1):
-        loss, grad = inst.loss_grad(x)
-        if not math.isfinite(loss):
-            raise NumericalDivergenceError(f"non-finite loss at iteration {t}", iteration=t, records=records())
-        factors = np.linalg.svd(grad, full_matrices=False) if factored else None
-        gsms[t] = factors[1][-1] if factored else np.nan  # else filled by flush
-        eta = float(sched.eta(t, loss, stream))
-        queue.append((t, x, grad))
-        if len(queue) == block or (stop_below is not None and inst.error_floor(loss) <= stop_below):
-            flush()  # so errs[t] is known exactly when the queue is empty
-        if t == T or (stop_below is not None and not queue and errs[t] <= stop_below):
-            rows.append((t, eta, loss, True))
-            break
-        if t == 0 and algo.algorithm == "muon" and not eta > 0.0:
-            raise PreconditionError("eta must be positive")
-        x, state, converged = update(x, grad, eta, state, algo, factors)
-        rows.append((t, eta, loss, converged))
-        if keep_iterates:
-            iterates.append(x.copy())
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is a non-finite loss
+        for t in range(T + 1):
+            key = x.tobytes()
+            entry = next((e for e in memo if e[0] == key), None)
+            if entry is None:
+                loss, grad = inst.loss_grad(x)
+                if not math.isfinite(loss):
+                    raise NumericalDivergenceError(
+                        f"non-finite loss at iteration {t}", iteration=t, records=records())
+                factors = np.linalg.svd(grad, full_matrices=False) if factored else None
+                gsms[t] = factors[1][-1] if factored else np.nan  # else filled by flush
+                queue.append((t, x, grad))
+                entry = (key, t, loss, grad, factors)
+                memo = memo[-1:] + [entry]
+            _, src, loss, grad, factors = entry
+            eta = float(sched.eta(t, loss, stream))
+            if len(queue) == block or (stop_below is not None and inst.error_floor(loss) <= stop_below):
+                flush()  # so errs[src] is known exactly when the queue is empty
+            if t == T or (stop_below is not None and not queue and errs[src] <= stop_below):
+                rows.append((t, src, eta, loss, True))
+                break
+            if t == 0 and algo.algorithm == "muon" and not eta > 0.0:
+                raise PreconditionError("eta must be positive")
+            x, state, converged = update(x, grad, eta, state, algo, factors)
+            rows.append((t, src, eta, loss, converged))
+            if keep_iterates:
+                iterates.append(x.copy())
     return Trajectory(records=records(), final=x, iterates=iterates)

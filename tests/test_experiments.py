@@ -4,6 +4,7 @@ import csv
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +127,7 @@ class TestRunExperiment:
             "kind = mf_sweep\nd = 6\nr = 2\nk = 2\nkappa = 2\nalgorithms = gd\n"
             "schedule = exponential\neta0 = 1e12\nT = 30\n"
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = run_experiment(cfg, out_dir=str(tmp_path))
+        out = run_experiment(cfg, out_dir=str(tmp_path))
         with open(out.csv_paths[0]) as fh:
             text = fh.read()
         assert text.strip().splitlines()[-1].endswith("nan,nan,nan,nan")
@@ -135,11 +135,13 @@ class TestRunExperiment:
 
     def test_cell_not_finite_at_t0_reports_zero_steps(self, tmp_path):
         # alpha = 1e200 overflows the loss at the initial iterate, so the cell
-        # keeps no record at all; it once reported len([]) - 1 = -1 steps
+        # keeps no record at all; it once reported len([]) - 1 = -1 steps.
+        # The overflow is reported by the row, not by a numpy warning.
         cfg = parse_config("kind = mf_sweep\nd = 6\nkappa = 5\nalgorithms = gd\nalpha = 1e200\nT = 5\n")
-        with pytest.warns(RuntimeWarning) as caught:  # overflow, then invalid values
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             out = run_experiment(cfg, out_dir=str(tmp_path))
-        assert any("overflow" in str(w.message) for w in caught)
+        assert caught == []
         assert out.summary_rows
         for row in out.summary_rows:
             assert row["iterations"] == 0
@@ -396,8 +398,7 @@ class TestCli:
             "d = 8\nk = 2\nkappa = 5\nalgorithms = gd\neta0 = 1e308\nalpha = 3\nT = 20\n"
         )
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         (csv_path,) = out.glob("mf_sweep_gd_*.csv")
         assert csv_path.read_text().endswith("\n1,nan,nan,nan,nan\n")
 

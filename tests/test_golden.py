@@ -1,4 +1,5 @@
-"""Golden output digests: the shipped commands write the same bytes as when
+"""Golden output digests: the shipped commands, and a run of a config kept
+in ``tests/configs``, write the same bytes as when
 ``tests/golden_digests.json`` was written.
 
 Each command runs through ``cli.main`` into a fresh directory.  A command
@@ -34,11 +35,14 @@ from workloads import digest_files  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 CONFIGS = ROOT / "demos" / "configs"
+TEST_CONFIGS = ROOT / "tests" / "configs"
 
 # name -> (argv before --out, writes files)
 COMMANDS = {
     "run_mf_sweep_small": (["run", "--config", str(CONFIGS / "mf_sweep_small.cfg")], True),
     "run_icl_sweep_small": (["run", "--config", str(CONFIGS / "icl_sweep_small.cfg")], True),
+    # a frozen tail: the iterate stops moving long before T
+    "run_mf_underflow": (["run", "--config", str(TEST_CONFIGS / "mf_underflow.cfg")], True),
     **{
         f"lower_bound_{family}": (["lower-bound", "--family", family, "--kappa", "21,41,101"], True)
         for family in ("quadratic", "mf", "icl")

@@ -27,6 +27,8 @@ from muonlab import (
     scaledgd_step,
     signgd_step,
 )
+from muonlab import optimizers
+from muonlab.experiments import default_eta0
 from muonlab.optimizers import PLATEAU_MIN_GAIN, TrajectoryRecord
 
 
@@ -305,8 +307,7 @@ class TestRunTrajectory:
         inst = self._instance()
         init = RandomStream(17).gaussian_matrix(8, 2)
         with pytest.raises(NumericalDivergenceError) as info:
-            with np.errstate(over="ignore", invalid="ignore"):
-                run_trajectory(inst, OptimizerConfig("gd"), ConstantSchedule(1e12), init, 50)
+            run_trajectory(inst, OptimizerConfig("gd"), ConstantSchedule(1e12), init, 50)
         assert info.value.iteration > 0
         assert len(info.value.records) == info.value.iteration
 
@@ -316,8 +317,7 @@ class TestRunTrajectory:
         inst = self._instance()
         init = RandomStream(17).gaussian_matrix(8, 2)
         with pytest.raises(NumericalDivergenceError) as info:
-            with np.errstate(over="ignore", invalid="ignore"):
-                run_trajectory(inst, OptimizerConfig("gd"), ConstantSchedule(1e308), init, 50)
+            run_trajectory(inst, OptimizerConfig("gd"), ConstantSchedule(1e308), init, 50)
         assert info.value.iteration == 1
         assert len(info.value.records) == 1
 
@@ -371,6 +371,125 @@ class TestRunTrajectory:
             SequenceSchedule([r.eta for r in first.records]), init, 10,
         )
         assert first.records == replay.records
+
+
+class _Counted:
+    """Delegates to a problem instance, counting ``loss_grad`` calls."""
+
+    def __init__(self, inst):
+        self.inst, self.calls = inst, 0
+
+    def loss_grad(self, x):
+        self.calls += 1
+        return self.inst.loss_grad(x)
+
+    def __getattr__(self, name):
+        return getattr(self.inst, name)
+
+
+def _run_counted(inst, algo, sched, init, T):
+    counted = _Counted(inst)
+    traj = run_trajectory(counted, algo, sched, init, T, keep_iterates=True)
+    return traj, counted.calls
+
+
+def _assert_each_record_evaluated(inst, algo, traj):
+    """Every record equals its kept iterate evaluated on its own, bitwise,
+    and every iterate the update kernel applied to its predecessor."""
+    factored = algo.algorithm == "muon" and algo.msign_backend == "exact" and algo.mu == 0.0
+    state = MuonState.zeros(traj.iterates[0].shape, mu=algo.mu)
+    for t, (rec, x) in enumerate(zip(traj.records, traj.iterates, strict=True)):
+        loss, grad = inst.loss_grad(x)
+        # exact Muon with mu = 0 logs sigma_min from the SVD it steps with
+        svals = np.linalg.svd(grad, full_matrices=False)[1] if factored else np.linalg.svd(grad, compute_uv=False)
+        assert rec.loss == loss
+        assert rec.spectral_error == inst.spectral_errors(x[None])[0]
+        assert rec.grad_sigma_min == svals[-1]
+        if t + 1 < len(traj.records):
+            x_next, state, _ = optimizers._UPDATES[algo.algorithm](x, grad, rec.eta, state, algo)
+            assert np.array_equal(x_next, traj.iterates[t + 1])
+            assert np.array_equal(np.signbit(x_next), np.signbit(traj.iterates[t + 1]))
+
+
+def _evaluations(iterates):
+    """How many iterates a memo of the last two evaluated ones evaluates."""
+    memo, count = [], 0
+    for key in (x.tobytes() for x in iterates):
+        if key not in memo:
+            memo, count = memo[-1:] + [key], count + 1
+    return count
+
+
+class TestRepeatedIterates:
+    """``run_trajectory`` evaluates an iterate that repeats one of the last
+    two it evaluated once, and the records are those of evaluating each."""
+
+    @pytest.mark.parametrize("problem", ["mf", "icl"])
+    def test_signgd_plateau_cycle(self, problem):
+        if problem == "mf":
+            inst = make_mf_instance(RandomStream(0), 8, 2, 2, 5.0)
+            init = RandomStream(100).gaussian_matrix(8, 2) * 0.3
+        else:
+            inst = make_icl_instance(RandomStream(0), 6, 3.0, sigma_min=0.5, with_samples=False)
+            init = np.zeros((6, 6))
+        algo = OptimizerConfig("signgd")
+        sched = PlateauSchedule(default_eta0("signgd", inst), patience=10)
+        traj, calls = _run_counted(inst, algo, sched, init, 300)
+        assert len(traj.records) == 301
+        # a fixed-step sign method falls into a cycle: rows repeat at distance 2
+        period_2 = sum(np.array_equal(a, b) for a, b in zip(traj.iterates, traj.iterates[2:]))
+        assert period_2 > 50
+        assert calls == _evaluations(traj.iterates) <= len(traj.records) - period_2
+        _assert_each_record_evaluated(inst, algo, traj)
+
+    def test_underflowed_muon_tail_is_evaluated_once(self):
+        # eta = 0.5**t: from about t = 60 each step is below the iterate's
+        # rounding, and at t = 1075 eta underflows to 0.0
+        inst = make_mf_instance(RandomStream(3), 30, 2, 2, 25.0)
+        init = RandomStream(4).gaussian_matrix(30, 2) * 0.1
+        algo = OptimizerConfig("muon")
+        traj, calls = _run_counted(inst, algo, ExponentialSchedule(0.5, 1.0, fixed_prefactor=1.0), init, 1100)
+        assert traj.records[-1].eta == 0.0
+        frozen = next(t for t, x in enumerate(traj.iterates) if np.array_equal(x, traj.final))
+        assert frozen < 100
+        assert all(np.array_equal(x, traj.final) for x in traj.iterates[frozen:])
+        assert calls == _evaluations(traj.iterates) == frozen + 1
+        _assert_each_record_evaluated(inst, algo, traj)
+
+    def test_momentum_updates_are_not_reused(self, monkeypatch):
+        # the frozen iterate repeats, but the buffer it steps with moves
+        steps = []
+        muon = optimizers._UPDATES["muon"]
+
+        def counting_muon(*args, **kw):
+            steps.append(args[2])
+            return muon(*args, **kw)
+
+        monkeypatch.setitem(optimizers._UPDATES, "muon", counting_muon)
+        inst = make_mf_instance(RandomStream(3), 30, 2, 2, 25.0)
+        init = RandomStream(4).gaussian_matrix(30, 2) * 0.1
+        algo = OptimizerConfig("muon", mu=0.5)
+        traj, calls = _run_counted(inst, algo, ExponentialSchedule(0.5, 1.0, fixed_prefactor=1.0), init, 1100)
+        assert calls == _evaluations(traj.iterates) < 100
+        assert steps == [r.eta for r in traj.records[:-1]]
+        _assert_each_record_evaluated(inst, algo, traj)
+
+    def test_a_signed_zero_is_a_new_iterate(self):
+        # a zero-rate GD step turns a -0.0 entry whose gradient is negative
+        # into 0.0 (-0.0 - -0.0 == 0.0) and leaves every other entry as it is
+        inst = make_mf_instance(RandomStream(5), 8, 2, 2, 4.0)
+        init = RandomStream(6).gaussian_matrix(8, 2) * 0.1
+        init[0, 0] = 0.0
+        if inst.loss_grad(init)[1][0, 0] > 0:
+            init = -init  # the gradient is odd in U
+        init[0, 0] = -0.0
+        assert inst.loss_grad(init)[1][0, 0] < 0
+        algo = OptimizerConfig("gd")
+        traj, calls = _run_counted(inst, algo, ConstantSchedule(0.0), init, 5)
+        first, second = traj.iterates[:2]
+        assert np.array_equal(first, second) and not np.signbit(second[0, 0])
+        assert calls == _evaluations(traj.iterates) == 2
+        _assert_each_record_evaluated(inst, algo, traj)
 
 
 class TestTrajectoryRecord:
