@@ -41,18 +41,13 @@ from .msign import (
 from .optimizers import (
     ConstantSchedule,
     ExponentialSchedule,
-    MuonState,
     OptimizerConfig,
     PlateauSchedule,
     SequenceSchedule,
     Trajectory,
     TrajectoryRecord,
-    gd_step,
     materialize_etas,
-    muon_step,
     run_trajectory,
-    scaledgd_step,
-    signgd_step,
 )
 from .oracle import (
     AlignedInit,

@@ -310,7 +310,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
     if cfg.kind == "verify":
         return verify(cfg.suite)
     out_dir = out_dir or cfg.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file in the way, not a failed write
+        raise ConfigError(f"out {out_dir!r} cannot be made a directory: {exc.strerror}") from None
     if cfg.kind == "lower_bound":
         return _run_lower_bound(cfg, out_dir)
     if cfg.kind == "precond_viz":

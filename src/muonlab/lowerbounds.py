@@ -34,6 +34,19 @@ class HardQuadratic:
     hessian: np.ndarray  # H, 2x2
     rotation: np.ndarray  # R, 2x2
 
+    # The instance interface ``run_trajectory`` reads, z as a 2 x 1 column.
+    def iterate_shape(self) -> tuple[int, int]:
+        return (2, 1)
+
+    def loss_grad(self, z):
+        """Loss 0.5 * z^T H z and its gradient H z."""
+        g = self.hessian @ z
+        return 0.5 * float((z * g).sum()), g
+
+    def spectral_errors(self, zs) -> np.ndarray:
+        """||z||_2 of each iterate in an (n, 2, 1) stack."""
+        return np.linalg.norm(zs[:, :, 0], axis=1)
+
 
 def build_hard_quadratic(kappa: float) -> HardQuadratic:
     """The ill-conditioned 2x2 quadratic with eigenvalues (kappa, 1)."""
@@ -116,12 +129,17 @@ class QuadraticRun:
     first_hit: float  # smallest t with ||z_t|| <= epsilon, or inf
 
 
+def _signgd_run(inst, x0, etas, T: int):
+    return run_trajectory(inst, OptimizerConfig("signgd"), SequenceSchedule(etas), x0, T, keep_iterates=True)
+
+
 def signgd_quadratic_run(
     hq: HardQuadratic, init: AdversarialInit, etas, T: int
 ) -> QuadraticRun:
-    """Run z_{t+1} = z_t - eta_t * sign(H z_t) for T steps.
+    """Run z_{t+1} = z_t - eta_t * sign(H z_t) for T steps: SignGD through
+    ``run_trajectory``, with z as a 2 x 1 column.
 
-    Each step is checked against the switching law: exactly one rotated
+    Each step is then checked against the switching law: exactly one rotated
     coordinate moves, by +/- sqrt(2)*eta_t.  An exact tie
     |kappa * ztilde_1| == |ztilde_2| (where the sign pattern is undefined)
     raises ``TieEventError``; the constructed initializations avoid ties, so
@@ -130,34 +148,26 @@ def signgd_quadratic_run(
     etas = _check_etas(etas)
     if etas.size < T:
         raise PreconditionError(f"need at least T={T} etas, got {etas.size}")
-    z = init.z0.astype(np.float64).copy()
-    zs = np.empty((T + 1, 2))
-    zt = np.empty((T + 1, 2))
-    zs[0] = z
-    zt[0] = hq.rotation.T @ z
-    norm = float(np.linalg.norm(z))
-    first_hit = 0 if norm <= init.epsilon else math.inf
-    # the tests run on Python floats: x, y hold z_t and ztilde_t; w, v step t + 1
-    (x0, x1), (y0, y1) = z.tolist(), zt[0].tolist()
+    traj = _signgd_run(hq, init.z0[:, None], etas, T)
+    zs = np.stack(traj.iterates).reshape(T + 1, 2)
+    zt = np.array([hq.rotation.T @ z for z in zs])
+    norms = [rec.spectral_error for rec in traj.records]
+    # the checks run on Python floats, in step order, the tie test at t
+    # first: x, y hold z_t and ztilde_t; w, v step t + 1
     for t, eta in enumerate(etas[:T].tolist()):
+        (x0, x1), (y0, y1) = zs[t].tolist(), zt[t].tolist()
         if (x0 != 0.0 or x1 != 0.0) and abs(hq.kappa * y0) == abs(y1):
             raise TieEventError(f"switching tie at t={t}: ztilde={zt[t]}")
-        z = z - eta * np.sign(hq.hessian @ z)
-        zs[t + 1] = z
-        zt[t + 1] = hq.rotation.T @ z
-        (w0, w1), (v0, v1) = z.tolist(), zt[t + 1].tolist()
+        (w0, w1), (v0, v1) = zs[t + 1].tolist(), zt[t + 1].tolist()
         # the moved coordinate shifts by sqrt(2)*eta; the frozen one only by
         # rounding noise proportional to ||z||, so split on half a step
         a0, a1 = abs(v0 - y0), abs(v1 - y1)
         moved = (a0 > 0.5 * SQRT2 * eta) + (a1 > 0.5 * SQRT2 * eta)
         peak = max(a0, a1) if a0 == a0 and a1 == a1 else math.nan  # nan like numpy's max
-        size_tol = 1e-9 * eta + 1e-13 * norm
+        size_tol = 1e-9 * eta + 1e-13 * norms[t]
         if (w0 != x0 or w1 != x1) and (moved != 1 or abs(peak - SQRT2 * eta) > size_tol):
             raise TieEventError(f"switching law violated at t={t}: delta={zt[t + 1] - zt[t]}")
-        norm = float(np.linalg.norm(z))
-        if math.isinf(first_hit) and norm <= init.epsilon:
-            first_hit = t + 1
-        x0, x1, y0, y1 = w0, w1, v0, v1
+    first_hit = first_hit_time(norms, init.epsilon)
     return QuadraticRun(iterates=zs, rotated=zt, first_hit=first_hit)
 
 
@@ -287,10 +297,6 @@ def _slice_deviation(mats) -> float:
     for m in mats:
         dev = max(dev, abs(m[0, 0] - m[1, 1]), abs(m[0, 1] - m[1, 0]))
     return dev
-
-
-def _signgd_run(inst, x0, etas, T: int):
-    return run_trajectory(inst, OptimizerConfig("signgd"), SequenceSchedule(etas), x0, T, keep_iterates=True)
 
 
 def run_hard_mf(hard: HardMfInstance, etas, T: int) -> HardRunResult:

@@ -10,7 +10,7 @@ any of them over a problem instance and logs one record per iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -113,8 +113,7 @@ class ConstantSchedule:
     """Fixed learning rate (the classical GD baseline choice).
 
     Zero is allowed: a zero-rate GD run is the degenerate constant
-    trajectory.  Muon rejects a first eta of 0 (``run_trajectory``,
-    ``muon_step``).
+    trajectory.  ``run_trajectory`` rejects a first Muon eta of 0.
     """
 
     def __init__(self, eta: float):
@@ -147,21 +146,6 @@ def materialize_etas(sched, T: int, stream: RandomStream | None = None) -> list[
 
 
 @dataclass(frozen=True)
-class MuonState:
-    """Momentum buffer B and mixing coefficient mu; mu = 0 recovers
-    simplified Muon exactly (the buffer is bypassed, not multiplied)."""
-
-    buffer: np.ndarray
-    mu: float = 0.0
-
-    @classmethod
-    def zeros(cls, shape: tuple[int, int], mu: float = 0.0) -> "MuonState":
-        if not 0.0 <= mu < 1.0:
-            raise PreconditionError(f"mu must lie in [0, 1), got {mu}")
-        return cls(buffer=np.zeros(shape), mu=mu)
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     algorithm: str
     mu: float = 0.0
@@ -173,6 +157,8 @@ class OptimizerConfig:
             raise PreconditionError(f"unknown algorithm {self.algorithm!r}")
         if self.msign_backend not in ("exact", "newton_schulz"):
             raise PreconditionError(f"unknown msign backend {self.msign_backend!r}")
+        if not 0.0 <= self.mu < 1.0:
+            raise PreconditionError(f"mu must lie in [0, 1), got {self.mu}")
 
 
 class TrajectoryRecord(NamedTuple):
@@ -193,44 +179,48 @@ class Trajectory:
     iterates: list[np.ndarray] | None = None
 
 
-# Update kernels: (x, grad, eta, state, algo, factors) -> (x_next, state_next,
-# msign_converged); ``factors`` is the caller's compact SVD of ``grad``, given
-# only when the step is msign(grad) itself.  They trust their inputs:
-# ``run_trajectory`` checks its initial point and Muon's first eta once, the
-# ``*_step`` functions theirs.  A later eta that underflows to 0 leaves x put.
+# Update kernels: (x, grad, eta, buffer, algo, factors) -> (x_next, buffer_next,
+# msign_converged), the one implementation of each step; ``buffer`` is Muon's
+# momentum B (None when mu = 0) and ``factors`` the caller's compact SVD of
+# ``grad``, given only when the step is msign(grad) itself.  They trust their
+# inputs: ``run_trajectory`` checks its initial point and Muon's first eta
+# once.  A later eta that underflows to 0 leaves x put.
 
 
-def _muon_update(x, grad, eta, state: MuonState, algo: OptimizerConfig, factors=None):
-    if factors is not None:  # a zero gradient has s = 0, so msign is 0 by the rank rule
-        return x - eta * _msign_from_svd(*factors), state, True
+def _muon_update(x, grad, eta, buffer, algo: OptimizerConfig, factors=None):
+    """X' = X - eta * msign(B'), with B' = grad + mu * B."""
     # mu == 0 takes the gradient verbatim, so simplified Muon is bitwise
-    # exact, and leaves the unused buffer as it is.
-    if state.mu != 0.0:
-        grad = grad + state.mu * state.buffer
-        state = replace(state, buffer=grad)
-    if algo.msign_backend == "exact":  # a zero gradient has s = 0, as above
-        return x - eta * _msign_from_svd(*np.linalg.svd(grad, full_matrices=False)), state, True
+    # exact, and never touches a buffer.
+    if algo.mu != 0.0:
+        grad = buffer = grad + algo.mu * buffer
+    if algo.msign_backend == "exact":  # a zero gradient has s = 0, so msign is 0 by the rank rule
+        if factors is None:
+            factors = np.linalg.svd(grad, full_matrices=False)
+        return x - eta * _msign_from_svd(*factors), buffer, True
     if not np.any(grad):  # Newton-Schulz raises on the zero matrix
-        return x.copy(), state, True
+        return x.copy(), buffer, True
     result = msign_newton_schulz(grad, algo.ns_config)
-    return x - eta * result.matrix, state, result.converged
+    return x - eta * result.matrix, buffer, result.converged
 
 
-def _gd_update(x, grad, eta, state, algo, factors=None):
-    return x - eta * grad, state, True
+def _gd_update(x, grad, eta, buffer, algo, factors=None):
+    return x - eta * grad, buffer, True
 
 
-def _signgd_update(x, grad, eta, state, algo, factors=None):
-    return x - eta * np.sign(grad), state, True
+def _signgd_update(x, grad, eta, buffer, algo, factors=None):
+    """X - eta * sign(grad); zero entries stay put."""
+    return x - eta * np.sign(grad), buffer, True
 
 
-def _scaledgd_update(u, grad, eta, state, algo, factors=None):
+def _scaledgd_update(u, grad, eta, buffer, algo, factors=None):
+    """U - eta * grad @ (U^T U)^-1, the Gram inverse through the
+    eigendecomposition; a numerically singular Gram matrix raises."""
     lam, vecs = np.linalg.eigh(u.T @ u)
     lam, vecs = lam[::-1], vecs[:, ::-1]  # descending: the summation order the outputs pin
     if lam[0] <= 0.0 or lam[-1] <= (1e-12) ** 2 * lam[0]:
         raise RankDeficiencyError("scaledgd: U^T U is numerically singular")
     gram_inv = (vecs / lam) @ vecs.T
-    return u - eta * grad @ gram_inv, state, True
+    return u - eta * grad @ gram_inv, buffer, True
 
 
 _UPDATES = {
@@ -240,50 +230,6 @@ _UPDATES = {
     "scaledgd": _scaledgd_update,
 }
 ALGORITHMS = tuple(_UPDATES)
-
-
-def muon_step(
-    x,
-    grad,
-    state: MuonState,
-    eta: float,
-    backend: str = "exact",
-    ns_config: NewtonSchulzConfig | None = None,
-):
-    """One Muon update: B' = grad + mu*B, X' = X - eta * msign(B').
-
-    Returns (x_next, state_next, msign_converged); eta must be positive and
-    finite.  A zero momentum buffer update leaves X unchanged (msign(0) = 0)
-    rather than raising.  With mu = 0 the buffer is bypassed and ``state``
-    comes back as it was.
-    """
-    x, grad = check_matrices(state.buffer.shape, iterate=x, gradient=grad)
-    if not 0.0 < eta < np.inf:
-        raise PreconditionError(f"eta must be positive and finite, got {eta}")
-    algo = OptimizerConfig("muon", msign_backend=backend, ns_config=ns_config or NewtonSchulzConfig())
-    return _muon_update(x, grad, eta, state, algo)
-
-
-def gd_step(x, grad, eta: float) -> np.ndarray:
-    """Plain gradient step X - eta * grad."""
-    x, grad = check_matrices(np.shape(x), iterate=x, gradient=grad)
-    return _gd_update(x, grad, eta, None, None)[0]
-
-
-def signgd_step(x, grad, eta: float) -> np.ndarray:
-    """Entrywise-sign step X - eta * sign(grad); zero entries stay put."""
-    x, grad = check_matrices(np.shape(x), iterate=x, gradient=grad)
-    return _signgd_update(x, grad, eta, None, None)[0]
-
-
-def scaledgd_step(u, grad, eta: float) -> np.ndarray:
-    """Right-preconditioned step U - eta * grad @ (U^T U)^-1.
-
-    The Gram inverse goes through the eigendecomposition; a numerically
-    singular Gram matrix raises rather than being silently regularized.
-    """
-    u, grad = check_matrices(np.shape(u), iterate=u, gradient=grad)
-    return _scaledgd_update(u, grad, eta, None, None)[0]
 
 
 def run_trajectory(
@@ -303,8 +249,8 @@ def run_trajectory(
     sigma_min of each gradient is logged at every d, from the one SVD that
     exact Muon with mu = 0 also steps with, else from a values-only SVD.
     ``init`` is the only array checked: 2-D, finite, ``inst.iterate_shape()``.
-    Muon's first eta must be positive; a later one is used as given, so a
-    schedule that underflows to 0 leaves the iterate in place.  Every later
+    Muon's first eta must be positive and finite; a later one is used as is:
+    a schedule that underflows to 0 leaves the iterate in place.  Every later
     iterate comes from the update kernels, and one that is no longer finite
     shows up as a non-finite loss, which aborts with
     ``NumericalDivergenceError`` carrying the records so far.  ``stop_below``
@@ -323,7 +269,7 @@ def run_trajectory(
         raise PreconditionError("T must be >= 1")
     (x,) = check_matrices(inst.iterate_shape(), init=init)
     x = x.copy()
-    state = MuonState.zeros(x.shape, mu=algo.mu)
+    buffer = np.zeros(x.shape) if algo.mu else None  # Muon's momentum B
     update = _UPDATES[algo.algorithm]
     factored = algo.algorithm == "muon" and algo.msign_backend == "exact" and algo.mu == 0.0
     rows: list[tuple[int, int, float, float, bool]] = []  # t, source row, eta, loss, msign_converged
@@ -370,9 +316,9 @@ def run_trajectory(
             if t == T or (stop_below is not None and not queue and errs[src] <= stop_below):
                 rows.append((t, src, eta, loss, True))
                 break
-            if t == 0 and algo.algorithm == "muon" and not eta > 0.0:
-                raise PreconditionError("eta must be positive")
-            x, state, converged = update(x, grad, eta, state, algo, factors)
+            if t == 0 and algo.algorithm == "muon" and not 0.0 < eta < math.inf:
+                raise PreconditionError(f"eta must be positive and finite, got {eta}")
+            x, buffer, converged = update(x, grad, eta, buffer, algo, factors)
             rows.append((t, src, eta, loss, converged))
             if keep_iterates:
                 iterates.append(x.copy())

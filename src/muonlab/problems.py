@@ -67,15 +67,10 @@ class MfInstance:
         loss = 0.25 * float((delta * delta).sum())
         return loss, delta @ u
 
-    def spectral_error(self, u) -> float:
-        """Spectral-norm recovery error ||U U^T - M||, unchecked like
-        ``loss_grad``: the batch of one of ``spectral_errors``."""
-        return float(self.spectral_errors(u[None])[0])
-
     def spectral_errors(self, us) -> np.ndarray:
-        """``spectral_error`` of each factor in an (n, d, k) stack, in one
-        stacked call.  With [U, V] = Q [A, B], U U^T - M = Q (A A^T - B
-        diag(lam) B^T) Q^T: the (k+r) x (k+r) core holds its eigenvalues."""
+        """Recovery error ||U U^T - M|| of each factor in an (n, d, k) stack,
+        unchecked.  With [U, V] = Q [A, B], U U^T - M = Q (A A^T - B diag(lam)
+        B^T) Q^T: the (k+r) x (k+r) core holds its eigenvalues."""
         # us per call, dense SVD / dense eigvalsh / core: d = 100, k = 2:
         # 731/531/50, k = 25: 682/412/100, k = 66: 493/472/580; d = 30, k = 2:
         # 76/64/56.  Hence the core only when 2(k + r) <= d.
@@ -87,7 +82,7 @@ class MfInstance:
         return _max_abs_eigs(us @ np.swapaxes(us, 1, 2) - self.target)
 
     def error_floor(self, loss: float) -> float:
-        """A lower bound on the computed ``spectral_error`` from the loss
+        """A lower bound on the computed spectral error from the loss
         alone: error_floor(loss) > s rules out error <= s.
 
         D = U U^T - M has rank <= rho = min(d, k + r), so ||D|| >= ||D||_F /
@@ -143,14 +138,9 @@ class IclInstance:
         loss = 0.5 * float((resid @ s @ resid.T).trace())
         return loss, s @ resid @ s
 
-    def spectral_error(self, q) -> float:
-        """Spectral-norm distance to the minimizer, ||Q - S^-1||, unchecked
-        like ``loss_grad``: the batch of one of ``spectral_errors``."""
-        return float(self.spectral_errors(q[None])[0])
-
     def spectral_errors(self, qs) -> np.ndarray:
-        """``spectral_error`` of each parameter in an (n, d, d) stack, in one
-        stacked values-only SVD."""
+        """Distance ||Q - S^-1|| of each parameter in an (n, d, d) stack to
+        the minimizer, unchecked, in one stacked values-only SVD."""
         return np.linalg.svd(qs - self.inverse, compute_uv=False)[:, 0]
 
     def error_floor(self, loss: float) -> float:

@@ -11,44 +11,49 @@ import pytest
 
 from muonlab import (
     ConstantSchedule,
-    MuonState,
     OptimizerConfig,
     PreconditionError,
     RandomStream,
-    gd_step,
+    build_hard_quadratic,
     icl_loss_grad,
     make_icl_instance,
     make_mf_instance,
     mf_loss_grad,
     msign_exact,
-    muon_step,
     run_trajectory,
-    scaledgd_step,
-    signgd_step,
 )
 
 MF = make_mf_instance(RandomStream(40), 6, 2, 2, 4.0)
 ICL = make_icl_instance(RandomStream(41), 4, 2.0)
-X = RandomStream(42).gaussian_matrix(6, 2)
-G = RandomStream(43).gaussian_matrix(6, 2)
+HQ = build_hard_quadratic(9.0)
 
 # name -> (shape of a valid input, call with that input in the checked slot);
 # a shape of None means any 2-D shape is valid
 ENTRY_POINTS = {
     "mf_loss_grad": ((6, 2), lambda a: mf_loss_grad(MF, a)),
     "icl_loss_grad": ((4, 4), lambda a: icl_loss_grad(ICL, a)),
-    "muon_step.iterate": ((6, 2), lambda a: muon_step(a, G, MuonState.zeros((6, 2)), 0.1)),
-    "muon_step.gradient": ((6, 2), lambda a: muon_step(X, a, MuonState.zeros((6, 2)), 0.1)),
-    "gd_step.iterate": ((6, 2), lambda a: gd_step(a, G, 0.1)),
-    "gd_step.gradient": ((6, 2), lambda a: gd_step(X, a, 0.1)),
-    "signgd_step.iterate": ((6, 2), lambda a: signgd_step(a, G, 0.1)),
-    "signgd_step.gradient": ((6, 2), lambda a: signgd_step(X, a, 0.1)),
-    "scaledgd_step.iterate": ((6, 2), lambda a: scaledgd_step(a, G, 0.1)),
-    "scaledgd_step.gradient": ((6, 2), lambda a: scaledgd_step(X, a, 0.1)),
     "msign_exact": (None, msign_exact),
     "run_trajectory.init": (
         (6, 2),
         lambda a: run_trajectory(MF, OptimizerConfig("gd"), ConstantSchedule(0.01), a, 2),
+    ),
+    # every update kernel sits behind the one initial-point check
+    **{
+        f"run_trajectory.init.{algorithm}": (
+            (6, 2),
+            lambda a, algorithm=algorithm: run_trajectory(
+                MF, OptimizerConfig(algorithm), ConstantSchedule(0.01), a, 2
+            ),
+        )
+        for algorithm in ("muon", "signgd", "scaledgd")
+    },
+    "run_trajectory.icl_init": (
+        (4, 4),
+        lambda a: run_trajectory(ICL, OptimizerConfig("muon"), ConstantSchedule(0.01), a, 2),
+    ),
+    "run_trajectory.quadratic_init": (
+        (2, 1),
+        lambda a: run_trajectory(HQ, OptimizerConfig("signgd"), ConstantSchedule(0.01), a, 2),
     ),
 }
 

@@ -179,6 +179,24 @@ class TestCliConfigErrors:
         assert names_key(err, key), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", os.path.join(os.path.dirname(__file__), "..", "demos", "configs", "mf_sweep_small.cfg")],
+        ["lower-bound", "--family", "quadratic", "--kappa", "21"],
+        ["precond-viz"],
+    ])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_naming_a_file_exits_2_naming_the_path(self, argv, below, tmp_path, capsys):
+        # once a FileExistsError (or, below the file, NotADirectoryError)
+        # traceback from the output directory's makedirs, exiting 1
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "sub" if below else blocker
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, "out") and repr(str(out)) in err, err
+        assert len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == "kept"
+
     def test_single_eigenvalue_and_scaledgd_run_where_they_can(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("kind = mf_sweep\nd = 5\nr = 1\nk = 1\nkappa = 1\nalgorithms = scaledgd, muon\nT = 5\n")

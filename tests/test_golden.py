@@ -1,5 +1,5 @@
-"""Golden output digests: the shipped commands, and a run of a config kept
-in ``tests/configs``, write the same bytes as when
+"""Golden output digests: the shipped commands and configs, and a run of a
+config kept in ``tests/configs``, write the same bytes as when
 ``tests/golden_digests.json`` was written.
 
 Each command runs through ``cli.main`` into a fresh directory.  A command
@@ -41,6 +41,8 @@ TEST_CONFIGS = ROOT / "tests" / "configs"
 COMMANDS = {
     "run_mf_sweep_small": (["run", "--config", str(CONFIGS / "mf_sweep_small.cfg")], True),
     "run_icl_sweep_small": (["run", "--config", str(CONFIGS / "icl_sweep_small.cfg")], True),
+    # the only golden run at d = 100
+    "run_mf_sweep_full": (["run", "--config", str(CONFIGS / "mf_sweep_full.cfg")], True),
     # a frozen tail: the iterate stops moving long before T
     "run_mf_underflow": (["run", "--config", str(TEST_CONFIGS / "mf_underflow.cfg")], True),
     **{

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from muonlab import (
@@ -21,6 +23,7 @@ from muonlab import (
     run_lower_bound,
     signgd_quadratic_run,
 )
+from muonlab.lowerbounds import QuadraticRun
 from muonlab.cli import main
 from muonlab.lowerbounds import lower_bound_holds
 
@@ -132,6 +135,61 @@ def _hand_init(z0) -> AdversarialInit:
     return AdversarialInit(
         z0=np.array(z0), x0=np.zeros(2), barrier_steps=0, epsilon=1e-3, x1_chain=np.zeros(1)
     )
+
+
+def reference_quadratic_run(hq, init, etas, T):
+    """The hand-written SignGD loop ``signgd_quadratic_run`` once ran, with
+    its switching-law checks inside the step loop."""
+    etas = np.asarray(etas, dtype=np.float64)
+    z = init.z0.astype(np.float64).copy()
+    zs = np.empty((T + 1, 2))
+    zt = np.empty((T + 1, 2))
+    zs[0] = z
+    zt[0] = hq.rotation.T @ z
+    norm = float(np.linalg.norm(z))
+    first_hit = 0 if norm <= init.epsilon else math.inf
+    (x0, x1), (y0, y1) = z.tolist(), zt[0].tolist()
+    for t, eta in enumerate(etas[:T].tolist()):
+        if (x0 != 0.0 or x1 != 0.0) and abs(hq.kappa * y0) == abs(y1):
+            raise TieEventError(f"switching tie at t={t}: ztilde={zt[t]}")
+        z = z - eta * np.sign(hq.hessian @ z)
+        zs[t + 1] = z
+        zt[t + 1] = hq.rotation.T @ z
+        (w0, w1), (v0, v1) = z.tolist(), zt[t + 1].tolist()
+        a0, a1 = abs(v0 - y0), abs(v1 - y1)
+        moved = (a0 > 0.5 * SQRT2 * eta) + (a1 > 0.5 * SQRT2 * eta)
+        peak = max(a0, a1) if a0 == a0 and a1 == a1 else math.nan
+        size_tol = 1e-9 * eta + 1e-13 * norm
+        if (w0 != x0 or w1 != x1) and (moved != 1 or abs(peak - SQRT2 * eta) > size_tol):
+            raise TieEventError(f"switching law violated at t={t}: delta={zt[t + 1] - zt[t]}")
+        norm = float(np.linalg.norm(z))
+        if math.isinf(first_hit) and norm <= init.epsilon:
+            first_hit = t + 1
+        x0, x1, y0, y1 = w0, w1, v0, v1
+    return QuadraticRun(iterates=zs, rotated=zt, first_hit=first_hit)
+
+
+def _outcome(run, *args):
+    """A run's arrays as bytes and its first hit, or its tie message."""
+    try:
+        res = run(*args)
+    except TieEventError as exc:
+        return str(exc)
+    return res.iterates.tobytes(), res.rotated.tobytes(), res.first_hit
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=st.floats(1.0, 1e4), T=st.integers(1, 600), rho=st.floats(0.5, 0.999),
+       level=st.floats(0.0, 1.0, exclude_min=True))
+def test_quadratic_run_is_the_reference_loop_bitwise(kappa, T, rho, level):
+    # the adversarial start of run_lower_bound, at any admissible epsilon
+    etas = rho ** np.arange(T + 1)
+    try:
+        init = adversarial_quadratic_init(kappa, level * etas[0] / max(kappa, 4.0), etas, T)
+    except PreconditionError:
+        assume(False)
+    hq = build_hard_quadratic(kappa)
+    assert _outcome(signgd_quadratic_run, hq, init, etas, T) == _outcome(reference_quadratic_run, hq, init, etas, T)
 
 
 class TestQuadraticRunTieEvents:

@@ -10,7 +10,6 @@ import pytest
 from muonlab import (
     ConstantSchedule,
     ExponentialSchedule,
-    MuonState,
     NumericalDivergenceError,
     OptimizerConfig,
     PlateauSchedule,
@@ -38,7 +37,7 @@ ALGOS = {
 def reference_trajectory(inst, algo, sched, init, T, stream=None, keep_iterates=False, stop_below=None):
     """The driver loop with every metric computed per record, on the spot."""
     x = np.array(init, dtype=float)
-    state = MuonState.zeros(x.shape, mu=algo.mu)
+    buffer = np.zeros(x.shape) if algo.mu else None
     update = _UPDATES[algo.algorithm]
     factored = algo.algorithm == "muon" and algo.msign_backend == "exact" and algo.mu == 0.0
     records = []
@@ -47,7 +46,7 @@ def reference_trajectory(inst, algo, sched, init, T, stream=None, keep_iterates=
         loss, grad = inst.loss_grad(x)
         if not np.isfinite(loss):
             raise NumericalDivergenceError(f"non-finite loss at iteration {t}", iteration=t, records=records)
-        err = inst.spectral_error(x)
+        err = float(inst.spectral_errors(x[None])[0])
         factors = np.linalg.svd(grad, full_matrices=False) if factored else None
         svals = factors[1] if factored else np.linalg.svd(grad, compute_uv=False)
         gsm = float(svals[-1])
@@ -55,7 +54,7 @@ def reference_trajectory(inst, algo, sched, init, T, stream=None, keep_iterates=
         if t == T or (stop_below is not None and err <= stop_below):
             records.append(TrajectoryRecord(t, eta, loss, err, gsm, True))
             break
-        x, state, converged = update(x, grad, eta, state, algo, factors)
+        x, buffer, converged = update(x, grad, eta, buffer, algo, factors)
         records.append(TrajectoryRecord(t, eta, loss, err, gsm, converged))
         if keep_iterates:
             iterates.append(x.copy())
@@ -163,7 +162,7 @@ def test_floor_slack_keeps_rounding_level_stops(monkeypatch, converged, stop):
     only the floor's absolute slack has the driver stop at t = 0 as the loop
     does."""
     inst, x, bare = converged()
-    err = inst.spectral_error(x)
+    err = inst.spectral_errors(x[None])[0]
     assert bare > 2.0 * err
     assert inst.error_floor(inst.loss_grad(x)[0]) <= err
     scale = getattr(inst, "lambda_max", None) or 1.0 / inst.sigma_min
@@ -199,10 +198,10 @@ def test_floor_relative_margin_keeps_rounding_level_stops(monkeypatch, far):
     """Where rounding puts the bare loss bound above the computed error,
     by thousands of times the floor's absolute slack, only its relative
     margin has the driver stop at ``stop_below = error`` at t = 0."""
-    points = [(inst, x) for inst, x, bare in far() if bare > inst.spectral_error(x)]
+    points = [(inst, x) for inst, x, bare in far() if bare > inst.spectral_errors(x[None])[0]]
     assert len(points) >= 3
     for inst, x in points:
-        err = inst.spectral_error(x)
+        err = inst.spectral_errors(x[None])[0]
         assert inst.error_floor(inst.loss_grad(x)[0]) <= err
         ref, got = _both(monkeypatch, None, inst, ALGOS["gd"], lambda: ConstantSchedule(1e-9), x, 5,
                          stop_below=err)

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from muonlab import (
     ConstantSchedule,
     ExponentialSchedule,
-    MuonState,
     NumericalDivergenceError,
     OptimizerConfig,
     PlateauSchedule,
@@ -17,15 +16,11 @@ from muonlab import (
     RandomStream,
     RankDeficiencyError,
     SequenceSchedule,
-    gd_step,
     make_icl_instance,
     make_mf_instance,
     materialize_etas,
     msign_exact,
-    muon_step,
     run_trajectory,
-    scaledgd_step,
-    signgd_step,
 )
 from muonlab import optimizers
 from muonlab.experiments import default_eta0
@@ -137,43 +132,53 @@ def test_schedules_reject_non_finite_or_empty_parameters(make):
         make()
 
 
+def _step(algorithm, x, grad, eta, buffer=None, **config):
+    """One step of ``algorithm``'s update kernel, the one ``run_trajectory``
+    takes: (x_next, buffer_next, msign_converged)."""
+    return optimizers._UPDATES[algorithm](x, grad, eta, buffer, OptimizerConfig(algorithm, **config))
+
+
 class TestSteps:
     def test_muon_hand_example(self):
         x = np.array([[2.0], [0.0]])
         grad = np.array([[6.0], [0.0]])
-        x1, state, converged = muon_step(x, grad, MuonState.zeros((2, 1)), 0.5)
+        x1, _, converged = _step("muon", x, grad, 0.5)
         assert_allclose(x1, np.array([[1.5], [0.0]]))
         assert converged
 
     def test_muon_zero_gradient_stationary(self):
         x = np.array([[1.0, 2.0]])
-        x1, _, _ = muon_step(x, np.zeros((1, 2)), MuonState.zeros((1, 2)), 0.1)
+        x1, _, _ = _step("muon", x, np.zeros((1, 2)), 0.1)
         assert_allclose(x1, x)
 
     def test_momentum_first_step_matches_simplified(self):
         stream = RandomStream(4)
         x = stream.gaussian_matrix(4, 3)
         grad = stream.gaussian_matrix(4, 3)
-        a, _, _ = muon_step(x, grad, MuonState.zeros((4, 3), mu=0.9), 0.2)
-        b, _, _ = muon_step(x, grad, MuonState.zeros((4, 3), mu=0.0), 0.2)
+        a, _, _ = _step("muon", x, grad, 0.2, np.zeros((4, 3)), mu=0.9)
+        b, _, _ = _step("muon", x, grad, 0.2)
         assert_allclose(a, b, rtol=0)
 
     def test_momentum_buffer_accumulates(self):
         stream = RandomStream(23)
         x = stream.gaussian_matrix(4, 3)
         g1, g2 = stream.gaussian_matrix(4, 3), stream.gaussian_matrix(4, 3)
-        x, state, _ = muon_step(x, g1, MuonState.zeros((4, 3), mu=0.5), 0.1)
-        _, state, _ = muon_step(x, g2, state, 0.1)
-        assert np.array_equal(state.buffer, g2 + 0.5 * g1)
+        x, buffer, _ = _step("muon", x, g1, 0.1, np.zeros((4, 3)), mu=0.5)
+        _, buffer, _ = _step("muon", x, g2, 0.1, buffer, mu=0.5)
+        assert np.array_equal(buffer, g2 + 0.5 * g1)
 
-    def test_zero_momentum_leaves_state_alone(self):
+    def test_zero_momentum_leaves_the_buffer_alone(self):
         stream = RandomStream(24)
-        state = MuonState.zeros((4, 3))
-        _, after, _ = muon_step(
-            stream.gaussian_matrix(4, 3), stream.gaussian_matrix(4, 3), state, 0.1
-        )
-        assert after is state
-        assert not np.any(state.buffer)
+        buffer = np.zeros((4, 3))
+        _, after, _ = _step("muon", stream.gaussian_matrix(4, 3), stream.gaussian_matrix(4, 3), 0.1, buffer)
+        assert after is buffer
+        assert not np.any(buffer)
+
+    @pytest.mark.parametrize("mu", [1.0, 1.5, -0.1, np.nan])
+    def test_config_rejects_mu_outside_the_unit_interval(self, mu):
+        # once accepted at construction, failing only inside run_trajectory
+        with pytest.raises(PreconditionError):
+            OptimizerConfig("muon", mu=mu)
 
     def test_simplified_muon_bitwise(self):
         stream = RandomStream(5)
@@ -181,7 +186,7 @@ class TestSteps:
         grad = stream.gaussian_matrix(5, 2)
         eta = 0.37
         direct = x - eta * msign_exact(grad)
-        stepped, _, _ = muon_step(x, grad, MuonState.zeros((5, 2)), eta)
+        stepped, _, _ = _step("muon", x, grad, eta)
         assert np.array_equal(stepped, direct)
 
     def test_muon_displacement_is_eta(self):
@@ -190,52 +195,52 @@ class TestSteps:
         x = stream.gaussian_matrix(6, 3)
         grad = stream.gaussian_matrix(6, 3)
         eta = 0.11
-        x1, _, _ = muon_step(x, grad, MuonState.zeros((6, 3)), eta)
+        x1, _, _ = _step("muon", x, grad, eta)
         assert np.linalg.norm(x1 - x, 2) == pytest.approx(eta, abs=1e-10)
 
     def test_newton_schulz_backend(self):
         stream = RandomStream(7)
         x = stream.gaussian_matrix(5, 3)
         grad = stream.haar_orthonormal(5, 3) @ np.diag([1.0, 0.7, 0.5])
-        exact, _, _ = muon_step(x, grad, MuonState.zeros((5, 3)), 0.2, backend="exact")
-        approx, _, conv = muon_step(x, grad, MuonState.zeros((5, 3)), 0.2, backend="newton_schulz")
+        exact, _, _ = _step("muon", x, grad, 0.2)
+        approx, _, conv = _step("muon", x, grad, 0.2, msign_backend="newton_schulz")
         assert conv
         assert np.linalg.norm(exact - approx, 2) <= 1e-6
 
     def test_gd_hand_example(self):
-        x1 = gd_step(np.array([[2.0], [0.0]]), np.array([[6.0], [0.0]]), 0.1)
+        x1, _, _ = _step("gd", np.array([[2.0], [0.0]]), np.array([[6.0], [0.0]]), 0.1)
         assert_allclose(x1, np.array([[1.4], [0.0]]))
 
     def test_gd_linearity(self):
         stream = RandomStream(8)
         x = stream.gaussian_matrix(3, 3)
         g = stream.gaussian_matrix(3, 3)
-        assert np.array_equal(gd_step(x, g, 0.25), x - 0.25 * g)
+        assert np.array_equal(_step("gd", x, g, 0.25)[0], x - 0.25 * g)
 
     def test_signgd_zero_entry_untouched(self):
-        x1 = signgd_step(np.array([[2.0], [7.0]]), np.array([[6.0], [0.0]]), 0.5)
+        x1, _, _ = _step("signgd", np.array([[2.0], [7.0]]), np.array([[6.0], [0.0]]), 0.5)
         assert_allclose(x1, np.array([[1.5], [7.0]]))
 
     def test_signgd_all_negative_gradient(self):
         x = np.zeros((2, 2))
-        x1 = signgd_step(x, -np.ones((2, 2)), 0.3)
+        x1, _, _ = _step("signgd", x, -np.ones((2, 2)), 0.3)
         assert_allclose(x1, 0.3 * np.ones((2, 2)))
 
     def test_signgd_scale_invariant_pattern(self):
         stream = RandomStream(9)
         x = stream.gaussian_matrix(3, 2)
         g = stream.gaussian_matrix(3, 2)
-        assert_allclose(signgd_step(x, g, 0.1), signgd_step(x, 17.0 * g, 0.1), rtol=0)
+        assert_allclose(_step("signgd", x, g, 0.1)[0], _step("signgd", x, 17.0 * g, 0.1)[0], rtol=0)
 
     def test_scaledgd_hand_example(self):
         u = np.array([[2.0], [0.0]])
         grad = np.array([[6.0], [0.0]])
-        u1 = scaledgd_step(u, grad, 0.5)
+        u1, _, _ = _step("scaledgd", u, grad, 0.5)
         assert_allclose(u1, np.array([[1.25], [0.0]]))
 
     def test_scaledgd_zero_gradient(self):
         u = RandomStream(10).gaussian_matrix(4, 2)
-        assert_allclose(scaledgd_step(u, np.zeros((4, 2)), 0.5), u)
+        assert_allclose(_step("scaledgd", u, np.zeros((4, 2)), 0.5)[0], u)
 
     def test_scaledgd_right_equivariance(self):
         # (O^T U^T U O)^-1 = O^T (U^T U)^-1 O
@@ -243,14 +248,14 @@ class TestSteps:
         u = stream.gaussian_matrix(5, 2)
         g = stream.gaussian_matrix(5, 2)
         o = stream.haar_orthonormal(2, 2)
-        lhs = scaledgd_step(u @ o, g @ o, 0.2)
-        rhs = scaledgd_step(u, g, 0.2) @ o
-        assert_allclose(lhs, rhs, atol=1e-10)
+        lhs, _, _ = _step("scaledgd", u @ o, g @ o, 0.2)
+        rhs, _, _ = _step("scaledgd", u, g, 0.2)
+        assert_allclose(lhs, rhs @ o, atol=1e-10)
 
     def test_scaledgd_singular_gram_rejected(self):
         u = np.array([[1.0, 1.0], [2.0, 2.0]])  # rank 1
         with pytest.raises(RankDeficiencyError):
-            scaledgd_step(u, np.ones((2, 2)), 0.1)
+            _step("scaledgd", u, np.ones((2, 2)), 0.1)
 
 
 class TestRunTrajectory:
@@ -277,7 +282,7 @@ class TestRunTrajectory:
         assert [r.t for r in traj.records] == list(range(T + 1))
         assert len(traj.iterates) == T + 1
         assert traj.records[-1].spectral_error == pytest.approx(
-            inst.spectral_error(traj.final)
+            inst.spectral_errors(traj.final[None])[0]
         )
 
     def test_deterministic_reruns(self):
@@ -397,7 +402,7 @@ def _assert_each_record_evaluated(inst, algo, traj):
     """Every record equals its kept iterate evaluated on its own, bitwise,
     and every iterate the update kernel applied to its predecessor."""
     factored = algo.algorithm == "muon" and algo.msign_backend == "exact" and algo.mu == 0.0
-    state = MuonState.zeros(traj.iterates[0].shape, mu=algo.mu)
+    buffer = np.zeros(traj.iterates[0].shape) if algo.mu else None
     for t, (rec, x) in enumerate(zip(traj.records, traj.iterates, strict=True)):
         loss, grad = inst.loss_grad(x)
         # exact Muon with mu = 0 logs sigma_min from the SVD it steps with
@@ -406,7 +411,7 @@ def _assert_each_record_evaluated(inst, algo, traj):
         assert rec.spectral_error == inst.spectral_errors(x[None])[0]
         assert rec.grad_sigma_min == svals[-1]
         if t + 1 < len(traj.records):
-            x_next, state, _ = optimizers._UPDATES[algo.algorithm](x, grad, rec.eta, state, algo)
+            x_next, buffer, _ = optimizers._UPDATES[algo.algorithm](x, grad, rec.eta, buffer, algo)
             assert np.array_equal(x_next, traj.iterates[t + 1])
             assert np.array_equal(np.signbit(x_next), np.signbit(traj.iterates[t + 1]))
 
@@ -540,27 +545,30 @@ def _muon_runs(draw):
     return inst, stream.derive(2).gaussian_matrix(d, d) * draw(st.floats(0.0, 1.0))
 
 
-def _replay(inst, traj, init, state, **step_kw):
-    """Chain the public ``muon_step`` along the logged etas: the records'
-    grad sigma_min against a values-only SVD, and the iterates bitwise."""
-    x = init
+def _replay(inst, traj, init, algo):
+    """Chain the Muon kernel, computing each msign afresh, along the logged
+    etas: the records' grad sigma_min against a values-only SVD, and the
+    iterates bitwise.  Returns the final momentum buffer."""
+    x, buffer = init, np.zeros(init.shape) if algo.mu else None
     for t, rec in enumerate(traj.records):
         grad = inst.loss_grad(x)[1]
         want = np.linalg.svd(grad, compute_uv=False)[-1]
         assert abs(rec.grad_sigma_min - want) <= 1e-13 * want
         if t + 1 < len(traj.records):
-            x, state, _ = muon_step(x, grad, state, rec.eta, **step_kw)
+            x, buffer, _ = optimizers._UPDATES["muon"](x, grad, rec.eta, buffer, algo)
             assert np.array_equal(x, traj.iterates[t + 1])
-    return state
+    return buffer
 
 
 @settings(max_examples=60, deadline=None)
 @given(run=_muon_runs(), eta=st.floats(1e-3, 1.0))
-def test_loop_muon_is_chained_muon_step(run, eta):
+def test_loop_muon_is_the_chained_kernel(run, eta):
+    # the loop steps with the SVD it logs sigma_min from
     inst, init = run
-    traj = run_trajectory(inst, OptimizerConfig("muon"), ExponentialSchedule(0.9, eta, fixed_prefactor=1.0),
+    algo = OptimizerConfig("muon")
+    traj = run_trajectory(inst, algo, ExponentialSchedule(0.9, eta, fixed_prefactor=1.0),
                           init, 12, keep_iterates=True)
-    _replay(inst, traj, init, MuonState.zeros(init.shape))
+    _replay(inst, traj, init, algo)
 
 
 @pytest.mark.parametrize("algo", [OptimizerConfig("muon", mu=0.5),
@@ -571,5 +579,5 @@ def test_buffered_and_newton_schulz_muon_log_the_gradient(algo):
     inst = make_mf_instance(RandomStream(27), 8, 2, 2, 4.0)
     init = RandomStream(28).gaussian_matrix(8, 2) * 0.5
     traj = run_trajectory(inst, algo, ConstantSchedule(0.05), init, 10, keep_iterates=True)
-    state = _replay(inst, traj, init, MuonState.zeros((8, 2), mu=algo.mu), backend=algo.msign_backend)
-    assert np.any(state.buffer) == (algo.mu > 0)
+    buffer = _replay(inst, traj, init, algo)
+    assert (buffer is not None and np.any(buffer)) == (algo.mu > 0)

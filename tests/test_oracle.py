@@ -134,7 +134,7 @@ class TestDecoupledMf:
         init = aligned_mf_init(inst, np.sqrt(inst.eigenvalues), RandomStream(32))
         oracle = decoupled_mf_trajectory(init, [0.5**t for t in range(20)])
         assert_allclose(oracle.sigmas[-1], oracle.sigmas[0], rtol=0)
-        assert inst.spectral_error(oracle.matrix_at(19)) <= 1e-12
+        assert inst.spectral_errors(oracle.matrix_at(19)[None])[0] <= 1e-12
 
     def test_spectral_error_equals_worst_mode(self):
         inst = make_mf_instance(RandomStream(33), 8, 3, 5, 16.0)
@@ -144,7 +144,7 @@ class TestDecoupledMf:
         oracle = decoupled_mf_trajectory(init, etas)
         for t in (1, 5, 10):
             expected = np.abs(oracle.sigmas[t] ** 2 - oracle.lambdas).max()
-            assert inst.spectral_error(oracle.matrix_at(t)) == pytest.approx(
+            assert inst.spectral_errors(oracle.matrix_at(t)[None])[0] == pytest.approx(
                 expected, abs=1e-12
             )
 

@@ -66,7 +66,7 @@ class TestMfLossGrad:
         loss, grad = mf_loss_grad(inst, u)
         assert loss == pytest.approx(0.0, abs=1e-20)
         assert np.abs(grad).max() <= 1e-10
-        assert inst.spectral_error(u) <= 1e-10
+        assert inst.spectral_errors(u[None])[0] <= 1e-10
 
     def test_hand_example(self):
         # M = diag(1, 0), U = (2, 0)^T: loss = 9/4, grad = (6, 0)^T
@@ -80,14 +80,14 @@ class TestMfLossGrad:
         loss, grad = mf_loss_grad(inst, u)
         assert loss == pytest.approx(2.25)
         assert_allclose(grad, np.array([[6.0], [0.0]]))
-        assert inst.spectral_error(u) == pytest.approx(3.0)
+        assert inst.spectral_errors(u[None])[0] == pytest.approx(3.0)
 
     def test_origin_saddle(self):
         inst = make_mf_instance(RandomStream(6), 5, 2, 3, 2.0)
         loss, grad = mf_loss_grad(inst, np.zeros((5, 3)))
         assert loss == pytest.approx(0.25 * np.sum(inst.target**2))
         assert_allclose(grad, np.zeros((5, 3)))
-        assert inst.spectral_error(np.zeros((5, 3))) == pytest.approx(inst.eigenvalues[0])
+        assert inst.spectral_errors(np.zeros((1, 5, 3)))[0] == pytest.approx(inst.eigenvalues[0])
 
     def test_loss_orthogonal_right_invariance(self):
         inst = make_mf_instance(RandomStream(7), 6, 2, 3, 3.0)
@@ -130,7 +130,7 @@ class TestIclLossGrad:
         loss, grad = icl_loss_grad(inst, inst.inverse)
         assert loss == pytest.approx(0.0, abs=1e-20)
         assert np.abs(grad).max() <= 1e-12
-        assert inst.spectral_error(inst.inverse) <= 1e-12
+        assert inst.spectral_errors(inst.inverse[None])[0] <= 1e-12
 
     def test_hand_example(self):
         # S = diag(2, 1), Q = 0: grad = -S^2, loss = tr(S)/2
@@ -138,11 +138,11 @@ class TestIclLossGrad:
         loss, grad = icl_loss_grad(inst, np.zeros((2, 2)))
         assert loss == pytest.approx(1.5)
         assert_allclose(grad, np.diag([-4.0, -1.0]))
-        assert inst.spectral_error(np.eye(2)) == pytest.approx(0.5)
+        assert inst.spectral_errors(np.eye(2)[None])[0] == pytest.approx(0.5)
 
     def test_zero_iterate_error(self):
         inst = make_icl_instance(RandomStream(15), 5, 4.0, sigma_min=0.5)
-        assert inst.spectral_error(np.zeros((5, 5))) == pytest.approx(1.0 / 0.5, rel=1e-10)
+        assert inst.spectral_errors(np.zeros((1, 5, 5)))[0] == pytest.approx(1.0 / 0.5, rel=1e-10)
 
     def test_nonnegative_loss(self):
         inst = make_icl_instance(RandomStream(16), 5, 2.0)

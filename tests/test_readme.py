@@ -1,7 +1,9 @@
 """Every ``muonlab ...`` line of README's "Command line" block runs and
-exits 0, so the documented commands cannot drift from the CLI; and every
-experiment kind is reached by a shipped config or one of those commands."""
+exits 0, so the documented commands cannot drift from the CLI; every
+experiment kind is reached by a shipped config or one of those commands; and
+every public name has a caller."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -48,3 +50,42 @@ def test_every_kind_has_a_caller():
     reached = {parse_config(path.read_text()).kind for path in (ROOT / "demos" / "configs").glob("*.cfg")}
     reached |= {_kind(shlex.split(command, comments=True)[1:]) for command in _commands()}
     assert sorted(reached) == sorted(KINDS)
+
+
+class _References(ast.NodeVisitor):
+    """Names read and attributes taken, outside the definition of the same
+    name (a recursive call or a classmethod's own class is no caller)."""
+
+    def __init__(self):
+        self.found: set[str] = set()
+        self._defining: list[str] = []
+
+    def _definition(self, node):
+        self._defining.append(node.name)
+        self.generic_visit(node)
+        self._defining.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id not in self._defining:
+            self.found.add(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load) and node.attr not in self._defining:
+            self.found.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_public_name_has_a_caller():
+    # public API that nothing uses is deleted; a docstring mention is no use
+    init = ast.parse((ROOT / "src" / "muonlab" / "__init__.py").read_text())
+    public = [alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+              for alias in node.names]
+    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").rglob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    refs = _References()
+    for path in sources:
+        refs.visit(ast.parse(path.read_text()))
+    assert len(public) > 40
+    assert [name for name in public if name not in refs.found] == []

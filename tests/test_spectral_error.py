@@ -57,13 +57,13 @@ def test_agrees_with_dense_spectral_norm(low_rank, data):
     u = _iterate(inst, kind, stream.derive(2))
     dense = np.linalg.norm(u @ u.T - inst.target, 2)
     scale = max(1.0, np.linalg.norm(u, 2) ** 2, inst.lambda_max)
-    assert abs(inst.spectral_error(u) - dense) <= 1e-14 * scale
+    assert abs(inst.spectral_errors(u[None])[0] - dense) <= 1e-14 * scale
 
 
 def test_icl_error_is_the_dense_spectral_norm():
     inst = make_icl_instance(RandomStream(3), d=20, kappa_s=10.0, with_samples=False)
     q = RandomStream(4).gaussian_matrix(20, 20)
-    assert inst.spectral_error(q) == np.linalg.norm(q - inst.inverse, 2)
+    assert inst.spectral_errors(q[None])[0] == np.linalg.norm(q - inst.inverse, 2)
 
 
 def test_d100_muon_first_hit_matches_dense_reference():
@@ -92,7 +92,7 @@ def test_stacked_errors_are_the_per_matrix_errors(low_rank, data):
     inst = make_mf_instance(stream.derive(1), d, r, k, kappa)
     kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
     us = np.stack([_iterate(inst, kind, stream.derive(2 + i)) for i, kind in enumerate(kinds)])
-    assert inst.spectral_errors(us).tolist() == [inst.spectral_error(u) for u in us]
+    assert inst.spectral_errors(us).tolist() == [inst.spectral_errors(u[None])[0] for u in us]
 
 
 @PROPERTY
@@ -101,7 +101,7 @@ def test_icl_stacked_errors_are_the_per_matrix_errors(d, n, seed):
     stream = RandomStream(seed)
     inst = make_icl_instance(stream.derive(1), d, 1.0 if d == 1 else 10.0, with_samples=False)
     qs = stream.derive(2).gaussian_matrix(n * d, d).reshape(n, d, d)
-    assert inst.spectral_errors(qs).tolist() == [inst.spectral_error(q) for q in qs]
+    assert inst.spectral_errors(qs).tolist() == [inst.spectral_errors(q[None])[0] for q in qs]
 
 
 @PROPERTY
@@ -113,7 +113,7 @@ def test_mf_error_floor_is_below_the_error(data):
     stream = RandomStream(data.draw(st.integers(0, 2**31)))
     inst = make_mf_instance(stream.derive(1), d, r, k, kappa, lambda_max=lam_max)
     u = _iterate(inst, data.draw(st.sampled_from(KINDS)), stream.derive(2))
-    assert inst.error_floor(inst.loss_grad(u)[0]) <= inst.spectral_error(u)
+    assert inst.error_floor(inst.loss_grad(u)[0]) <= inst.spectral_errors(u[None])[0]
 
 
 @PROPERTY
@@ -127,7 +127,7 @@ def test_icl_error_floor_is_below_the_error(data):
     kind = data.draw(st.sampled_from(KINDS))
     q = {"zero": np.zeros((d, d)), "random": stream.derive(2).gaussian_matrix(d, d) / inst.sigma_min,
          "near_converged": inst.inverse + 1e-13 * stream.derive(2).gaussian_matrix(d, d)}[kind]
-    assert inst.error_floor(inst.loss_grad(q)[0]) <= inst.spectral_error(q)
+    assert inst.error_floor(inst.loss_grad(q)[0]) <= inst.spectral_errors(q[None])[0]
 
 
 @pytest.mark.parametrize("lam_max", [1e-3, 1.0, 1e3])
@@ -138,7 +138,7 @@ def test_error_floor_where_it_is_tight(lam_max, d, r, k):
     inst = make_mf_instance(RandomStream(d), d, r, k, 1.0, lambda_max=lam_max)
     basis = np.linalg.qr(np.hstack([inst.eigenvectors, RandomStream(d + 1).gaussian_matrix(d, k)]))[0]
     u = basis[:, r:] * np.sqrt(lam_max)
-    err = inst.spectral_error(u)
+    err = inst.spectral_errors(u[None])[0]
     assert err == pytest.approx(2.0 * np.sqrt(inst.loss_grad(u)[0]) / np.sqrt(k + r), rel=1e-12)
     assert inst.error_floor(inst.loss_grad(u)[0]) <= err
 
@@ -150,6 +150,6 @@ def test_icl_error_floor_where_it_is_tight(sigma, d):
     inst = make_icl_instance(RandomStream(d), d, 1.0, sigma_min=sigma, with_samples=False)
     for c in (1e-12 / sigma, 1.0 / sigma):
         q = inst.inverse + c * np.eye(d)
-        err = inst.spectral_error(q)
+        err = inst.spectral_errors(q[None])[0]
         assert err == pytest.approx(c, rel=1e-3)
         assert inst.error_floor(inst.loss_grad(q)[0]) <= err

@@ -21,14 +21,13 @@ from muonlab import (
     RandomStream,
     make_icl_instance,
     make_mf_instance,
-    muon_step,
     run_trajectory,
 )
 from muonlab.cli import main
 from muonlab.experiments import _psd_sqrt
 from muonlab.linalg import RANK_TOL
 from muonlab.msign import _msign_from_svd
-from muonlab.optimizers import MuonState, OptimizerConfig, _muon_update, _scaledgd_update
+from muonlab.optimizers import OptimizerConfig, _muon_update, _scaledgd_update
 
 PROPERTY = settings(max_examples=150, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -144,11 +143,10 @@ class TestMuonUpdate:
         k = data.draw(st.integers(1, 30))
         x = data.draw(arrays(np.float64, (data.draw(st.integers(k, 30)), k), elements=ENTRIES))
         grad = np.zeros_like(x)
-        state = MuonState.zeros(x.shape)
-        out, state_out, converged = _muon_update(
-            x, grad, eta, state, OptimizerConfig("muon"), np.linalg.svd(grad, full_matrices=False))
+        out, buffer, converged = _muon_update(
+            x, grad, eta, None, OptimizerConfig("muon"), np.linalg.svd(grad, full_matrices=False))
         assert same_bits(out, x)
-        assert state_out is state and converged
+        assert buffer is None and converged
 
 
 def descending_eig(a):
@@ -225,7 +223,11 @@ class TestMuonEta:
         assert same_bits(traj.final, traj.iterates[1075])
 
     @pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan])
-    def test_muon_step_rejects_a_nonpositive_or_non_finite_eta(self, eta):
-        x, grad = np.ones((3, 2)), np.ones((3, 2))
+    def test_run_rejects_a_nonpositive_or_non_finite_first_eta(self, eta):
+        class Fixed:  # a schedule that returns eta as given, unchecked
+            def eta(self, t, current_loss=None, stream=None):
+                return eta
+
+        inst = make_mf_instance(RandomStream(4), 3, 2, 2, 2.0)
         with pytest.raises(PreconditionError):
-            muon_step(x, grad, MuonState.zeros((3, 2)), eta)
+            run_trajectory(inst, OptimizerConfig("muon"), Fixed(), np.ones((3, 2)), 2)
