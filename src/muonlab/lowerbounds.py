@@ -183,15 +183,14 @@ class HardMfInstance:
     r0: float
 
 
-def build_hard_mf_instance(
-    kappa: float, etas, r0: float = 1.0 / 16.0, epsilon: float | None = None
-) -> HardMfInstance:
+def build_hard_mf_instance(kappa: float, etas, r0: float = 1.0 / 16.0) -> HardMfInstance:
     """Factorization lower-bound instance (target H, U* = H^(1/2)).
 
     The initialization is built from the quadratic barrier chain run at
     level eps_q = (4/3)*sqrt(eps) with step sizes sqrt(2)*eta_t, mapped into
-    eigenvalue offsets of the invariant slice.  The hypotheses eta_0 <= r0,
-    eps <= 9*r0^2/(4096*kappa^2) and ||U_0 - U*||_F <= r0 are all enforced.
+    eigenvalue offsets of the invariant slice, at the largest loss target
+    eps = 9*r0^2/(4096*kappa^2) the barrier admits.  The hypotheses
+    eta_0 <= r0 and ||U_0 - U*||_F <= r0 are enforced.
     """
     etas = _check_etas(etas)
     if kappa < 2.0:
@@ -200,11 +199,7 @@ def build_hard_mf_instance(
         raise PreconditionError(f"r0 must lie in (0, 1/16], got {r0}")
     if etas[0] > r0:
         raise PreconditionError(f"need eta_0 <= r0, got eta_0={etas[0]}")
-    eps_max = 9.0 * r0**2 / (4096.0 * kappa**2)
-    if epsilon is None:
-        epsilon = eps_max
-    if not 0.0 < epsilon <= eps_max:
-        raise PreconditionError(f"need 0 < epsilon <= {eps_max:.3e}, got {epsilon}")
+    epsilon = 9.0 * r0**2 / (4096.0 * kappa**2)
     eps_q = (4.0 / 3.0) * math.sqrt(epsilon)
     quad = adversarial_quadratic_init(kappa, eps_q, SQRT2 * etas, T=etas.size - 1)
     delta0 = SQRT2 * quad.x0  # eigenvalue offsets (delta_1, delta_2)
@@ -247,25 +242,20 @@ class HardIclInstance:
     quad_init: AdversarialInit
 
 
-def build_hard_icl_instance(kappa: float, etas, epsilon: float | None = None) -> HardIclInstance:
+def build_hard_icl_instance(kappa: float, etas) -> HardIclInstance:
     """Covariance lower-bound instance with kappa(S)^3 = kappa.
 
     Error coordinates z = (a - a*, b - b*) of the invariant slice follow the
     hard-quadratic SignGD recursion exactly, and
     ||Q - Q*||_F = sqrt(2) * ||z||_2 bridges the two metrics.  ``epsilon``
-    defaults to sqrt(2) * eta_0/max(kappa, 4), the largest the barrier admits.
+    is sqrt(2) * eta_0/max(kappa, 4), the largest the barrier admits.
     """
     etas = _check_etas(etas)
     if kappa < 2.0:
         raise PreconditionError(f"hard covariance instance needs kappa >= 2, got {kappa}")
-    eps_max = SQRT2 * etas[0] / kappa
-    if epsilon is None:  # not eps_max / SQRT2, which can round above eta_0/kappa
-        level = max(kappa, 4.0)  # and eta_0 >= 4 * eps_q keeps a barrier step
-        epsilon, eps_q = SQRT2 * etas[0] / level, etas[0] / level
-    elif not 0.0 < epsilon <= eps_max:
-        raise PreconditionError(f"need 0 < epsilon <= {eps_max:.3e}, got {epsilon}")
-    else:
-        eps_q = epsilon / SQRT2
+    level = max(kappa, 4.0)  # so eta_0 >= 4 * eps_q keeps a barrier step
+    # eps_q directly, not epsilon / SQRT2, which can round above eta_0 / kappa
+    epsilon, eps_q = SQRT2 * etas[0] / level, etas[0] / level
     quad = adversarial_quadratic_init(kappa, eps_q, etas, T=etas.size - 1)
     sigma1 = kappa ** (1.0 / 3.0)
     lam = np.array([sigma1, 1.0])

@@ -57,6 +57,9 @@ class ExponentialSchedule:
             raise PreconditionError(f"unknown prefactor_mode {prefactor_mode!r}")
         if fixed_prefactor is not None and not 0.0 < fixed_prefactor < np.inf:
             raise PreconditionError(f"fixed_prefactor must be positive and finite, got {fixed_prefactor}")
+        top = PREFACTOR_RANGE[1] if fixed_prefactor is None else fixed_prefactor
+        if not top * base_scale < np.inf:  # eta_0 = C * base_scale must be finite too
+            raise PreconditionError(f"base_scale {base_scale} overflows at prefactor {top}")
         self.rho = rho
         self.base_scale = base_scale
         self.prefactor_mode = prefactor_mode

@@ -253,17 +253,14 @@ def aligned_mf_init(inst: MfInstance, sigma0, stream: RandomStream) -> AlignedIn
 
 @dataclass(frozen=True)
 class DiagonalTrajectory:
-    """Diagonal-mode trajectory: sigmas[t] holds the k mode values at step t,
-    and matrix_at(t) rebuilds the implied matrix iterate."""
+    """Diagonal-mode trajectory: sigmas[t] holds the k mode values at step t;
+    the implied matrix iterate is (basis_left * sigmas[t]) @ basis_right.T."""
 
     sigmas: np.ndarray  # (T+1, k)
     basis_left: np.ndarray
     basis_right: np.ndarray
     lambdas: np.ndarray
     etas: np.ndarray
-
-    def matrix_at(self, t: int) -> np.ndarray:
-        return (self.basis_left * self.sigmas[t]) @ self.basis_right.T
 
     def __len__(self) -> int:
         return self.sigmas.shape[0]
@@ -360,12 +357,12 @@ def _scaled(u, lo, hi):
     return lo + (hi - lo) * u
 
 
-def sweep_mf_bounds(n_traces: int, seed: int, rho: float = 0.5, T: int = 45) -> float:
+def sweep_mf_bounds(n_traces: int, seed: int, rho: float = 0.5) -> float:
     """Worst margin of the fixed-prefactor factorization bounds over random
     (lambda, C, u0) draws; nonnegative means zero violations.
 
-    T is capped so the geometric bound stays above the float64 rounding
-    floor of the recursion itself.
+    T = 45 steps, capped so the geometric bound stays above the float64
+    rounding floor of the recursion itself.
     """
 
     def margin(draws):
@@ -375,16 +372,18 @@ def sweep_mf_bounds(n_traces: int, seed: int, rho: float = 0.5, T: int = 45) -> 
         eta0 = c * np.sqrt(lambda_max)
         u0 = _scaled(draws[3], -eta0, eta0)
         u0 = np.where(u0 == 0.0, eta0 / 2.0, u0)
-        trace = scalar_muon_trajectory(u0, lambda_star, lambda_max, rho, T, c_eta=c)
+        trace = scalar_muon_trajectory(u0, lambda_star, lambda_max, rho, 45, c_eta=c)
         return check_scalar_mf_bounds(trace).worst_margin
 
     return _worst_over_chunks(margin, seed, n_traces, 4)
 
 
 def sweep_mf_bounds_varying(
-    n_traces: int, seed: int, rho_range: tuple[float, float] = (2.0 / 3.0, 0.95), T: int = 100
+    n_traces: int, seed: int, rho_range: tuple[float, float] = (2.0 / 3.0, 0.95)
 ) -> float:
-    """Worst margin of the per-step-prefactor bounds over random draws."""
+    """Worst margin of the per-step-prefactor bounds over random draws,
+    T = 100 steps each."""
+    T = 100
 
     def margin(draws):
         rho = _scaled(draws[0], *rho_range)
@@ -401,21 +400,22 @@ def sweep_mf_bounds_varying(
     return _worst_over_chunks(margin, seed, n_traces, 4 + T)
 
 
-def sweep_icl_bounds(n_traces: int, seed: int, rho: float = 0.5, T: int = 45) -> float:
-    """Worst margin of the covariance-trace bound over random draws."""
+def sweep_icl_bounds(n_traces: int, seed: int, rho: float = 0.5) -> float:
+    """Worst margin of the covariance-trace bound over random draws, T = 45
+    steps each, capped as in ``sweep_mf_bounds``."""
 
     def margin(draws):
         lambda_min = _scaled(draws[0], 0.1, 2.0)
         lambda_star = lambda_min * _scaled(draws[1], 1.0, 100.0)
-        trace = scalar_icl_trajectory(lambda_star, lambda_min, rho, _scaled(draws[2], *PREFACTOR_RANGE), T)
+        trace = scalar_icl_trajectory(lambda_star, lambda_min, rho, _scaled(draws[2], *PREFACTOR_RANGE), 45)
         return check_scalar_icl_bounds(trace).worst_margin
 
     return _worst_over_chunks(margin, seed, n_traces, 3)
 
 
-def sweep_never_zero(n_traces: int, steps: int, seed: int, rho: float = 0.5) -> bool:
-    """Empirical check that randomly seeded scalar recursions never hit
-    exactly zero: True when no iterate equals 0.0 across all traces.
+def sweep_never_zero(n_traces: int, steps: int, seed: int) -> bool:
+    """Empirical check that randomly seeded scalar recursions at rho = 1/2
+    never hit exactly zero: True when no iterate equals 0.0 across all traces.
 
     Runs ``NEVER_ZERO_BLOCK_STEPS`` steps per ``mf_modes`` call, each block
     starting from the previous block's last row and tested before the next
@@ -427,7 +427,7 @@ def sweep_never_zero(n_traces: int, steps: int, seed: int, rho: float = 0.5) -> 
     eta0 = c * np.sqrt(lambda_max)
     u = stream.uniforms(n_traces, -1.0, 1.0) * eta0
     u[u == 0.0] = eta0[u == 0.0] / 2.0
-    etas = _powers(rho, steps)
+    etas = _powers(0.5, steps)
     # one call even at steps = 0, so the start row is always tested
     for start in range(0, max(steps, 1), NEVER_ZERO_BLOCK_STEPS):
         values = mf_modes(u, lam, etas[start : start + NEVER_ZERO_BLOCK_STEPS], scale=eta0)

@@ -47,10 +47,6 @@ class MfInstance:
     target: np.ndarray  # (d, d) cached V diag(lam) V.T
 
     @property
-    def kappa(self) -> float:
-        return float(self.eigenvalues[0] / self.eigenvalues[-1])
-
-    @property
     def lambda_max(self) -> float:
         return float(self.eigenvalues[0])
 
@@ -112,14 +108,6 @@ class IclInstance:
     samples: np.ndarray | None = None
 
     @property
-    def kappa_s(self) -> float:
-        return float(self.eigenvalues[0] / self.eigenvalues[-1])
-
-    @property
-    def kappa_eff(self) -> float:
-        return self.kappa_s**3
-
-    @property
     def sigma_min(self) -> float:
         return float(self.eigenvalues[-1])
 
@@ -179,11 +167,7 @@ def make_mf_instance(
         raise PreconditionError("lambda_max must be positive")
     if r == 1 and kappa != 1.0:
         raise PreconditionError("a rank-1 spectrum cannot realize kappa > 1")
-    lam = (
-        np.full(r, lambda_max)
-        if kappa == 1.0
-        else _log_uniform_spectrum(lambda_max, lambda_max / kappa, r)
-    )
+    lam = _log_uniform_spectrum(lambda_max, lambda_max / kappa, r)
     v = stream.haar_orthonormal(d, r)
     target = (v * lam) @ v.T
     return MfInstance(d=d, r=r, k=k, eigenvalues=lam, eigenvectors=v, target=target)
@@ -197,17 +181,13 @@ def mf_loss_grad(inst: MfInstance, u):
 
 
 def make_icl_instance(
-    stream: RandomStream,
-    d: int,
-    kappa_s: float,
-    sigma_min: float = 1.0,
-    with_samples: bool = True,
+    stream: RandomStream, d: int, kappa_s: float, sigma_min: float = 1.0
 ) -> IclInstance:
     """Random SPD covariance with eigenvalues from kappa_s*sigma_min down to
     sigma_min (log-uniform) and a Haar eigenbasis.
 
-    With ``with_samples``, builds N = d vectors x_i = sqrt(d) * S^(1/2) q_i
-    for an orthonormal basis {q_i}, so the empirical covariance
+    Also builds N = d samples x_i = sqrt(d) * S^(1/2) q_i for an orthonormal
+    basis {q_i}, drawn after the eigenbasis, so the empirical covariance
     (1/N) sum x_i x_i^T equals S exactly rather than approximately.
     """
     if kappa_s < 1.0:
@@ -216,19 +196,13 @@ def make_icl_instance(
         raise PreconditionError("sigma_min must be positive")
     if d == 1 and kappa_s != 1.0:
         raise PreconditionError("a 1-dimensional spectrum cannot realize kappa_s > 1")
-    lam = (
-        np.full(d, sigma_min)
-        if kappa_s == 1.0
-        else _log_uniform_spectrum(kappa_s * sigma_min, sigma_min, d)
-    )
+    lam = _log_uniform_spectrum(kappa_s * sigma_min, sigma_min, d)
     v = stream.haar_orthonormal(d, d)
     cov = (v * lam) @ v.T
     inv = (v / lam) @ v.T
-    samples = None
-    if with_samples:
-        sqrt_cov = (v * np.sqrt(lam)) @ v.T
-        basis = stream.haar_orthonormal(d, d)
-        samples = (np.sqrt(d) * (sqrt_cov @ basis)).T  # row i is x_i
+    sqrt_cov = (v * np.sqrt(lam)) @ v.T
+    basis = stream.haar_orthonormal(d, d)
+    samples = (np.sqrt(d) * (sqrt_cov @ basis)).T  # row i is x_i
     return IclInstance(
         d=d, covariance=cov, eigenvalues=lam, eigenvectors=v, inverse=inv, samples=samples
     )

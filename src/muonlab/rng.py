@@ -89,9 +89,6 @@ class RandomStream:
             start = stop
         return out
 
-    def gaussian(self) -> float:
-        return float(self.gaussians(1)[0])
-
     def gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:
         """rows x cols i.i.d. standard normals, filled row-major."""
         return self.gaussians(rows * cols).reshape(rows, cols)

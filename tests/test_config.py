@@ -42,7 +42,10 @@ def config_texts(draw):
         k = draw(st.integers(r, 300))
         lines += [f"d = {d}", f"r = {r}", f"k = {k}"]
     kappa_min = 2.0 if kind == "lower_bound" else 1.0
-    kappas = st.lists(st.floats(kappa_min, 1e12), min_size=1, unique_by=lambda x: f"{x:g}")
+    # a sweep takes at most 10 kappa values, so its points keep distinct streams
+    max_kappas = 10 if kind in ("mf_sweep", "icl_sweep") else None
+    kappas = st.lists(st.floats(kappa_min, 1e12), min_size=1, max_size=max_kappas,
+                      unique_by=lambda x: f"{x:g}")
     algorithms = [a for a in ALGORITHMS if a != "scaledgd" or (kind == "mf_sweep" and k <= d)]
     optional = {
         "kappa": kappas.map(lambda xs: ",".join(map(repr, xs))),
@@ -161,6 +164,32 @@ class TestCliConfigErrors:
         err = capsys.readouterr().err
         assert names_key(err, key), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("kind = mf_sweep\nd = 6\nr = 2\nk = 2\nkappa = 1, 5\nalgorithms = gd, muon\n"
+         "schedule = exponential\neta0 = 1.7e308", "eta0"),
+        ("kind = icl_sweep\nd = 4\nschedule = exponential\nprefactor = per_iteration\neta0 = 9e307", "eta0"),
+        ("kind = mf_sweep\nd = 6\nkappa = " + ", ".join(str(x) for x in range(1, 12)), "kappa"),
+        ("kind = icl_sweep\nd = 4\nkappa = " + ", ".join(str(x) for x in range(1, 12)), "kappa"),
+        ("kind = mf_sweep\nd = 6\nkappa = 1, 5\nreplicates = 1001", "replicates"),
+    ])
+    def test_sweep_that_would_fail_mid_run_exits_2_naming_the_key(self, text, key, tmp_path, capsys):
+        # accepted, the eta0 = 1.7e308 sweep wrote its gd cell (an inf eta,
+        # then a NaN row) before the muon cell's first eta raised; 11 kappa
+        # values or 1,001 replicates gave two cells one random stream
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{text}\nT = 5\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, key), err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_limits_admit_their_largest_values(self):
+        kappas = ", ".join(str(x) for x in range(1, 11))
+        cfg = parse_config(f"d = 6\nkappa = {kappas}\nreplicates = 1000\nschedule = exponential\neta0 = 8e307")
+        assert (len(cfg.kappa), cfg.replicates) == (10, 1000)
+        # the stream-id limit is a sweep's: a lower bound takes any number of kappas
+        parse_config("kind = lower_bound\nkappa = " + ", ".join(str(x) for x in range(2, 14)))
 
     @pytest.mark.parametrize("text, key", [
         ("kind = icl_sweep\nd = 5\nalgorithms = muon, scaledgd", "algorithms"),  # Q_0 = 0 is singular

@@ -1,5 +1,5 @@
-"""Golden output digests: the shipped commands and configs, and a run of a
-config kept in ``tests/configs``, write the same bytes as when
+"""Golden output digests: the shipped commands and configs, and runs of the
+configs kept in ``tests/configs``, write the same bytes as when
 ``tests/golden_digests.json`` was written.
 
 Each command runs through ``cli.main`` into a fresh directory.  A command
@@ -45,6 +45,8 @@ COMMANDS = {
     "run_mf_sweep_full": (["run", "--config", str(CONFIGS / "mf_sweep_full.cfg")], True),
     # a frozen tail: the iterate stops moving long before T
     "run_mf_underflow": (["run", "--config", str(TEST_CONFIGS / "mf_underflow.cfg")], True),
+    # the only per-iteration prefactor draws, on the only exponential icl_sweep
+    "run_icl_exponential": (["run", "--config", str(TEST_CONFIGS / "icl_exponential.cfg")], True),
     **{
         f"lower_bound_{family}": (["lower-bound", "--family", family, "--kappa", "21,41,101"], True)
         for family in ("quadratic", "mf", "icl")

@@ -273,7 +273,8 @@ class TestHardIcl:
         hard = build_hard_icl_instance(8.0, etas)
         assert_allclose(np.sort(np.linalg.eigvalsh(hard.instance.covariance)), [1.0, 2.0])
         assert_allclose(np.sort(np.linalg.eigvalsh(hard.q_star)), [0.5, 1.0])
-        assert hard.instance.kappa_eff == pytest.approx(8.0, rel=1e-12)
+        lam = hard.instance.eigenvalues
+        assert (lam[0] / lam[-1]) ** 3 == pytest.approx(8.0, rel=1e-12)
 
     def test_kappa_one_rejected(self):
         with pytest.raises(PreconditionError):

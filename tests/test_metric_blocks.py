@@ -109,7 +109,7 @@ def test_mf_scale_matches_the_reference_loop(monkeypatch, lam_max, stop):
 @pytest.mark.parametrize("stop", STOPS)
 @pytest.mark.parametrize("name", ["muon", "gd", "signgd"])
 def test_icl_matches_the_reference_loop(monkeypatch, name, stop):
-    inst = make_icl_instance(RandomStream(6), 6, 3.0, sigma_min=0.5, with_samples=False)
+    inst = make_icl_instance(RandomStream(6), 6, 3.0, sigma_min=0.5)
     algo = ALGOS[name]
     eta0 = default_eta0(algo.algorithm, inst)
     ref, got = _both(monkeypatch, 3, inst, algo,
@@ -127,7 +127,7 @@ def test_divergence_records_match_the_reference_loop(monkeypatch, problem, block
         inst, eta = make_mf_instance(RandomStream(7), 8, 2, 2, 4.0), 0.5
         init = RandomStream(8).gaussian_matrix(8, 2)
     else:
-        inst, eta = make_icl_instance(RandomStream(6), 6, 3.0, sigma_min=0.5, with_samples=False), 1.0
+        inst, eta = make_icl_instance(RandomStream(6), 6, 3.0, sigma_min=0.5), 1.0
         init = np.zeros((6, 6))
     if block_records is not None:
         monkeypatch.setattr(optimizers, "METRIC_BLOCK_BYTES", block_records * init.nbytes)
@@ -149,7 +149,7 @@ def _converged_mf():
 
 
 def _converged_icl():
-    inst = make_icl_instance(RandomStream(98), 2, 1.5, with_samples=False)
+    inst = make_icl_instance(RandomStream(98), 2, 1.5)
     q = np.linalg.solve(inst.covariance, np.eye(2))
     return inst, q, np.sqrt(2.0 * inst.loss_grad(q)[0] / (inst.eigenvalues[0] ** 3 * 2))
 
@@ -188,7 +188,7 @@ def _far_icl():
     """``_far_mf`` for ICL: S = I and Q = S^-1 + 1e6 I."""
     for d in (2, 5, 10):
         for seed in range(10):
-            inst = make_icl_instance(RandomStream(100 * d + seed), d, 1.0, sigma_min=1.0, with_samples=False)
+            inst = make_icl_instance(RandomStream(100 * d + seed), d, 1.0, sigma_min=1.0)
             q = inst.inverse + 1e6 * np.eye(d)
             yield inst, q, np.sqrt(2.0 * inst.loss_grad(q)[0] / d)
 

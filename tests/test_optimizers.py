@@ -118,18 +118,27 @@ NAN, INF = float("nan"), float("inf")
     lambda: ExponentialSchedule(0.9, 1.0, fixed_prefactor=INF),
     lambda: ExponentialSchedule(0.9, 1.0, fixed_prefactor=-1.0),
     lambda: ExponentialSchedule(0.9, 1.0, fixed_prefactor=0.0),
+    lambda: ExponentialSchedule(0.9, 1e308, fixed_prefactor=2.0),
+    lambda: ExponentialSchedule(0.9, 1e308),
     lambda: SequenceSchedule([1.0, NAN]),
     lambda: SequenceSchedule([1.0, INF]),
     lambda: SequenceSchedule([]),
 ], ids=["plateau-nan", "plateau-inf", "constant-nan", "constant-inf", "exponential-nan",
         "exponential-inf", "prefactor-nan", "prefactor-inf", "prefactor-negative", "prefactor-zero",
-        "sequence-nan", "sequence-inf", "sequence-empty"])
+        "product-overflow", "drawn-product-overflow", "sequence-nan", "sequence-inf", "sequence-empty"])
 def test_schedules_reject_non_finite_or_empty_parameters(make):
     # accepted, each would surface only later in a run: as a divergence at
     # t = 1 or 2, as an IndexError at the empty sequence's first eta, or
-    # (a nonpositive prefactor) as a GD run that ascends and exits normally
+    # (a nonpositive prefactor) as a GD run that ascends and exits normally;
+    # a finite base_scale and prefactor whose product overflows gave eta_0 = inf
     with pytest.raises(PreconditionError):
         make()
+
+
+def test_exponential_schedule_keeps_the_largest_finite_first_eta():
+    top = np.finfo(float).max / 2.0  # 2 * top is the largest finite float
+    assert ExponentialSchedule(0.9, 1e308, fixed_prefactor=1.0).eta(0) == 1e308
+    assert np.isfinite(ExponentialSchedule(0.9, top).eta(0, None, RandomStream(0)))
 
 
 def _step(algorithm, x, grad, eta, buffer=None, **config):
@@ -435,7 +444,7 @@ class TestRepeatedIterates:
             inst = make_mf_instance(RandomStream(0), 8, 2, 2, 5.0)
             init = RandomStream(100).gaussian_matrix(8, 2) * 0.3
         else:
-            inst = make_icl_instance(RandomStream(0), 6, 3.0, sigma_min=0.5, with_samples=False)
+            inst = make_icl_instance(RandomStream(0), 6, 3.0, sigma_min=0.5)
             init = np.zeros((6, 6))
         algo = OptimizerConfig("signgd")
         sched = PlateauSchedule(default_eta0("signgd", inst), patience=10)

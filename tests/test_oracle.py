@@ -102,6 +102,11 @@ class TestNeverZero:
         assert sweep_never_zero(1000, 200, seed=2027)
 
 
+def matrix_at(oracle, t):
+    """The matrix iterate the oracle's step-t mode values imply."""
+    return (oracle.basis_left * oracle.sigmas[t]) @ oracle.basis_right.T
+
+
 def hand_aligned_init():
     """d=2, r=k=1, lambda=1, V=e1, right basis (1), sigma0=0.5."""
     inst = MfInstance(
@@ -126,7 +131,7 @@ class TestDecoupledMf:
         etas = [0.5**t for t in range(3)]
         oracle = decoupled_mf_trajectory(init, etas)
         assert_allclose(oracle.sigmas[:, 0], [0.5, 1.5, 1.0, 1.0])
-        u2 = oracle.matrix_at(2)
+        u2 = matrix_at(oracle, 2)
         assert_allclose(u2 @ u2.T, inst.target, atol=1e-15)
 
     def test_exact_start_is_stationary(self):
@@ -134,7 +139,7 @@ class TestDecoupledMf:
         init = aligned_mf_init(inst, np.sqrt(inst.eigenvalues), RandomStream(32))
         oracle = decoupled_mf_trajectory(init, [0.5**t for t in range(20)])
         assert_allclose(oracle.sigmas[-1], oracle.sigmas[0], rtol=0)
-        assert inst.spectral_errors(oracle.matrix_at(19)[None])[0] <= 1e-12
+        assert inst.spectral_errors(matrix_at(oracle, 19)[None])[0] <= 1e-12
 
     def test_spectral_error_equals_worst_mode(self):
         inst = make_mf_instance(RandomStream(33), 8, 3, 5, 16.0)
@@ -144,7 +149,7 @@ class TestDecoupledMf:
         oracle = decoupled_mf_trajectory(init, etas)
         for t in (1, 5, 10):
             expected = np.abs(oracle.sigmas[t] ** 2 - oracle.lambdas).max()
-            assert inst.spectral_errors(oracle.matrix_at(t)[None])[0] == pytest.approx(
+            assert inst.spectral_errors(matrix_at(oracle, t)[None])[0] == pytest.approx(
                 expected, abs=1e-12
             )
 

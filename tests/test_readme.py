@@ -1,7 +1,8 @@
 """Every ``muonlab ...`` line of README's "Command line" block runs and
 exits 0, so the documented commands cannot drift from the CLI; every
 experiment kind is reached by a shipped config or one of those commands; and
-every public name has a caller."""
+every public name, and every public method and property of an exported
+class, has a caller."""
 
 import ast
 import re
@@ -89,3 +90,24 @@ def test_every_public_name_has_a_caller():
         refs.visit(ast.parse(path.read_text()))
     assert len(public) > 40
     assert [name for name in public if name not in refs.found] == []
+
+
+def test_every_public_member_has_a_caller():
+    # the same rule one level down: each public method and property of a
+    # class __init__.py exports is used outside its own definition
+    init = ast.parse((ROOT / "src" / "muonlab" / "__init__.py").read_text())
+    members = []
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            module = ast.parse((ROOT / "src" / "muonlab" / f"{node.module}.py").read_text())
+            members += [(cls.name, fn.name) for cls in module.body
+                        if isinstance(cls, ast.ClassDef) and cls.name in names
+                        for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").rglob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    refs = _References()
+    for path in sources:
+        refs.visit(ast.parse(path.read_text()))
+    assert len(members) > 20
+    assert [f"{cls}.{fn}" for cls, fn in members if fn not in refs.found] == []

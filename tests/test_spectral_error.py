@@ -61,7 +61,7 @@ def test_agrees_with_dense_spectral_norm(low_rank, data):
 
 
 def test_icl_error_is_the_dense_spectral_norm():
-    inst = make_icl_instance(RandomStream(3), d=20, kappa_s=10.0, with_samples=False)
+    inst = make_icl_instance(RandomStream(3), d=20, kappa_s=10.0)
     q = RandomStream(4).gaussian_matrix(20, 20)
     assert inst.spectral_errors(q[None])[0] == np.linalg.norm(q - inst.inverse, 2)
 
@@ -99,7 +99,7 @@ def test_stacked_errors_are_the_per_matrix_errors(low_rank, data):
 @given(d=st.integers(1, 20), n=st.integers(1, 6), seed=st.integers(0, 2**31))
 def test_icl_stacked_errors_are_the_per_matrix_errors(d, n, seed):
     stream = RandomStream(seed)
-    inst = make_icl_instance(stream.derive(1), d, 1.0 if d == 1 else 10.0, with_samples=False)
+    inst = make_icl_instance(stream.derive(1), d, 1.0 if d == 1 else 10.0)
     qs = stream.derive(2).gaussian_matrix(n * d, d).reshape(n, d, d)
     assert inst.spectral_errors(qs).tolist() == [inst.spectral_errors(q[None])[0] for q in qs]
 
@@ -123,7 +123,7 @@ def test_icl_error_floor_is_below_the_error(data):
     kappa = 1.0 if d == 1 else data.draw(st.floats(1.0, 1e3))
     lam_max = 10.0 ** data.draw(st.floats(-3.0, 3.0))
     stream = RandomStream(data.draw(st.integers(0, 2**31)))
-    inst = make_icl_instance(stream.derive(1), d, kappa, sigma_min=lam_max / kappa, with_samples=False)
+    inst = make_icl_instance(stream.derive(1), d, kappa, sigma_min=lam_max / kappa)
     kind = data.draw(st.sampled_from(KINDS))
     q = {"zero": np.zeros((d, d)), "random": stream.derive(2).gaussian_matrix(d, d) / inst.sigma_min,
          "near_converged": inst.inverse + 1e-13 * stream.derive(2).gaussian_matrix(d, d)}[kind]
@@ -147,7 +147,7 @@ def test_error_floor_where_it_is_tight(lam_max, d, r, k):
 @pytest.mark.parametrize("d", [1, 5, 20])
 def test_icl_error_floor_where_it_is_tight(sigma, d):
     """S = sigma I and Q = S^-1 + c I: ||S E S^1/2||_F = sigma^3/2 sqrt(d) |c|."""
-    inst = make_icl_instance(RandomStream(d), d, 1.0, sigma_min=sigma, with_samples=False)
+    inst = make_icl_instance(RandomStream(d), d, 1.0, sigma_min=sigma)
     for c in (1e-12 / sigma, 1.0 / sigma):
         q = inst.inverse + c * np.eye(d)
         err = inst.spectral_errors(q[None])[0]

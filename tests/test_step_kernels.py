@@ -55,7 +55,7 @@ def mf_points(draw):
 def icl_points(draw):
     d = draw(st.integers(1, 24))
     kappa = 1.0 if d == 1 else draw(st.floats(1.0, 1e3))
-    inst = make_icl_instance(RandomStream(draw(SEEDS)), d, kappa, with_samples=False)
+    inst = make_icl_instance(RandomStream(draw(SEEDS)), d, kappa)
     return inst, draw(arrays(np.float64, (d, d), elements=ENTRIES))
 
 
@@ -80,7 +80,7 @@ class TestLossGrad:
         assert same_bits(grad, s @ resid @ s)
 
     def test_icl_leaves_its_input_and_covariance_alone(self):
-        inst = make_icl_instance(RandomStream(3), 5, 10.0, with_samples=False)
+        inst = make_icl_instance(RandomStream(3), 5, 10.0)
         q, s = np.eye(5), inst.covariance.copy()
         inst.loss_grad(q)
         assert same_bits(q, np.eye(5)) and same_bits(inst.covariance, s)

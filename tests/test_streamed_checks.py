@@ -145,7 +145,7 @@ class TestMonteCarloStreamState:
         streams = RandomStream(9), RandomStream(9)
         if cached:
             for stream in streams:
-                stream.gaussian()
+                stream.gaussians(1)
         got = icl_monte_carlo_loss(inst, q, streams[0], n_tasks)
         assert got == monte_carlo_reference(inst, q, streams[1], n_tasks)
         a, b = streams
