@@ -28,6 +28,8 @@ PREFACTOR_RANGE = (1.0, 2.0)
 PLATEAU_MIN_GAIN = 1e-3
 # The factor ``PlateauSchedule`` cuts eta by once its patience runs out.
 PLATEAU_DECAY = 0.3
+# The consecutive non-improving losses after which ``PlateauSchedule`` cuts eta.
+PLATEAU_PATIENCE = 50
 # Bytes of iterates (546 of a d = 30, k = 2 factor) queued before
 # ``run_trajectory`` stacks their metrics; the queue holds their gradients
 # too, so about twice this.  Not tuned.
@@ -39,7 +41,8 @@ class ExponentialSchedule:
 
     ``prefactor_mode`` is "fixed" (C sampled once, on the first call) or
     "per_iteration" (a fresh C every call).  Passing ``fixed_prefactor`` pins
-    C without consuming randomness, for deterministic runs.
+    C in either mode without consuming randomness, for deterministic runs;
+    otherwise every draw of C needs a ``stream``.
     """
 
     def __init__(
@@ -66,32 +69,29 @@ class ExponentialSchedule:
         self._prefactor = fixed_prefactor
 
     def eta(self, t: int, current_loss: float | None = None, stream: RandomStream | None = None) -> float:
-        if self.prefactor_mode == "per_iteration":
-            c = stream.uniform(*PREFACTOR_RANGE) if stream is not None else 1.0
-        else:
-            if self._prefactor is None:
-                self._prefactor = stream.uniform(*PREFACTOR_RANGE) if stream is not None else 1.0
-            c = self._prefactor
+        c = self._prefactor
+        if c is None:
+            if stream is None:
+                raise PreconditionError("a random prefactor needs a stream; fixed_prefactor pins it")
+            c = stream.uniform(*PREFACTOR_RANGE)
+            if self.prefactor_mode == "fixed":
+                self._prefactor = c
         return c * self.base_scale * self.rho**t
 
 
 class PlateauSchedule:
-    """Constant eta, cut by ``PLATEAU_DECAY`` after ``patience`` consecutive
-    non-improving losses.
+    """Constant eta, cut by ``PLATEAU_DECAY`` after ``PLATEAU_PATIENCE``
+    consecutive non-improving losses.
 
     The first call records a baseline loss; each later call either improves
     the best seen by more than ``PLATEAU_MIN_GAIN`` relative (resetting the
     stall counter) or increments it, decaying eta and resetting once the
-    counter reaches ``patience``.  eta never increases.
+    counter reaches ``PLATEAU_PATIENCE``.  eta never increases.
     """
 
-    def __init__(self, initial_eta: float, patience: int = 50):
+    def __init__(self, initial_eta: float):
         if not 0.0 < initial_eta < np.inf:
             raise PreconditionError(f"initial_eta must be positive and finite, got {initial_eta}")
-        if patience < 1:
-            raise PreconditionError("patience must be >= 1")
-        self.initial_eta = initial_eta
-        self.patience = patience
         self._eta = initial_eta
         self._best_loss: float | None = None
         self._stall = 0
@@ -106,7 +106,7 @@ class PlateauSchedule:
             self._stall = 0
         else:
             self._stall += 1
-            if self._stall >= self.patience:
+            if self._stall >= PLATEAU_PATIENCE:
                 self._eta *= PLATEAU_DECAY
                 self._stall = 0
         return self._eta
@@ -190,7 +190,7 @@ class Trajectory:
 # once.  A later eta that underflows to 0 leaves x put.
 
 
-def _muon_update(x, grad, eta, buffer, algo: OptimizerConfig, factors=None):
+def _muon_update(x, grad, eta, buffer, algo: OptimizerConfig, factors):
     """X' = X - eta * msign(B'), with B' = grad + mu * B."""
     # mu == 0 takes the gradient verbatim, so simplified Muon is bitwise
     # exact, and never touches a buffer.
@@ -206,16 +206,16 @@ def _muon_update(x, grad, eta, buffer, algo: OptimizerConfig, factors=None):
     return x - eta * result.matrix, buffer, result.converged
 
 
-def _gd_update(x, grad, eta, buffer, algo, factors=None):
+def _gd_update(x, grad, eta, buffer, algo, factors):
     return x - eta * grad, buffer, True
 
 
-def _signgd_update(x, grad, eta, buffer, algo, factors=None):
+def _signgd_update(x, grad, eta, buffer, algo, factors):
     """X - eta * sign(grad); zero entries stay put."""
     return x - eta * np.sign(grad), buffer, True
 
 
-def _scaledgd_update(u, grad, eta, buffer, algo, factors=None):
+def _scaledgd_update(u, grad, eta, buffer, algo, factors):
     """U - eta * grad @ (U^T U)^-1, the Gram inverse through the
     eigendecomposition; a numerically singular Gram matrix raises."""
     lam, vecs = np.linalg.eigh(u.T @ u)

@@ -208,6 +208,16 @@ class TestCliConfigErrors:
         assert names_key(err, key), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--eta0", "0.5", "--kappa", "21,41"], "need eta_0 <= r0"),
+        (["--eta0", "0.0625", "--kappa", "21"], "leaves the r0-ball"),  # no config check predicts it
+    ])
+    def test_lower_bound_the_library_rejects_writes_nothing(self, flags, message, tmp_path, capsys):
+        # accepted, each exited 2 after making an empty output directory
+        assert main(["lower-bound", "--family", "mf", *flags, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["run", "--config", os.path.join(os.path.dirname(__file__), "..", "demos", "configs", "mf_sweep_small.cfg")],
         ["lower-bound", "--family", "quadratic", "--kappa", "21"],

@@ -282,20 +282,12 @@ class TestPreconditionerReport:
         # at t=0 the ScaledGD block is alpha^2 * I (Gram of a scaled orthonormal init)
         assert np.abs(rep.scaledgd_blocks[0] - 1e-20 * np.eye(3)).max() <= 1e-22
 
-    def test_defaults_are_the_precond_viz_config(self, tmp_path):
-        preconditioner_report(out_dir=str(tmp_path / "lib"))
-        run_experiment(parse_config("kind = precond_viz"), str(tmp_path / "cfg"))
-        written = sorted(os.listdir(tmp_path / "lib"))
-        assert len(written) == 7
-        for name in written:
-            assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "cfg" / name).read_bytes()
-
     @pytest.mark.parametrize("steps", [(), []])
-    def test_empty_steps_rejected(self, steps):
+    def test_empty_steps_rejected(self, steps, tmp_path):
         from muonlab import PreconditionError
 
         with pytest.raises(PreconditionError, match="nonempty and nonnegative"):
-            preconditioner_report(steps=steps)
+            preconditioner_report(d=10, r=5, k=5, alpha=1e-10, steps=steps, seed=42, out_dir=str(tmp_path))
 
     def test_kronecker_identity(self):
         assert kronecker_identity_gap(d=4, k=2) <= 1e-12

@@ -83,12 +83,13 @@ def _assert_same(ref, got):
 @pytest.mark.parametrize("stop", STOPS)
 @pytest.mark.parametrize("name", sorted(ALGOS))
 def test_mf_matches_the_reference_loop(monkeypatch, name, stop, block_records):
+    monkeypatch.setattr(optimizers, "PLATEAU_PATIENCE", 10)
     inst = make_mf_instance(RandomStream(1), 12, 2, 2, 25.0)
     init = RandomStream(2).gaussian_matrix(12, 2) * 0.3
     algo = ALGOS[name]
     eta0 = default_eta0(algo.algorithm, inst)
     ref, got = _both(monkeypatch, block_records, inst, algo,
-                     lambda: PlateauSchedule(initial_eta=eta0, patience=10), init, 400,
+                     lambda: PlateauSchedule(initial_eta=eta0), init, 400,
                      stop_below=None if stop is None else stop * inst.lambda_max)
     _assert_same(ref, got)
 
@@ -109,11 +110,12 @@ def test_mf_scale_matches_the_reference_loop(monkeypatch, lam_max, stop):
 @pytest.mark.parametrize("stop", STOPS)
 @pytest.mark.parametrize("name", ["muon", "gd", "signgd"])
 def test_icl_matches_the_reference_loop(monkeypatch, name, stop):
+    monkeypatch.setattr(optimizers, "PLATEAU_PATIENCE", 10)
     inst = make_icl_instance(RandomStream(6), 6, 3.0, sigma_min=0.5)
     algo = ALGOS[name]
     eta0 = default_eta0(algo.algorithm, inst)
     ref, got = _both(monkeypatch, 3, inst, algo,
-                     lambda: PlateauSchedule(initial_eta=eta0, patience=10), np.zeros((6, 6)), 300,
+                     lambda: PlateauSchedule(initial_eta=eta0), np.zeros((6, 6)), 300,
                      stop_below=None if stop is None else stop / inst.sigma_min)
     _assert_same(ref, got)
 

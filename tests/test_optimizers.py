@@ -1,5 +1,7 @@
 """Optimizer step, schedule, and trajectory-driver contracts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from muonlab import (
 )
 from muonlab import optimizers
 from muonlab.experiments import default_eta0
-from muonlab.optimizers import PLATEAU_MIN_GAIN, TrajectoryRecord
+from muonlab.optimizers import PLATEAU_MIN_GAIN, PLATEAU_PATIENCE, TrajectoryRecord
 
 
 class TestExponentialSchedule:
@@ -47,6 +49,15 @@ class TestExponentialSchedule:
             c = sched.eta(t, stream=stream) / (1.5 * 0.8**t)
             assert 1.0 <= c <= 2.0
 
+    @pytest.mark.parametrize("mode", ["fixed", "per_iteration"])
+    def test_only_fixed_prefactor_pins_c(self, mode):
+        # no stream is no silent C = 1: a draw without one raises, and
+        # fixed_prefactor pins C in either mode without a draw
+        with pytest.raises(PreconditionError, match="stream"):
+            ExponentialSchedule(0.5, 1.0, prefactor_mode=mode).eta(0)
+        pinned = ExponentialSchedule(0.5, 1.0, prefactor_mode=mode, fixed_prefactor=1.5)
+        assert [pinned.eta(t) for t in range(3)] == [1.5, 0.75, 0.375]
+
     def test_rejects_bad_rho(self):
         with pytest.raises(PreconditionError):
             ExponentialSchedule(rho=1.5, base_scale=1.0)
@@ -62,19 +73,21 @@ class TestPlateauSchedule:
         assert etas[50] == pytest.approx(0.03)
 
     def test_improvement_resets_counter(self):
-        sched = PlateauSchedule(initial_eta=1.0, patience=3)
-        losses = [5.0, 5.0, 5.0, 4.0, 4.0, 4.0, 4.0]
+        # the improvement at index P stops the decay due there; P stalls later it comes
+        sched = PlateauSchedule(initial_eta=1.0)
+        losses = [5.0] * PLATEAU_PATIENCE + [4.0] * (PLATEAU_PATIENCE + 1)
         etas = [sched.eta(t, v) for t, v in enumerate(losses)]
-        assert etas[:6] == [1.0] * 6
-        assert etas[6] == pytest.approx(0.3)
+        assert etas[:2 * PLATEAU_PATIENCE] == [1.0] * (2 * PLATEAU_PATIENCE)
+        assert etas[2 * PLATEAU_PATIENCE] == pytest.approx(0.3)
 
     def test_rejects_a_missing_loss(self):
         # a plateau schedule reads the loss, so it has no loss-free etas
         with pytest.raises(PreconditionError):
             materialize_etas(PlateauSchedule(initial_eta=0.1), 3)
 
-    def test_never_increases(self):
-        sched = PlateauSchedule(initial_eta=1.0, patience=2)
+    def test_never_increases(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "PLATEAU_PATIENCE", 2)
+        sched = PlateauSchedule(initial_eta=1.0)
         stream = RandomStream(3)
         prev = np.inf
         for t in range(200):
@@ -92,10 +105,12 @@ class TestPlateauSchedule:
         # a non-improving call gains less than PLATEAU_MIN_GAIN on the best
         # loss, which is one of the earlier losses, so it also gains less on
         # their minimum; each decay must end a run of ``patience`` such calls,
-        # none of them the baseline call
+        # none of them the baseline call.  The schedule reads PLATEAU_PATIENCE
+        # on each call, so a short patience makes short lists decay.
         losses = list(np.cumprod(factors))
-        sched = PlateauSchedule(initial_eta=1.0, patience=patience)
-        etas = [sched.eta(t, v) for t, v in enumerate(losses)]
+        with mock.patch.object(optimizers, "PLATEAU_PATIENCE", patience):
+            sched = PlateauSchedule(initial_eta=1.0)
+            etas = [sched.eta(t, v) for t, v in enumerate(losses)]
         assert all(b <= a for a, b in zip([1.0] + etas, etas))
         decays = [t for t in range(len(etas)) if etas[t] < (etas[t - 1] if t else 1.0)]
         for prev, t in zip([0] + decays, decays):
@@ -144,7 +159,7 @@ def test_exponential_schedule_keeps_the_largest_finite_first_eta():
 def _step(algorithm, x, grad, eta, buffer=None, **config):
     """One step of ``algorithm``'s update kernel, the one ``run_trajectory``
     takes: (x_next, buffer_next, msign_converged)."""
-    return optimizers._UPDATES[algorithm](x, grad, eta, buffer, OptimizerConfig(algorithm, **config))
+    return optimizers._UPDATES[algorithm](x, grad, eta, buffer, OptimizerConfig(algorithm, **config), None)
 
 
 class TestSteps:
@@ -420,7 +435,7 @@ def _assert_each_record_evaluated(inst, algo, traj):
         assert rec.spectral_error == inst.spectral_errors(x[None])[0]
         assert rec.grad_sigma_min == svals[-1]
         if t + 1 < len(traj.records):
-            x_next, buffer, _ = optimizers._UPDATES[algo.algorithm](x, grad, rec.eta, buffer, algo)
+            x_next, buffer, _ = optimizers._UPDATES[algo.algorithm](x, grad, rec.eta, buffer, algo, None)
             assert np.array_equal(x_next, traj.iterates[t + 1])
             assert np.array_equal(np.signbit(x_next), np.signbit(traj.iterates[t + 1]))
 
@@ -439,7 +454,8 @@ class TestRepeatedIterates:
     two it evaluated once, and the records are those of evaluating each."""
 
     @pytest.mark.parametrize("problem", ["mf", "icl"])
-    def test_signgd_plateau_cycle(self, problem):
+    def test_signgd_plateau_cycle(self, monkeypatch, problem):
+        monkeypatch.setattr(optimizers, "PLATEAU_PATIENCE", 10)
         if problem == "mf":
             inst = make_mf_instance(RandomStream(0), 8, 2, 2, 5.0)
             init = RandomStream(100).gaussian_matrix(8, 2) * 0.3
@@ -447,7 +463,7 @@ class TestRepeatedIterates:
             inst = make_icl_instance(RandomStream(0), 6, 3.0, sigma_min=0.5)
             init = np.zeros((6, 6))
         algo = OptimizerConfig("signgd")
-        sched = PlateauSchedule(default_eta0("signgd", inst), patience=10)
+        sched = PlateauSchedule(default_eta0("signgd", inst))
         traj, calls = _run_counted(inst, algo, sched, init, 300)
         assert len(traj.records) == 301
         # a fixed-step sign method falls into a cycle: rows repeat at distance 2
@@ -524,12 +540,14 @@ class TestTrajectoryRecord:
         assert TrajectoryRecord(3, 0.5, 0.25, 0.125, 0.0625, False).msign_converged is False
 
     @pytest.mark.parametrize("algorithm", ["muon", "signgd", "gd"])
-    def test_same_seed_records_compare_equal(self, algorithm):
+    def test_same_seed_records_compare_equal(self, monkeypatch, algorithm):
+        # a short patience, so eta decays within the 40 steps
+        monkeypatch.setattr(optimizers, "PLATEAU_PATIENCE", 3)
         inst = make_mf_instance(RandomStream(12), 8, 2, 2, 4.0)
         init = RandomStream(13).gaussian_matrix(8, 2) * 0.1
 
         def run():
-            return run_trajectory(inst, OptimizerConfig(algorithm), PlateauSchedule(0.1, patience=3),
+            return run_trajectory(inst, OptimizerConfig(algorithm), PlateauSchedule(0.1),
                                   init, 40, stream=RandomStream(14)).records
 
         first, second = run(), run()
@@ -564,7 +582,7 @@ def _replay(inst, traj, init, algo):
         want = np.linalg.svd(grad, compute_uv=False)[-1]
         assert abs(rec.grad_sigma_min - want) <= 1e-13 * want
         if t + 1 < len(traj.records):
-            x, buffer, _ = optimizers._UPDATES["muon"](x, grad, rec.eta, buffer, algo)
+            x, buffer, _ = optimizers._UPDATES["muon"](x, grad, rec.eta, buffer, algo, None)
             assert np.array_equal(x, traj.iterates[t + 1])
     return buffer
 

@@ -1,8 +1,8 @@
 """Every ``muonlab ...`` line of README's "Command line" block runs and
 exits 0, so the documented commands cannot drift from the CLI; every
-experiment kind is reached by a shipped config or one of those commands; and
+experiment kind is reached by a shipped config or one of those commands;
 every public name, and every public method and property of an exported
-class, has a caller."""
+class, has a caller; and every parameter with a default is set by one."""
 
 import ast
 import re
@@ -111,3 +111,46 @@ def test_every_public_member_has_a_caller():
         refs.visit(ast.parse(path.read_text()))
     assert len(members) > 20
     assert [f"{cls}.{fn}" for cls, fn in members if fn not in refs.found] == []
+
+
+def _defaulted(node, cls=None) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, position) of each parameter with a default
+    in the functions under ``node``: a method's positions skip self and an
+    ``__init__`` is called by its class name; keyword-only has no position."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            found += _defaulted(child, child.name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = [*args.posonlyargs, *args.args]
+            bound = 1 if cls and positional and positional[0].arg in ("self", "cls") else 0
+            name = cls if child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            found += [(name, arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first]
+            found += [(name, arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+            found += _defaulted(child)
+        else:
+            found += _defaulted(child, cls)
+    return found
+
+
+def test_every_default_is_set_by_some_caller():
+    # a default no call overrides is a constant with a knob on it: each
+    # defaulted parameter is passed, by keyword or by position, in some call
+    # to a function of its name
+    defaulted = [p for path in sorted((ROOT / "src" / "muonlab").glob("*.py"))
+                 for p in _defaulted(ast.parse(path.read_text()))]
+    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").rglob("*.py"),
+               ROOT / "tests" / "test_acceptance.py", *(ROOT / "bench").rglob("*.py")]
+    passed = set()
+    for path in sources:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                passed |= {(name, i) for i in range(len(call.args))}
+                passed |= {(name, kw.arg) for kw in call.keywords if kw.arg is not None}
+    assert len(defaulted) > 30
+    assert [f"{name}({param})" for name, param, i in defaulted
+            if (name, param) not in passed and (name, i) not in passed] == []

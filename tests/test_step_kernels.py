@@ -173,7 +173,7 @@ class TestEigenKernels:
         grad = RandomStream(data.draw(SEEDS)).gaussian_matrix(*u.shape)
         lam, vecs = descending_eig(u.T @ u)
         assume(lam[-1] > (1e-12) ** 2 * lam[0])
-        out, _, _ = _scaledgd_update(u, grad, eta, None, None)
+        out, _, _ = _scaledgd_update(u, grad, eta, None, None, None)
         assert same_bits(out, u - eta * grad @ ((vecs / lam) @ vecs.T))
 
     @PROPERTY
