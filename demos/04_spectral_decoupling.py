@@ -40,7 +40,7 @@ print("""
 The gaps sit at the float64 noise floor: the decoupling is an identity, not
 an approximation, at this schedule (rho = 1/2).  With slower decay it stops
 being exact in float64: at rho = 0.8 the gap grows to about 1e-7 to 1e-6,
-and at rho = 0.9 to about 1e-2 (ROADMAP item 6).  Every matrix-level question about simplified Muon on
+and at rho = 0.9 to about 1e-2 (ROADMAP item 7).  Every matrix-level question about simplified Muon on
 these problems reduces to the one-dimensional zigzag above, which contracts
 toward sqrt(lambda) at the schedule's geometric rate regardless of lambda -
 that is the condition-number-free mechanism.

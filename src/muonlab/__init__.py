@@ -1,7 +1,7 @@
 """muonlab: a desk-scale laboratory for spectral-orthogonalization optimizers.
 
-The library implements the Muon update (gradient orthogonalization through
-the matrix sign), simplified Muon, and GD / SignGD / ScaledGD baselines on
+The library implements simplified Muon (gradient orthogonalization through
+the exact matrix sign, without momentum) and GD / SignGD / ScaledGD baselines on
 two matrix problems - symmetric low-rank factorization and the quadratic
 behind in-context learning with linear attention - together with the
 decoupled spectral dynamics that predict Muon's trajectories exactly, and
@@ -33,7 +33,6 @@ from .lowerbounds import (
     signgd_quadratic_run,
 )
 from .msign import (
-    NewtonSchulzConfig,
     NewtonSchulzResult,
     msign_exact,
     msign_newton_schulz,

@@ -224,7 +224,7 @@ def write_csv(path: str, header: str, lines) -> None:
 def write_records_csv(path: str, records, diagnostic_t: int | None = None):
     """Write trajectory records; a diagnostic NaN row marks an aborted run."""
     # !s calls str directly, skipping format()'s spec dispatch: the same text
-    lines = [f"{t},{eta!s},{loss!s},{err!s},{gsm!s}" for t, eta, loss, err, gsm, _ in records]
+    lines = [f"{t},{eta!s},{loss!s},{err!s},{gsm!s}" for t, eta, loss, err, gsm in records]
     if diagnostic_t is not None:
         lines.append(f"{diagnostic_t},nan,nan,nan,nan")
     write_csv(path, CSV_HEADER, lines)

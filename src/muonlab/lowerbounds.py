@@ -342,6 +342,10 @@ def run_lower_bound(
     if eta0 is None:
         eta0 = r0 / 4.0 if family == "mf" else 1.0
     etas = eta0 * rho ** np.arange(T + 1)
+    zero = np.flatnonzero(etas == 0.0)
+    if eta0 > 0.0 and zero.size:
+        raise PreconditionError(
+            f"eta0 * rho^t underflows to 0 at t = {zero[0]}, within T = {T} (eta0 = {eta0}, rho = {rho})")
     if family == "mf":
         return run_hard_mf(build_hard_mf_instance(kappa, etas, r0=r0), etas, T)
     if family == "icl":

@@ -17,26 +17,6 @@ from .linalg import RANK_TOL, check_matrix
 
 
 @dataclass(frozen=True)
-class NewtonSchulzConfig:
-    """Parameters of the cubic Newton-Schulz iteration.
-
-    The cubic map 1.5*X - 0.5*X @ X.T @ X contracts every singular value in
-    (0, sqrt(3)) toward 1; Frobenius pre-normalization puts the seed inside
-    that basin.
-    """
-
-    max_iters: int = 64
-    orth_tol: float = 1e-8
-    coefficients: tuple[float, float] = (1.5, -0.5)
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise PreconditionError("max_iters must be >= 1")
-        if self.orth_tol <= 0:
-            raise PreconditionError("orth_tol must be positive")
-
-
-@dataclass(frozen=True)
 class NewtonSchulzResult:
     matrix: np.ndarray
     iterations: int
@@ -60,39 +40,42 @@ def _msign_from_svd(u, s, vt) -> np.ndarray:
     return u[:, :r] @ np.asfortranarray(vt[:r])
 
 
-def msign_newton_schulz(z, config: NewtonSchulzConfig | None = None) -> NewtonSchulzResult:
+# The Newton-Schulz iteration budget, and the Frobenius distance of the
+# small-side Gram matrix from the identity at which it stops.
+NS_MAX_ITERS = 64
+NS_ORTH_TOL = 1e-8
+
+
+def msign_newton_schulz(z) -> NewtonSchulzResult:
     """Approximate matrix sign via the cubic Newton-Schulz iteration.
 
-    The iteration is seeded at Z / ||Z||_F and stopped once the small-side
-    Gram matrix is within ``orth_tol`` of the identity in Frobenius norm.
+    The cubic map 1.5*X - 0.5*X @ X.T @ X contracts every singular value in
+    (0, sqrt(3)) toward 1; seeding the iteration at Z / ||Z||_F puts it
+    inside that basin.  It stops once the small-side Gram matrix is within
+    ``NS_ORTH_TOL`` of the identity, or after ``NS_MAX_ITERS`` steps.
     Accuracy is only guaranteed in the documented regime
     sigma_min/sigma_max >= 1e-3; outside it the result is returned with
     ``converged=False`` instead of raising, so long experiments can log the
     event and continue.
     """
     z = check_matrix(z, "msign input")
-    if config is None:
-        config = NewtonSchulzConfig()
     norm = np.linalg.norm(z)
     if norm == 0.0:
         raise PreconditionError("msign_newton_schulz: input is the zero matrix")
-    a, b = config.coefficients
     d, k = z.shape
     x = z / norm
     m = min(d, k)
     residual = np.inf
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, NS_MAX_ITERS + 1):
         if d >= k:
             gram = x.T @ x
-            x = a * x + b * (x @ gram)
+            x = 1.5 * x - 0.5 * (x @ gram)
             gram = x.T @ x
         else:
             gram = x @ x.T
-            x = a * x + b * (gram @ x)
+            x = 1.5 * x - 0.5 * (gram @ x)
             gram = x @ x.T
         residual = float(np.linalg.norm(gram - np.eye(m)))
-        if residual <= config.orth_tol:
+        if residual <= NS_ORTH_TOL:
             return NewtonSchulzResult(matrix=x, iterations=it, residual=residual, converged=True)
-    return NewtonSchulzResult(
-        matrix=x, iterations=config.max_iters, residual=residual, converged=False
-    )
+    return NewtonSchulzResult(matrix=x, iterations=NS_MAX_ITERS, residual=residual, converged=False)

@@ -10,14 +10,14 @@ any of them over a problem instance and logs one record per iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalDivergenceError, PreconditionError, RankDeficiencyError
 from .linalg import check_matrices
-from .msign import NewtonSchulzConfig, _msign_from_svd, msign_newton_schulz
+from .msign import _msign_from_svd
 from .rng import RandomStream
 
 # The interval U[lo, hi) that random learning-rate prefactors C are drawn from.
@@ -151,17 +151,10 @@ def materialize_etas(sched, T: int, stream: RandomStream | None = None) -> list[
 @dataclass(frozen=True)
 class OptimizerConfig:
     algorithm: str
-    mu: float = 0.0
-    msign_backend: str = "exact"  # "exact" | "newton_schulz"
-    ns_config: NewtonSchulzConfig = field(default_factory=NewtonSchulzConfig)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise PreconditionError(f"unknown algorithm {self.algorithm!r}")
-        if self.msign_backend not in ("exact", "newton_schulz"):
-            raise PreconditionError(f"unknown msign backend {self.msign_backend!r}")
-        if not 0.0 <= self.mu < 1.0:
-            raise PreconditionError(f"mu must lie in [0, 1), got {self.mu}")
 
 
 class TrajectoryRecord(NamedTuple):
@@ -172,7 +165,6 @@ class TrajectoryRecord(NamedTuple):
     loss: float
     spectral_error: float
     grad_sigma_min: float
-    msign_converged: bool = True
 
 
 @dataclass
@@ -182,40 +174,29 @@ class Trajectory:
     iterates: list[np.ndarray] | None = None
 
 
-# Update kernels: (x, grad, eta, buffer, algo, factors) -> (x_next, buffer_next,
-# msign_converged), the one implementation of each step; ``buffer`` is Muon's
-# momentum B (None when mu = 0) and ``factors`` the caller's compact SVD of
-# ``grad``, given only when the step is msign(grad) itself.  They trust their
-# inputs: ``run_trajectory`` checks its initial point and Muon's first eta
-# once.  A later eta that underflows to 0 leaves x put.
+# Update kernels: (x, grad, eta, factors) -> x_next, the one implementation
+# of each step; ``factors`` is the caller's compact SVD of ``grad``, given
+# only to Muon.  They trust their inputs: ``run_trajectory`` checks its
+# initial point and Muon's first eta once.  A later eta that underflows to 0
+# leaves x put.
 
 
-def _muon_update(x, grad, eta, buffer, algo: OptimizerConfig, factors):
-    """X' = X - eta * msign(B'), with B' = grad + mu * B."""
-    # mu == 0 takes the gradient verbatim, so simplified Muon is bitwise
-    # exact, and never touches a buffer.
-    if algo.mu != 0.0:
-        grad = buffer = grad + algo.mu * buffer
-    if algo.msign_backend == "exact":  # a zero gradient has s = 0, so msign is 0 by the rank rule
-        if factors is None:
-            factors = np.linalg.svd(grad, full_matrices=False)
-        return x - eta * _msign_from_svd(*factors), buffer, True
-    if not np.any(grad):  # Newton-Schulz raises on the zero matrix
-        return x.copy(), buffer, True
-    result = msign_newton_schulz(grad, algo.ns_config)
-    return x - eta * result.matrix, buffer, result.converged
+def _muon_update(x, grad, eta, factors):
+    """Simplified Muon, X' = X - eta * msign(grad): no momentum, exact msign.
+    A zero gradient has s = 0, so its msign is 0 by the rank rule."""
+    return x - eta * _msign_from_svd(*factors)
 
 
-def _gd_update(x, grad, eta, buffer, algo, factors):
-    return x - eta * grad, buffer, True
+def _gd_update(x, grad, eta, factors):
+    return x - eta * grad
 
 
-def _signgd_update(x, grad, eta, buffer, algo, factors):
+def _signgd_update(x, grad, eta, factors):
     """X - eta * sign(grad); zero entries stay put."""
-    return x - eta * np.sign(grad), buffer, True
+    return x - eta * np.sign(grad)
 
 
-def _scaledgd_update(u, grad, eta, buffer, algo, factors):
+def _scaledgd_update(u, grad, eta, factors):
     """U - eta * grad @ (U^T U)^-1, the Gram inverse through the
     eigendecomposition; a numerically singular Gram matrix raises."""
     lam, vecs = np.linalg.eigh(u.T @ u)
@@ -223,7 +204,7 @@ def _scaledgd_update(u, grad, eta, buffer, algo, factors):
     if lam[0] <= 0.0 or lam[-1] <= (1e-12) ** 2 * lam[0]:
         raise RankDeficiencyError("scaledgd: U^T U is numerically singular")
     gram_inv = (vecs / lam) @ vecs.T
-    return u - eta * grad @ gram_inv, buffer, True
+    return u - eta * grad @ gram_inv
 
 
 _UPDATES = {
@@ -250,7 +231,7 @@ def run_trajectory(
     is the schedule value that a further step would have used).
 
     sigma_min of each gradient is logged at every d, from the one SVD that
-    exact Muon with mu = 0 also steps with, else from a values-only SVD.
+    Muon also steps with, else from a values-only SVD.
     ``init`` is the only array checked: 2-D, finite, ``inst.iterate_shape()``.
     Muon's first eta must be positive and finite; a later one is used as is:
     a schedule that underflows to 0 leaves the iterate in place.  Every later
@@ -272,10 +253,9 @@ def run_trajectory(
         raise PreconditionError("T must be >= 1")
     (x,) = check_matrices(inst.iterate_shape(), init=init)
     x = x.copy()
-    buffer = np.zeros(x.shape) if algo.mu else None  # Muon's momentum B
     update = _UPDATES[algo.algorithm]
-    factored = algo.algorithm == "muon" and algo.msign_backend == "exact" and algo.mu == 0.0
-    rows: list[tuple[int, int, float, float, bool]] = []  # t, source row, eta, loss, msign_converged
+    factored = algo.algorithm == "muon"
+    rows: list[tuple[int, int, float, float]] = []  # t, source row, eta, loss
     errs, gsms = np.empty(T + 1), np.empty(T + 1)
     queue: list[tuple[int, np.ndarray, np.ndarray]] = []  # (t, iterate, gradient)
     block = max(1, METRIC_BLOCK_BYTES // x.nbytes)
@@ -296,7 +276,7 @@ def run_trajectory(
     def records():
         flush()
         err, gsm = errs.tolist(), gsms.tolist()
-        return [TrajectoryRecord(t, eta, loss, err[src], gsm[src], ok) for t, src, eta, loss, ok in rows]
+        return [TrajectoryRecord(t, eta, loss, err[src], gsm[src]) for t, src, eta, loss in rows]
 
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is a non-finite loss
         for t in range(T + 1):
@@ -317,12 +297,12 @@ def run_trajectory(
             if len(queue) == block or (stop_below is not None and inst.error_floor(loss) <= stop_below):
                 flush()  # so errs[src] is known exactly when the queue is empty
             if t == T or (stop_below is not None and not queue and errs[src] <= stop_below):
-                rows.append((t, src, eta, loss, True))
+                rows.append((t, src, eta, loss))
                 break
             if t == 0 and algo.algorithm == "muon" and not 0.0 < eta < math.inf:
                 raise PreconditionError(f"eta must be positive and finite, got {eta}")
-            x, buffer, converged = update(x, grad, eta, buffer, algo, factors)
-            rows.append((t, src, eta, loss, converged))
+            x = update(x, grad, eta, factors)
+            rows.append((t, src, eta, loss))
             if keep_iterates:
                 iterates.append(x.copy())
     return Trajectory(records=records(), final=x, iterates=iterates)

@@ -218,6 +218,17 @@ class TestCliConfigErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("family, first_zero", [("quadratic", 1075), ("mf", 1069), ("icl", 1075)])
+    def test_lower_bound_eta_underflow_names_its_keys(self, family, first_zero, tmp_path, capsys):
+        # eta0 * 0.5^t reaches 0 before T: it exited 2 with "etas must be
+        # positive and non-increasing", which names no key
+        argv = ["lower-bound", "--family", family, "--kappa", "21", "--rho", "0.5", "--T", "1100"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert all(names_key(err, key) for key in ("eta0", "rho", "T")), err
+        assert f"t = {first_zero}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["run", "--config", os.path.join(os.path.dirname(__file__), "..", "demos", "configs", "mf_sweep_small.cfg")],
         ["lower-bound", "--family", "quadratic", "--kappa", "21"],

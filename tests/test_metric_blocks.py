@@ -26,8 +26,6 @@ from muonlab.problems import MfInstance
 STOPS = (None, 1e-6, 1e-12, 1e-15, 1e-16)  # times the problem's scale
 ALGOS = {
     "muon": OptimizerConfig("muon"),
-    "muon_mu": OptimizerConfig("muon", mu=0.5),
-    "muon_ns": OptimizerConfig("muon", msign_backend="newton_schulz"),
     "gd": OptimizerConfig("gd"),
     "signgd": OptimizerConfig("signgd"),
     "scaledgd": OptimizerConfig("scaledgd"),
@@ -37,9 +35,8 @@ ALGOS = {
 def reference_trajectory(inst, algo, sched, init, T, stream=None, keep_iterates=False, stop_below=None):
     """The driver loop with every metric computed per record, on the spot."""
     x = np.array(init, dtype=float)
-    buffer = np.zeros(x.shape) if algo.mu else None
     update = _UPDATES[algo.algorithm]
-    factored = algo.algorithm == "muon" and algo.msign_backend == "exact" and algo.mu == 0.0
+    factored = algo.algorithm == "muon"
     records = []
     iterates = [x.copy()] if keep_iterates else None
     for t in range(T + 1):
@@ -52,10 +49,10 @@ def reference_trajectory(inst, algo, sched, init, T, stream=None, keep_iterates=
         gsm = float(svals[-1])
         eta = float(sched.eta(t, loss, stream))
         if t == T or (stop_below is not None and err <= stop_below):
-            records.append(TrajectoryRecord(t, eta, loss, err, gsm, True))
+            records.append(TrajectoryRecord(t, eta, loss, err, gsm))
             break
-        x, buffer, converged = update(x, grad, eta, buffer, algo, factors)
-        records.append(TrajectoryRecord(t, eta, loss, err, gsm, converged))
+        x = update(x, grad, eta, factors)
+        records.append(TrajectoryRecord(t, eta, loss, err, gsm))
         if keep_iterates:
             iterates.append(x.copy())
     return Trajectory(records=records, final=x, iterates=iterates)

@@ -156,53 +156,24 @@ def test_exponential_schedule_keeps_the_largest_finite_first_eta():
     assert np.isfinite(ExponentialSchedule(0.9, top).eta(0, None, RandomStream(0)))
 
 
-def _step(algorithm, x, grad, eta, buffer=None, **config):
+def _step(algorithm, x, grad, eta):
     """One step of ``algorithm``'s update kernel, the one ``run_trajectory``
-    takes: (x_next, buffer_next, msign_converged)."""
-    return optimizers._UPDATES[algorithm](x, grad, eta, buffer, OptimizerConfig(algorithm, **config), None)
+    takes, handed the gradient's compact SVD as Muon is."""
+    factors = np.linalg.svd(grad, full_matrices=False) if algorithm == "muon" else None
+    return optimizers._UPDATES[algorithm](x, grad, eta, factors)
 
 
 class TestSteps:
     def test_muon_hand_example(self):
         x = np.array([[2.0], [0.0]])
         grad = np.array([[6.0], [0.0]])
-        x1, _, converged = _step("muon", x, grad, 0.5)
+        x1 = _step("muon", x, grad, 0.5)
         assert_allclose(x1, np.array([[1.5], [0.0]]))
-        assert converged
 
     def test_muon_zero_gradient_stationary(self):
         x = np.array([[1.0, 2.0]])
-        x1, _, _ = _step("muon", x, np.zeros((1, 2)), 0.1)
+        x1 = _step("muon", x, np.zeros((1, 2)), 0.1)
         assert_allclose(x1, x)
-
-    def test_momentum_first_step_matches_simplified(self):
-        stream = RandomStream(4)
-        x = stream.gaussian_matrix(4, 3)
-        grad = stream.gaussian_matrix(4, 3)
-        a, _, _ = _step("muon", x, grad, 0.2, np.zeros((4, 3)), mu=0.9)
-        b, _, _ = _step("muon", x, grad, 0.2)
-        assert_allclose(a, b, rtol=0)
-
-    def test_momentum_buffer_accumulates(self):
-        stream = RandomStream(23)
-        x = stream.gaussian_matrix(4, 3)
-        g1, g2 = stream.gaussian_matrix(4, 3), stream.gaussian_matrix(4, 3)
-        x, buffer, _ = _step("muon", x, g1, 0.1, np.zeros((4, 3)), mu=0.5)
-        _, buffer, _ = _step("muon", x, g2, 0.1, buffer, mu=0.5)
-        assert np.array_equal(buffer, g2 + 0.5 * g1)
-
-    def test_zero_momentum_leaves_the_buffer_alone(self):
-        stream = RandomStream(24)
-        buffer = np.zeros((4, 3))
-        _, after, _ = _step("muon", stream.gaussian_matrix(4, 3), stream.gaussian_matrix(4, 3), 0.1, buffer)
-        assert after is buffer
-        assert not np.any(buffer)
-
-    @pytest.mark.parametrize("mu", [1.0, 1.5, -0.1, np.nan])
-    def test_config_rejects_mu_outside_the_unit_interval(self, mu):
-        # once accepted at construction, failing only inside run_trajectory
-        with pytest.raises(PreconditionError):
-            OptimizerConfig("muon", mu=mu)
 
     def test_simplified_muon_bitwise(self):
         stream = RandomStream(5)
@@ -210,7 +181,7 @@ class TestSteps:
         grad = stream.gaussian_matrix(5, 2)
         eta = 0.37
         direct = x - eta * msign_exact(grad)
-        stepped, _, _ = _step("muon", x, grad, eta)
+        stepped = _step("muon", x, grad, eta)
         assert np.array_equal(stepped, direct)
 
     def test_muon_displacement_is_eta(self):
@@ -219,52 +190,43 @@ class TestSteps:
         x = stream.gaussian_matrix(6, 3)
         grad = stream.gaussian_matrix(6, 3)
         eta = 0.11
-        x1, _, _ = _step("muon", x, grad, eta)
+        x1 = _step("muon", x, grad, eta)
         assert np.linalg.norm(x1 - x, 2) == pytest.approx(eta, abs=1e-10)
 
-    def test_newton_schulz_backend(self):
-        stream = RandomStream(7)
-        x = stream.gaussian_matrix(5, 3)
-        grad = stream.haar_orthonormal(5, 3) @ np.diag([1.0, 0.7, 0.5])
-        exact, _, _ = _step("muon", x, grad, 0.2)
-        approx, _, conv = _step("muon", x, grad, 0.2, msign_backend="newton_schulz")
-        assert conv
-        assert np.linalg.norm(exact - approx, 2) <= 1e-6
-
     def test_gd_hand_example(self):
-        x1, _, _ = _step("gd", np.array([[2.0], [0.0]]), np.array([[6.0], [0.0]]), 0.1)
+        x1 = _step("gd", np.array([[2.0], [0.0]]), np.array([[6.0], [0.0]]), 0.1)
         assert_allclose(x1, np.array([[1.4], [0.0]]))
 
     def test_gd_linearity(self):
         stream = RandomStream(8)
         x = stream.gaussian_matrix(3, 3)
         g = stream.gaussian_matrix(3, 3)
-        assert np.array_equal(_step("gd", x, g, 0.25)[0], x - 0.25 * g)
+        assert np.array_equal(_step("gd", x, g, 0.25), x - 0.25 * g)
 
     def test_signgd_zero_entry_untouched(self):
-        x1, _, _ = _step("signgd", np.array([[2.0], [7.0]]), np.array([[6.0], [0.0]]), 0.5)
+        x1 = _step("signgd", np.array([[2.0], [7.0]]), np.array([[6.0], [0.0]]), 0.5)
         assert_allclose(x1, np.array([[1.5], [7.0]]))
 
     def test_signgd_all_negative_gradient(self):
         x = np.zeros((2, 2))
-        x1, _, _ = _step("signgd", x, -np.ones((2, 2)), 0.3)
+        x1 = _step("signgd", x, -np.ones((2, 2)), 0.3)
         assert_allclose(x1, 0.3 * np.ones((2, 2)))
 
     def test_signgd_scale_invariant_pattern(self):
         stream = RandomStream(9)
         x = stream.gaussian_matrix(3, 2)
         g = stream.gaussian_matrix(3, 2)
-        assert_allclose(_step("signgd", x, g, 0.1)[0], _step("signgd", x, 17.0 * g, 0.1)[0], rtol=0)
+        assert_allclose(_step("signgd", x, g, 0.1), _step("signgd", x, 17.0 * g, 0.1), rtol=0)
 
     def test_scaledgd_hand_example(self):
         u = np.array([[2.0], [0.0]])
         grad = np.array([[6.0], [0.0]])
-        u1, _, _ = _step("scaledgd", u, grad, 0.5)
+        u1 = _step("scaledgd", u, grad, 0.5)
         assert_allclose(u1, np.array([[1.25], [0.0]]))
 
     def test_scaledgd_zero_gradient(self):
         u = RandomStream(10).gaussian_matrix(4, 2)
-        assert_allclose(_step("scaledgd", u, np.zeros((4, 2)), 0.5)[0], u)
+        assert_allclose(_step("scaledgd", u, np.zeros((4, 2)), 0.5), u)
 
     def test_scaledgd_right_equivariance(self):
         # (O^T U^T U O)^-1 = O^T (U^T U)^-1 O
@@ -272,8 +234,8 @@ class TestSteps:
         u = stream.gaussian_matrix(5, 2)
         g = stream.gaussian_matrix(5, 2)
         o = stream.haar_orthonormal(2, 2)
-        lhs, _, _ = _step("scaledgd", u @ o, g @ o, 0.2)
-        rhs, _, _ = _step("scaledgd", u, g, 0.2)
+        lhs = _step("scaledgd", u @ o, g @ o, 0.2)
+        rhs = _step("scaledgd", u, g, 0.2)
         assert_allclose(lhs, rhs @ o, atol=1e-10)
 
     def test_scaledgd_singular_gram_rejected(self):
@@ -369,8 +331,6 @@ class TestRunTrajectory:
 
     @pytest.mark.parametrize("algo, per_step", [
         (OptimizerConfig("muon"), [True]),  # one SVD serves sigma_min and msign
-        (OptimizerConfig("muon", mu=0.5), [False, True]),  # msign factors the buffer
-        (OptimizerConfig("muon", msign_backend="newton_schulz"), [False]),
         (OptimizerConfig("gd"), [False]),
     ])
     def test_svds_per_record(self, monkeypatch, algo, per_step):
@@ -425,17 +385,17 @@ def _run_counted(inst, algo, sched, init, T):
 def _assert_each_record_evaluated(inst, algo, traj):
     """Every record equals its kept iterate evaluated on its own, bitwise,
     and every iterate the update kernel applied to its predecessor."""
-    factored = algo.algorithm == "muon" and algo.msign_backend == "exact" and algo.mu == 0.0
-    buffer = np.zeros(traj.iterates[0].shape) if algo.mu else None
+    factored = algo.algorithm == "muon"
     for t, (rec, x) in enumerate(zip(traj.records, traj.iterates, strict=True)):
         loss, grad = inst.loss_grad(x)
-        # exact Muon with mu = 0 logs sigma_min from the SVD it steps with
-        svals = np.linalg.svd(grad, full_matrices=False)[1] if factored else np.linalg.svd(grad, compute_uv=False)
+        # Muon logs sigma_min from the SVD it steps with
+        factors = np.linalg.svd(grad, full_matrices=False) if factored else None
+        svals = factors[1] if factored else np.linalg.svd(grad, compute_uv=False)
         assert rec.loss == loss
         assert rec.spectral_error == inst.spectral_errors(x[None])[0]
         assert rec.grad_sigma_min == svals[-1]
         if t + 1 < len(traj.records):
-            x_next, buffer, _ = optimizers._UPDATES[algo.algorithm](x, grad, rec.eta, buffer, algo, None)
+            x_next = optimizers._UPDATES[algo.algorithm](x, grad, rec.eta, factors)
             assert np.array_equal(x_next, traj.iterates[t + 1])
             assert np.array_equal(np.signbit(x_next), np.signbit(traj.iterates[t + 1]))
 
@@ -486,24 +446,6 @@ class TestRepeatedIterates:
         assert calls == _evaluations(traj.iterates) == frozen + 1
         _assert_each_record_evaluated(inst, algo, traj)
 
-    def test_momentum_updates_are_not_reused(self, monkeypatch):
-        # the frozen iterate repeats, but the buffer it steps with moves
-        steps = []
-        muon = optimizers._UPDATES["muon"]
-
-        def counting_muon(*args, **kw):
-            steps.append(args[2])
-            return muon(*args, **kw)
-
-        monkeypatch.setitem(optimizers._UPDATES, "muon", counting_muon)
-        inst = make_mf_instance(RandomStream(3), 30, 2, 2, 25.0)
-        init = RandomStream(4).gaussian_matrix(30, 2) * 0.1
-        algo = OptimizerConfig("muon", mu=0.5)
-        traj, calls = _run_counted(inst, algo, ExponentialSchedule(0.5, 1.0, fixed_prefactor=1.0), init, 1100)
-        assert calls == _evaluations(traj.iterates) < 100
-        assert steps == [r.eta for r in traj.records[:-1]]
-        _assert_each_record_evaluated(inst, algo, traj)
-
     def test_a_signed_zero_is_a_new_iterate(self):
         # a zero-rate GD step turns a -0.0 entry whose gradient is negative
         # into 0.0 (-0.0 - -0.0 == 0.0) and leaves every other entry as it is
@@ -529,15 +471,12 @@ class TestTrajectoryRecord:
             rec.loss = 0.0
 
     def test_field_order_and_default(self):
-        assert TrajectoryRecord._fields == (
-            "t", "eta", "loss", "spectral_error", "grad_sigma_min", "msign_converged",
-        )
+        assert TrajectoryRecord._fields == ("t", "eta", "loss", "spectral_error", "grad_sigma_min")
+        assert TrajectoryRecord._field_defaults == {}
         rec = TrajectoryRecord(3, 0.5, 0.25, 0.125, 0.0625)
         assert (rec.t, rec.eta, rec.loss, rec.spectral_error, rec.grad_sigma_min) == (
             3, 0.5, 0.25, 0.125, 0.0625,
         )
-        assert rec.msign_converged is True
-        assert TrajectoryRecord(3, 0.5, 0.25, 0.125, 0.0625, False).msign_converged is False
 
     @pytest.mark.parametrize("algorithm", ["muon", "signgd", "gd"])
     def test_same_seed_records_compare_equal(self, monkeypatch, algorithm):
@@ -572,19 +511,18 @@ def _muon_runs(draw):
     return inst, stream.derive(2).gaussian_matrix(d, d) * draw(st.floats(0.0, 1.0))
 
 
-def _replay(inst, traj, init, algo):
-    """Chain the Muon kernel, computing each msign afresh, along the logged
-    etas: the records' grad sigma_min against a values-only SVD, and the
-    iterates bitwise.  Returns the final momentum buffer."""
-    x, buffer = init, np.zeros(init.shape) if algo.mu else None
+def _replay(inst, traj, init):
+    """Chain the Muon kernel, factoring each gradient afresh, along the
+    logged etas: the records' grad sigma_min against a values-only SVD, and
+    the iterates bitwise."""
+    x = init
     for t, rec in enumerate(traj.records):
         grad = inst.loss_grad(x)[1]
         want = np.linalg.svd(grad, compute_uv=False)[-1]
         assert abs(rec.grad_sigma_min - want) <= 1e-13 * want
         if t + 1 < len(traj.records):
-            x, buffer, _ = optimizers._UPDATES["muon"](x, grad, rec.eta, buffer, algo, None)
+            x = _step("muon", x, grad, rec.eta)
             assert np.array_equal(x, traj.iterates[t + 1])
-    return buffer
 
 
 @settings(max_examples=60, deadline=None)
@@ -592,19 +530,6 @@ def _replay(inst, traj, init, algo):
 def test_loop_muon_is_the_chained_kernel(run, eta):
     # the loop steps with the SVD it logs sigma_min from
     inst, init = run
-    algo = OptimizerConfig("muon")
-    traj = run_trajectory(inst, algo, ExponentialSchedule(0.9, eta, fixed_prefactor=1.0),
+    traj = run_trajectory(inst, OptimizerConfig("muon"), ExponentialSchedule(0.9, eta, fixed_prefactor=1.0),
                           init, 12, keep_iterates=True)
-    _replay(inst, traj, init, algo)
-
-
-@pytest.mark.parametrize("algo", [OptimizerConfig("muon", mu=0.5),
-                                  OptimizerConfig("muon", msign_backend="newton_schulz")])
-def test_buffered_and_newton_schulz_muon_log_the_gradient(algo):
-    # with mu > 0 msign factors the buffer, not the gradient; the logged
-    # sigma_min must still be the gradient's
-    inst = make_mf_instance(RandomStream(27), 8, 2, 2, 4.0)
-    init = RandomStream(28).gaussian_matrix(8, 2) * 0.5
-    traj = run_trajectory(inst, algo, ConstantSchedule(0.05), init, 10, keep_iterates=True)
-    buffer = _replay(inst, traj, init, algo)
-    assert (buffer is not None and np.any(buffer)) == (algo.mu > 0)
+    _replay(inst, traj, init)

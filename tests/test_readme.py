@@ -2,7 +2,8 @@
 exits 0, so the documented commands cannot drift from the CLI; every
 experiment kind is reached by a shipped config or one of those commands;
 every public name, and every public method and property of an exported
-class, has a caller; and every parameter with a default is set by one."""
+class, has a caller; and every parameter and every dataclass or NamedTuple
+field with a default is set by one."""
 
 import ast
 import re
@@ -15,6 +16,10 @@ from muonlab.cli import main
 from muonlab.experiments import KINDS, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "muonlab"
+# where a use counts as a caller: the package, the demos and the acceptance
+# tests; a call in ``bench/`` sets a default too
+SOURCES = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").rglob("*.py"), ROOT / "tests" / "test_acceptance.py"]
 
 
 def _commands() -> list[str]:
@@ -78,39 +83,52 @@ class _References(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _referenced() -> set[str]:
+    """Every name read and attribute taken in ``SOURCES``."""
+    refs = _References()
+    for path in SOURCES:
+        refs.visit(ast.parse(path.read_text()))
+    return refs.found
+
+
+def _passed_names() -> set[tuple[str, int | str]]:
+    """(callee name, position or keyword) of each argument of each call in
+    ``SOURCES`` and ``bench/``; a ``**mapping`` argument is the keyword "**"."""
+    passed = set()
+    for path in [*SOURCES, *(ROOT / "bench").rglob("*.py")]:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                passed |= {(name, i) for i in range(len(call.args))}
+                passed |= {(name, kw.arg or "**") for kw in call.keywords}
+    return passed
+
+
 def test_every_public_name_has_a_caller():
     # public API that nothing uses is deleted; a docstring mention is no use
-    init = ast.parse((ROOT / "src" / "muonlab" / "__init__.py").read_text())
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
     public = [alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
               for alias in node.names]
-    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").rglob("*.py"),
-               ROOT / "tests" / "test_acceptance.py"]
-    refs = _References()
-    for path in sources:
-        refs.visit(ast.parse(path.read_text()))
+    found = _referenced()
     assert len(public) > 40
-    assert [name for name in public if name not in refs.found] == []
+    assert [name for name in public if name not in found] == []
 
 
 def test_every_public_member_has_a_caller():
     # the same rule one level down: each public method and property of a
     # class __init__.py exports is used outside its own definition
-    init = ast.parse((ROOT / "src" / "muonlab" / "__init__.py").read_text())
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
     members = []
     for node in init.body:
         if isinstance(node, ast.ImportFrom):
             names = {alias.name for alias in node.names}
-            module = ast.parse((ROOT / "src" / "muonlab" / f"{node.module}.py").read_text())
+            module = ast.parse((PACKAGE / f"{node.module}.py").read_text())
             members += [(cls.name, fn.name) for cls in module.body
                         if isinstance(cls, ast.ClassDef) and cls.name in names
                         for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
-    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").rglob("*.py"),
-               ROOT / "tests" / "test_acceptance.py"]
-    refs = _References()
-    for path in sources:
-        refs.visit(ast.parse(path.read_text()))
+    found = _referenced()
     assert len(members) > 20
-    assert [f"{cls}.{fn}" for cls, fn in members if fn not in refs.found] == []
+    assert [f"{cls}.{fn}" for cls, fn in members if fn not in found] == []
 
 
 def _defaulted(node, cls=None) -> list[tuple[str, str, int | None]]:
@@ -140,17 +158,34 @@ def test_every_default_is_set_by_some_caller():
     # a default no call overrides is a constant with a knob on it: each
     # defaulted parameter is passed, by keyword or by position, in some call
     # to a function of its name
-    defaulted = [p for path in sorted((ROOT / "src" / "muonlab").glob("*.py"))
-                 for p in _defaulted(ast.parse(path.read_text()))]
-    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").rglob("*.py"),
-               ROOT / "tests" / "test_acceptance.py", *(ROOT / "bench").rglob("*.py")]
-    passed = set()
-    for path in sources:
-        for call in ast.walk(ast.parse(path.read_text())):
-            if isinstance(call, ast.Call):
-                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-                passed |= {(name, i) for i in range(len(call.args))}
-                passed |= {(name, kw.arg) for kw in call.keywords if kw.arg is not None}
+    defaulted = [p for path in sorted(PACKAGE.glob("*.py")) for p in _defaulted(ast.parse(path.read_text()))]
+    passed = _passed_names()
     assert len(defaulted) > 30
     assert [f"{name}({param})" for name, param, i in defaulted
             if (name, param) not in passed and (name, i) not in passed] == []
+
+
+def _defaulted_fields(tree) -> list[tuple[str, str, int]]:
+    """(class name, field, position) of each field with a default of the
+    dataclasses and NamedTuples in ``tree``."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [getattr(d, "func", d) for d in cls.decorator_list]
+        if not any(getattr(node, "id", None) in ("dataclass", "NamedTuple") for node in [*decorators, *cls.bases]):
+            continue
+        fields = [node for node in cls.body if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        found += [(cls.name, node.target.id, i) for i, node in enumerate(fields) if node.value is not None]
+    return found
+
+
+def test_every_defaulted_field_is_set_by_some_caller():
+    # the parameter rule one level over: each defaulted field is passed, by
+    # keyword or by position, in some call to its class; a call that unpacks
+    # a mapping, as ``parse_config`` builds ``ExperimentConfig``, sets them all
+    defaulted = [f for path in sorted(PACKAGE.glob("*.py")) for f in _defaulted_fields(ast.parse(path.read_text()))]
+    passed = _passed_names()
+    assert len(defaulted) > 20
+    assert [f"{cls}.{name}" for cls, name, i in defaulted
+            if {(cls, name), (cls, i), (cls, "**")}.isdisjoint(passed)] == []
