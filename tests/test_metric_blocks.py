@@ -91,6 +91,26 @@ def test_mf_matches_the_reference_loop(monkeypatch, name, stop, block_records):
     _assert_same(ref, got)
 
 
+# per algorithm, a decay that takes the run below 1e-6 * lambda_max within
+# 400 steps; GD stalls near 1e-3 at every decay
+DRAWN_RHO = {"muon": 0.9, "gd": 0.999, "signgd": 0.96, "scaledgd": 0.99}
+
+
+@pytest.mark.parametrize("block_records", [None, 3])
+@pytest.mark.parametrize("mode", ["fixed", "per_iteration"])
+@pytest.mark.parametrize("name", sorted(ALGOS))
+def test_mf_drawn_etas_match_the_reference_loop(monkeypatch, name, mode, block_records):
+    # the prefactor is drawn from the stream once, or at every record
+    inst = make_mf_instance(RandomStream(1), 12, 2, 2, 25.0)
+    init = RandomStream(2).gaussian_matrix(12, 2) * 0.3
+    algo = ALGOS[name]
+    eta0 = default_eta0(algo.algorithm, inst)
+    ref, got = _both(monkeypatch, block_records, inst, algo,
+                     lambda: ExponentialSchedule(DRAWN_RHO[name], eta0, prefactor_mode=mode), init, 400,
+                     stop_below=1e-6 * inst.lambda_max)
+    _assert_same(ref, got)
+
+
 @pytest.mark.parametrize("stop", STOPS)
 @pytest.mark.parametrize("lam_max", [1e-3, 1e3])
 def test_mf_scale_matches_the_reference_loop(monkeypatch, lam_max, stop):

@@ -183,6 +183,14 @@ class TestNewtonSchulz:
         with pytest.raises(PreconditionError):
             msign_newton_schulz(np.zeros((2, 2)))
 
+    def test_stops_at_the_first_iterate_within_tolerance(self, monkeypatch):
+        z = random_with_spectrum(RandomStream(111), 6, 3, np.array([1.0, 0.5, 0.1]))
+        res = msign_newton_schulz(z)
+        assert res.converged and res.residual <= msign.NS_ORTH_TOL
+        monkeypatch.setattr(msign, "NS_MAX_ITERS", res.iterations - 1)
+        short = msign_newton_schulz(z)
+        assert not short.converged and short.residual > msign.NS_ORTH_TOL
+
     def test_non_convergence_flagged_not_raised(self, monkeypatch):
         monkeypatch.setattr(msign, "NS_MAX_ITERS", 8)
         stream = RandomStream(113)

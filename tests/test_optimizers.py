@@ -1,5 +1,6 @@
 """Optimizer step, schedule, and trajectory-driver contracts."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from muonlab import (
     make_mf_instance,
     materialize_etas,
     msign_exact,
+    msign_newton_schulz,
     run_trajectory,
 )
 from muonlab import optimizers
@@ -193,6 +195,36 @@ class TestSteps:
         x1 = _step("muon", x, grad, eta)
         assert np.linalg.norm(x1 - x, 2) == pytest.approx(eta, abs=1e-10)
 
+    def test_newton_schulz_step_matches_exact(self):
+        # the approximate msign the driver no longer runs still steps where
+        # the exact one does on a well-conditioned gradient
+        stream = RandomStream(7)
+        x = stream.gaussian_matrix(5, 3)
+        grad = stream.haar_orthonormal(5, 3) @ np.diag([1.0, 0.7, 0.5])
+        res = msign_newton_schulz(grad)
+        assert res.converged
+        assert np.linalg.norm(_step("muon", x, grad, 0.2) - (x - 0.2 * res.matrix), 2) <= 1e-6
+
+    @pytest.mark.parametrize("algorithm", sorted(optimizers._UPDATES))
+    def test_kernel_leaves_its_inputs_alone(self, algorithm):
+        # run_trajectory keeps the iterate a step leaves from
+        stream = RandomStream(24)
+        x = stream.gaussian_matrix(4, 3)
+        grad = stream.gaussian_matrix(4, 3)
+        x_before, grad_before = x.copy(), grad.copy()
+        x1 = _step(algorithm, x, grad, 0.1)
+        assert not np.shares_memory(x1, x) and not np.shares_memory(x1, grad)
+        assert np.array_equal(x, x_before) and np.array_equal(grad, grad_before)
+
+    @pytest.mark.parametrize("name", ["adam", "Muon", "muon_ns", ""])
+    def test_config_rejects_an_unknown_algorithm(self, name):
+        with pytest.raises(PreconditionError, match="unknown algorithm"):
+            OptimizerConfig(name)
+
+    def test_config_is_the_algorithm_only(self):
+        # simplified Muon, as the paper analyses it: no momentum, exact msign
+        assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["algorithm"]
+
     def test_gd_hand_example(self):
         x1 = _step("gd", np.array([[2.0], [0.0]]), np.array([[6.0], [0.0]]), 0.1)
         assert_allclose(x1, np.array([[1.4], [0.0]]))
@@ -332,6 +364,8 @@ class TestRunTrajectory:
     @pytest.mark.parametrize("algo, per_step", [
         (OptimizerConfig("muon"), [True]),  # one SVD serves sigma_min and msign
         (OptimizerConfig("gd"), [False]),
+        (OptimizerConfig("signgd"), [False]),
+        (OptimizerConfig("scaledgd"), [False]),
     ])
     def test_svds_per_record(self, monkeypatch, algo, per_step):
         # 2(k + r) <= d, so the spectral error takes no SVD of its own;
@@ -533,3 +567,15 @@ def test_loop_muon_is_the_chained_kernel(run, eta):
     traj = run_trajectory(inst, OptimizerConfig("muon"), ExponentialSchedule(0.9, eta, fixed_prefactor=1.0),
                           init, 12, keep_iterates=True)
     _replay(inst, traj, init)
+
+
+@pytest.mark.parametrize("algorithm", ["muon", "gd", "signgd", "scaledgd"])
+def test_each_algorithm_logs_its_gradient(algorithm):
+    # every record is its kept iterate evaluated on its own, and every
+    # iterate the kernel applied to the one before
+    inst = make_mf_instance(RandomStream(27), 8, 2, 2, 4.0)
+    init = RandomStream(28).gaussian_matrix(8, 2) * 0.5
+    algo = OptimizerConfig(algorithm)
+    traj = run_trajectory(inst, algo, ConstantSchedule(0.05), init, 10, keep_iterates=True)
+    assert len(traj.records) == 11
+    _assert_each_record_evaluated(inst, algo, traj)
