@@ -222,9 +222,24 @@ def write_csv(path: str, header: str, lines) -> None:
 
 
 def write_records_csv(path: str, records, diagnostic_t: int | None = None):
-    """Write trajectory records; a diagnostic NaN row marks an aborted run."""
-    # !s calls str directly, skipping format()'s spec dispatch: the same text
-    lines = [f"{t},{eta!s},{loss!s},{err!s},{gsm!s}" for t, eta, loss, err, gsm in records]
+    """Write trajectory records; a diagnostic NaN row marks an aborted run.
+    A row reuses the text of the previous row's eta object, and of the last
+    two (loss, err, gsm) triples it formatted: ``run_trajectory`` hands plateau
+    etas and the rows its two-entry memo repeats the same float objects."""
+    lines = []
+    eta_obj = eta_text = None
+    tail: list[tuple] = []  # (loss, err, gsm, text) of the last two rows formatted
+    for t, eta, loss, err, gsm in records:
+        if eta is not eta_obj:
+            eta_obj, eta_text = eta, str(eta)
+        for e in tail:
+            if e[0] is loss and e[1] is err and e[2] is gsm:
+                text = e[3]
+                break
+        else:
+            text = f"{loss!s},{err!s},{gsm!s}"  # !s: str() without format()'s dispatch
+            tail = tail[-1:] + [(loss, err, gsm, text)]
+        lines.append(f"{t},{eta_text},{text}")
     if diagnostic_t is not None:
         lines.append(f"{diagnostic_t},nan,nan,nan,nan")
     write_csv(path, CSV_HEADER, lines)

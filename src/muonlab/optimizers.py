@@ -10,6 +10,7 @@ any of them over a problem instance and logs one record per iterate.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -216,6 +217,20 @@ _UPDATES = {
 ALGORITHMS = tuple(_UPDATES)
 
 
+def _loss_threshold(error_floor, stop_below: float) -> float:
+    """The largest loss with ``error_floor(loss) <= stop_below`` (-inf if none)
+    for a nondecreasing floor: bisection over the nonnegative floats' bit
+    patterns, which order as the floats do, in at most 63 calls."""
+    lo, hi = -1, 0x7FF0000000000000  # floor(lo) <= stop_below < floor(hi); -1 is -inf, hi is inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if error_floor(struct.unpack("<d", struct.pack("<q", mid))[0]) <= stop_below:
+            lo = mid
+        else:
+            hi = mid
+    return struct.unpack("<d", struct.pack("<q", lo))[0] if lo >= 0 else -math.inf
+
+
 def run_trajectory(
     inst,
     algo: OptimizerConfig,
@@ -242,7 +257,8 @@ def run_trajectory(
 
     Metrics that do not steer the run are filled by stacked calls over at
     most ``METRIC_BLOCK_BYTES`` of queued iterates; the error is computed on
-    the spot only where ``inst.error_floor(loss) <= stop_below``.
+    the spot only where ``inst.error_floor(loss) <= stop_below``: the floor is
+    nondecreasing, so one loss threshold found per run certifies the early stop.
 
     An iterate bitwise equal to one of the last two evaluated is not evaluated
     again (``inst.loss_grad`` must depend on the iterate's bytes alone): it
@@ -279,10 +295,13 @@ def run_trajectory(
         return [TrajectoryRecord(t, eta, loss, err[src], gsm[src]) for t, src, eta, loss in rows]
 
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is a non-finite loss
+        stop = -math.inf if stop_below is None else _loss_threshold(inst.error_floor, stop_below)
         for t in range(T + 1):
             key = x.tobytes()
-            entry = next((e for e in memo if e[0] == key), None)
-            if entry is None:
+            for entry in memo:
+                if entry[0] == key:
+                    break
+            else:
                 loss, grad = inst.loss_grad(x)
                 if not math.isfinite(loss):
                     raise NumericalDivergenceError(
@@ -294,7 +313,7 @@ def run_trajectory(
                 memo = memo[-1:] + [entry]
             _, src, loss, grad, factors = entry
             eta = float(sched.eta(t, loss, stream))
-            if len(queue) == block or (stop_below is not None and inst.error_floor(loss) <= stop_below):
+            if len(queue) == block or loss <= stop:
                 flush()  # so errs[src] is known exactly when the queue is empty
             if t == T or (stop_below is not None and not queue and errs[src] <= stop_below):
                 rows.append((t, src, eta, loss))

@@ -59,9 +59,11 @@ class MfInstance:
         Unchecked: U must already be a finite d x k array, as
         ``run_trajectory`` guarantees.  ``mf_loss_grad`` checks first.
         """
-        delta = u @ u.T - self.target
-        loss = 0.25 * float((delta * delta).sum())
-        return loss, delta @ u
+        delta = u @ u.T
+        delta -= self.target
+        grad = delta @ u
+        delta *= delta  # the bytes of (delta * delta).sum(), with no other temporaries
+        return 0.25 * float(np.add.reduce(delta, axis=None)), grad
 
     def spectral_errors(self, us) -> np.ndarray:
         """Recovery error ||U U^T - M|| of each factor in an (n, d, k) stack,
@@ -85,7 +87,9 @@ class MfInstance:
         sqrt(rho) = 2 sqrt(loss) / sqrt(rho).  Rounding perturbs D by about
         d (k + r) eps (||U||_F^2 + r lam_max), where ||U||_F^2 <= rho ||D|| +
         r lam_max.  The floor gives up twice its relative and absolute parts
-        (measured gaps stay below 1/30 and 1/10 of them, down to d = 2)."""
+        (measured gaps stay below 1/30 and 1/10 of them, down to d = 2).  A
+        contract ``run_trajectory`` relies on: nondecreasing in the loss, as
+        sqrt, positive factors and a constant subtracted keep order in floats."""
         rho = min(self.d, self.k + self.r)
         rounding = 2 * self.d * (self.k + self.r) * math.ulp(1.0)
         bound = 2.0 * math.sqrt(loss) / math.sqrt(rho)
@@ -135,7 +139,8 @@ class IclInstance:
         """``MfInstance.error_floor`` for Q: with E = Q - S^-1, loss =
         ||S E S^1/2||_F^2 / 2 <= lam_max^3 d ||E||^2 / 2.  Loss and SVD round
         E by about d^2 eps relative, ``inverse`` by d^2 eps kappa_s / sigma_min;
-        the floor gives up 4 and 8 times those (measured gaps: 1/5 and 1/4)."""
+        the floor gives up 4 and 8 times those (measured gaps: 1/5 and 1/4).
+        Nondecreasing in the loss, as ``MfInstance.error_floor`` is."""
         lam, rounding = self.eigenvalues, self.d**2 * math.ulp(1.0)
         bound = math.sqrt(2.0 * loss / (lam[0] ** 3 * self.d))
         return bound * (1 - 4 * rounding) - 8 * rounding * lam[0] / lam[-1] ** 2

@@ -177,27 +177,68 @@ def _per_float_line(rec) -> str:
     return ",".join([str(rec.t), *(repr(float(x)) for x in rec[1:5])])
 
 
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, math.nan])
+
+
+def _fresh(value, as_numpy):
+    """A new float object with ``value``'s bits, never one already handed out."""
+    return np.float64(value) if as_numpy else float(np.float64(value))
+
+
+@st.composite
+def record_lists(draw):
+    """Rows as ``run_trajectory`` hands them out: one eta object across many
+    rows, (loss, err, gsm) objects repeated at period 1 or 2, next to rows of
+    equal values in distinct objects (0.0 and -0.0, nan and nan, numpy floats)
+    and rows sharing only some of their objects."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        t, as_numpy = draw(st.integers(0, 10**6)), draw(st.booleans())
+        how = draw(st.sampled_from(["fresh", "equal", "period1", "period2", "partly"]))
+        if len(rows) < (2 if how == "period2" else 1):
+            how = "fresh"
+        if how == "fresh":
+            vals = [_fresh(draw(FLOATS), as_numpy) for _ in range(3)]
+        elif how == "equal":  # new objects; a zero may flip its sign
+            vals = [_fresh(-v if v == 0 and draw(st.booleans()) else v, as_numpy) for v in rows[-1][2:]]
+        elif how == "partly":
+            vals = list(rows[-1][2:])
+            vals[draw(st.integers(0, 2))] = _fresh(draw(FLOATS), as_numpy)
+        else:
+            vals = list(rows[-1 if how == "period1" else -2][2:])
+        eta_how = draw(st.sampled_from(["same", "equal", "fresh"])) if rows else "fresh"
+        eta = rows[-1].eta if eta_how == "same" else _fresh(
+            rows[-1].eta if eta_how == "equal" else draw(FLOATS), as_numpy)
+        rows.append(TrajectoryRecord(t, eta, *vals))
+    return rows
+
+
+# a period-2 cycle under one eta object between equal values in distinct
+# objects, then the same values as numpy floats
+_A, _B = (0.0, -0.0, math.nan), (-0.0, 0.0, float("nan"))
+_CYCLE = [TrajectoryRecord(t, 0.5, *(_A, _B)[t % 2]) for t in range(5)] + [
+    TrajectoryRecord(5, np.float64(0.5), *map(np.float64, _A))]
+
+
 class TestCsvFormat:
-    """Rows are formatted by one f-string each; the bytes must equal the
-    shortest round-trip ``repr(float(x))`` form, for Python and numpy floats."""
+    """Rows are formatted by one f-string each, whose text a row repeating
+    the previous eta object or a recent row's (loss, err, gsm) objects
+    reuses; the bytes must equal the shortest round-trip ``repr(float(x))``
+    form of every value, for Python and numpy floats."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        t=st.integers(0, 10**6),
-        values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-                        min_size=4, max_size=4),
-        as_numpy=st.booleans(),
-    )
-    @example(t=0, values=[math.nan, math.inf, -math.inf, -0.0], as_numpy=False)
-    @example(t=0, values=[math.nan, math.inf, -math.inf, -0.0], as_numpy=True)
-    @example(t=7, values=[1e-320, 5e-324, 1e16, 0.1], as_numpy=True)
-    def test_record_line_is_shortest_round_trip(self, t, values, as_numpy):
-        rec = TrajectoryRecord(t, *(np.float64(v) if as_numpy else v for v in values))
+    @given(records=record_lists())
+    @example(records=[TrajectoryRecord(0, math.nan, math.inf, -math.inf, -0.0)])
+    @example(records=[TrajectoryRecord(0, *map(np.float64, [math.nan, math.inf, -math.inf, -0.0]))])
+    @example(records=[TrajectoryRecord(7, *map(np.float64, [1e-320, 5e-324, 1e16, 0.1]))])
+    @example(records=_CYCLE)
+    def test_record_line_is_shortest_round_trip(self, records):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "records.csv")
-            write_records_csv(path, [rec])
+            write_records_csv(path, records)
             with open(path, newline="") as fh:
-                assert fh.read() == f"{CSV_HEADER}\n{_per_float_line(rec)}\n"
+                assert fh.read() == "\n".join([CSV_HEADER, *map(_per_float_line, records), ""])
 
     def test_diagnostic_row(self, tmp_path):
         path = tmp_path / "records.csv"

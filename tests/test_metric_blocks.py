@@ -4,6 +4,8 @@ loss cannot rule out an early stop.  Against a reference loop that computes
 every metric per record as it goes, the records, iterates, final point and
 divergence diagnostics are identical."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,23 @@ def test_metric_blocks_keep_to_the_byte_budget(monkeypatch, name):
     # 11 records; exact Muon takes its sigma_min from the SVD it steps with
     assert batches["errors"] == [3, 3, 3, 2]
     assert batches["svd"] == ([3, 3, 3, 2] if name == "gd" else [])
+
+
+@pytest.mark.parametrize("problem", ["mf", "icl"])
+def test_error_floor_runs_at_most_64_times_per_run(problem):
+    """``run_trajectory`` tests each loss against one threshold found per run,
+    so the floor's call count does not grow with T."""
+    if problem == "mf":
+        inst = make_mf_instance(RandomStream(9), 8, 2, 2, 4.0)
+        init, eta, stop = RandomStream(10).gaussian_matrix(8, 2) * 0.1, 0.01, 1e-12
+    else:
+        inst = make_icl_instance(RandomStream(11), 6, 10.0)
+        init, eta, stop = np.zeros((6, 6)), 1e-3, 1e-12 / inst.sigma_min
+    cls = type(inst)
+    # autospec binds the instance; side_effect calls the real floor
+    with mock.patch.object(cls, "error_floor", autospec=True, side_effect=cls.error_floor) as floor:
+        for T in (1, 50, 600):
+            floor.reset_mock()
+            traj = run_trajectory(inst, ALGOS["gd"], ConstantSchedule(eta), init, T, stop_below=stop)
+            assert len(traj.records) == T + 1  # no early stop: every step tested its loss
+            assert 1 <= floor.call_count <= 64

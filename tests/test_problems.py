@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from muonlab import (
@@ -104,6 +106,30 @@ class TestMfLossGrad:
         inst = make_mf_instance(RandomStream(9), 4, 2, 2, 2.0)
         with pytest.raises(PreconditionError):
             mf_loss_grad(inst, np.zeros((4, 3)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_as_the_reference_expressions(self, data):
+        """The in-place loss and gradient equal ``delta = U U^T - M``,
+        ``0.25 * (delta * delta).sum()`` and ``delta @ U`` bit for bit, at any
+        (d, r, k), k > d and square U included; the gradient is a fresh array
+        and M is left as it was."""
+        d = data.draw(st.integers(1, 30))
+        k = data.draw(st.one_of(st.just(d), st.integers(1, d), st.integers(d + 1, d + 8)))
+        r = data.draw(st.integers(1, min(d, k)))
+        kappa = 1.0 if r == 1 else data.draw(st.floats(1.0, 1e3))
+        stream = RandomStream(data.draw(st.integers(0, 2**31)))
+        inst = make_mf_instance(stream.derive(1), d, r, k, kappa)
+        u = stream.derive(2).gaussian_matrix(d, k) * 10.0 ** data.draw(st.floats(-8.0, 2.0))
+        target, u_before = inst.target.copy(), u.copy()
+        delta = u @ u.T - inst.target
+        want_loss, want_grad = 0.25 * float((delta * delta).sum()), delta @ u
+        loss, grad = inst.loss_grad(u)
+        assert type(loss) is float and loss.hex() == want_loss.hex()
+        assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
+        assert grad.tobytes() == want_grad.tobytes()
+        assert not np.shares_memory(grad, u) and not np.shares_memory(grad, inst.target)
+        assert inst.target.tobytes() == target.tobytes() and u.tobytes() == u_before.tobytes()
 
 
 class TestIclInstance:

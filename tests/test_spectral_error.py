@@ -2,7 +2,11 @@
 agrees with the dense spectral norm on both sides of the dispatch rule, and
 a d = 100 trajectory stops where the dense reference would.  Each instance's
 stacked error kernel equals its per-matrix error bitwise, and the floor it
-derives from the loss stays below the error."""
+derives from the loss stays below the error; the one loss threshold
+``run_trajectory`` derives from that floor passes exactly the losses the
+floor passes."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 
 from muonlab import RandomStream, first_hit_time, make_icl_instance, make_mf_instance
 from muonlab.experiments import default_eta0, scaled_orthonormal_init
-from muonlab.optimizers import OptimizerConfig, PlateauSchedule, run_trajectory
+from muonlab.optimizers import OptimizerConfig, PlateauSchedule, _loss_threshold, run_trajectory
 
 PROPERTY = settings(max_examples=60, deadline=None)
 KINDS = ("random", "near_converged", "zero")
@@ -128,6 +132,33 @@ def test_icl_error_floor_is_below_the_error(data):
     q = {"zero": np.zeros((d, d)), "random": stream.derive(2).gaussian_matrix(d, d) / inst.sigma_min,
          "near_converged": inst.inverse + 1e-13 * stream.derive(2).gaussian_matrix(d, d)}[kind]
     assert inst.error_floor(inst.loss_grad(q)[0]) <= inst.spectral_errors(q[None])[0]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_loss_threshold_passes_what_the_floor_passes(data):
+    """The stop threshold L is the floor's last passing loss: error_floor(L)
+    <= s < error_floor(next float above L), and loss <= L exactly where
+    error_floor(loss) <= s, for either instance and s in [1e-16, 1e-3]."""
+    stream = RandomStream(data.draw(st.integers(0, 2**31)))
+    lam_max = 10.0 ** data.draw(st.floats(-3.0, 3.0))
+    if data.draw(st.booleans()):
+        d, r, k = data.draw(shapes(data.draw(st.booleans())))
+        kappa = 1.0 if r == 1 else data.draw(st.floats(1.0, 1e3))
+        inst = make_mf_instance(stream.derive(1), d, r, k, kappa, lambda_max=lam_max)
+    else:
+        d = data.draw(st.integers(1, 20))
+        kappa = 1.0 if d == 1 else data.draw(st.floats(1.0, 1e3))
+        inst = make_icl_instance(stream.derive(1), d, kappa, sigma_min=lam_max / kappa)
+    s = data.draw(st.floats(1e-16, 1e-3))
+    floor = inst.error_floor
+    limit = _loss_threshold(floor, s)
+    assert floor(limit) <= s < floor(math.nextafter(limit, math.inf))
+    near = [math.nextafter(limit, -math.inf), limit, math.nextafter(limit, math.inf),
+            limit * (1 - 1e-9), limit * (1 + 1e-9), 0.0]
+    drawn = data.draw(st.lists(st.floats(0.0, 1e6), max_size=20))
+    for loss in near + drawn + [x * limit for x in data.draw(st.lists(st.floats(0.0, 4.0), max_size=20))]:
+        assert (loss <= limit) == (floor(loss) <= s), loss
 
 
 @pytest.mark.parametrize("lam_max", [1e-3, 1.0, 1e3])
