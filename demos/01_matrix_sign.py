@@ -20,14 +20,14 @@ print("msign(Z) =\n", msign_exact(z))
 print("(the rotation hiding inside Z: all singular values snapped to 1)\n")
 
 print("=== Newton-Schulz agreement across conditioning ===")
-print(f"{'sigma_min/sigma_max':>20} {'iterations':>10} {'converged':>10} {'gap to exact':>14}")
+print(f"{'sigma_min/sigma_max':>20} {'iterations':>10} {'converged':>10} {'residual':>10} {'gap to exact':>14}")
 for ratio in (0.5, 0.1, 1e-2, 1e-3, 1e-5):
     d, k = 12, 6
     svals = np.linspace(1.0, ratio, k)
     z = (stream.haar_orthonormal(d, k) * svals) @ stream.haar_orthonormal(k, k).T
     res = msign_newton_schulz(z)
     gap = np.linalg.norm(res.matrix - msign_exact(z), 2)
-    print(f"{ratio:>20.0e} {res.iterations:>10} {str(res.converged):>10} {gap:>14.3e}")
+    print(f"{ratio:>20.0e} {res.iterations:>10} {str(res.converged):>10} {res.residual:>10.2e} {gap:>14.3e}")
 
 print("""
 Inside the documented regime (ratio >= 1e-3) the two routes agree to well

@@ -39,7 +39,7 @@ Contrast with Muon on the same factorization instance:""")
 hard_mf = ml.build_hard_mf_instance(41.0, (1.0 / 64.0) * 0.98 ** np.arange(T + 1))
 inst = hard_mf.instance
 sched = ml.ExponentialSchedule(rho=0.5, base_scale=np.sqrt(inst.lambda_max), fixed_prefactor=1.0)
-traj = ml.run_trajectory(inst, ml.OptimizerConfig("muon"), sched, hard_mf.u0, 60)
+traj = ml.run_trajectory(inst, ml.OptimizerConfig("muon"), sched, hard_mf.start, 60)
 losses = [rec.loss for rec in traj.records]
 print(f"  muon on the kappa=41 hard instance: loss <= {hard_mf.epsilon:.2e} "
       f"first at t={ml.first_hit_time(losses, hard_mf.epsilon)}")

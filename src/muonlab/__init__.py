@@ -19,8 +19,7 @@ from .errors import (
 from .linalg import RANK_TOL, qr_householder
 from .lowerbounds import (
     AdversarialInit,
-    HardIclInstance,
-    HardMfInstance,
+    HardInstance,
     HardQuadratic,
     adversarial_quadratic_init,
     build_hard_icl_instance,

@@ -63,8 +63,14 @@ def _config_text(args: dict) -> str:
     flag given."""
     command = args.pop("command")
     if command == "run":
-        with open(args.pop("config")) as fh:
-            text = fh.read()
+        path = args.pop("config")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"config {path!r} cannot be read: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from None
     else:
         text = f"kind = {command.replace('-', '_')}"
     for key, value in args.items():
@@ -81,7 +87,7 @@ def main(argv=None) -> int:
     out_dir = args.pop("out", None)
     try:
         out = run_experiment(parse_config(_config_text(args)), out_dir=out_dir)
-    except (ConfigError, PreconditionError, FileNotFoundError) as exc:
+    except (ConfigError, PreconditionError) as exc:
         # bad config values and out-of-contract CLI parameters alike
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

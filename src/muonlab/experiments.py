@@ -661,8 +661,9 @@ def _suite_lowerbounds():
     for family, kappa in (("quadratic", 21.0), ("quadratic", 81.0), ("mf", 41.0),
                           ("mf", 81.0), ("icl", 81.0)):
         res = run_lower_bound(family, kappa, 600)
-        hit, dev = res.first_hit, res.slice_deviation
-        ok = ok and hit < math.inf and lower_bound_holds(hit, kappa, 600) and (dev is None or dev <= 1e-14)
+        hit, dev, bridge = res.first_hit, res.slice_deviation, res.bridge_deviation
+        ok = (ok and hit < math.inf and lower_bound_holds(hit, kappa, 600) and (dev is None or dev <= 1e-14)
+              and (bridge is None or bridge <= 1e-12))
         detail = f"bound={(kappa - 1.0) / 4.0:g}" if dev is None else f"slice_dev={dev:.2e}"
         lines.append(f"{family} kappa={kappa:g} hit={hit} {detail}")
     return ok, "; ".join(lines)

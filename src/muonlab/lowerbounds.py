@@ -123,21 +123,21 @@ def adversarial_quadratic_init(kappa: float, epsilon: float, etas, T: int) -> Ad
 
 
 @dataclass(frozen=True)
-class QuadraticRun:
-    iterates: np.ndarray  # (T+1, 2) in original coordinates
-    rotated: np.ndarray  # (T+1, 2) rotated coordinates
-    first_hit: float  # smallest t with ||z_t|| <= epsilon, or inf
+class HardRunResult:
+    first_hit: float
+    metric: np.ndarray  # per-step lower-bound metric (||z||, loss or Frobenius error)
+    slice_deviation: float | None  # max departure from equal-diag/equal-offdiag form
+    epsilon: float  # the accuracy first_hit is measured against
+    bridge_deviation: float | None = None  # covariance runs only
 
 
 def _signgd_run(inst, x0, etas, T: int):
     return run_trajectory(inst, OptimizerConfig("signgd"), SequenceSchedule(etas), x0, T, keep_iterates=True)
 
 
-def signgd_quadratic_run(
-    hq: HardQuadratic, init: AdversarialInit, etas, T: int
-) -> QuadraticRun:
+def signgd_quadratic_run(hq: HardQuadratic, init: AdversarialInit, etas, T: int) -> HardRunResult:
     """Run z_{t+1} = z_t - eta_t * sign(H z_t) for T steps: SignGD through
-    ``run_trajectory``, with z as a 2 x 1 column.
+    ``run_trajectory``, with z as a 2 x 1 column; the metric is ||z_t||.
 
     Each step is then checked against the switching law: exactly one rotated
     coordinate moves, by +/- sqrt(2)*eta_t.  An exact tie
@@ -167,23 +167,24 @@ def signgd_quadratic_run(
         size_tol = 1e-9 * eta + 1e-13 * norms[t]
         if (w0 != x0 or w1 != x1) and (moved != 1 or abs(peak - SQRT2 * eta) > size_tol):
             raise TieEventError(f"switching law violated at t={t}: delta={zt[t + 1] - zt[t]}")
-    first_hit = first_hit_time(norms, init.epsilon)
-    return QuadraticRun(iterates=zs, rotated=zt, first_hit=first_hit)
+    return HardRunResult(first_hit_time(norms, init.epsilon), np.array(norms), slice_deviation=None,
+                         epsilon=init.epsilon)
 
 
 @dataclass(frozen=True)
-class HardMfInstance:
-    """2x2 factorization target H with an adversarial in-slice start U_0."""
+class HardInstance:
+    """A 2x2 problem with an adversarial start inside its invariant slice:
+    factorization target H with U* and U_0, or covariance S with Q* = S^-1
+    and Q_0."""
 
-    instance: MfInstance
-    u_star: np.ndarray
-    u0: np.ndarray
-    epsilon: float  # loss target of the lower bound
+    instance: MfInstance | IclInstance
+    optimum: np.ndarray  # U* or Q*
+    start: np.ndarray  # U_0 or Q_0
+    epsilon: float  # loss target (factorization) or ||Q - Q*||_F target
     quad_init: AdversarialInit
-    r0: float
 
 
-def build_hard_mf_instance(kappa: float, etas, r0: float = 1.0 / 16.0) -> HardMfInstance:
+def build_hard_mf_instance(kappa: float, etas, r0: float = 1.0 / 16.0) -> HardInstance:
     """Factorization lower-bound instance (target H, U* = H^(1/2)).
 
     The initialization is built from the quadratic barrier chain run at
@@ -221,29 +222,12 @@ def build_hard_mf_instance(kappa: float, etas, r0: float = 1.0 / 16.0) -> HardMf
         eigenvectors=ROTATION.copy(),
         target=hq.hessian,
     )
-    return HardMfInstance(
-        instance=inst,
-        u_star=u_star,
-        u0=u0,
-        epsilon=float(epsilon),
-        quad_init=quad,
-        r0=r0,
-    )
+    return HardInstance(instance=inst, optimum=u_star, start=u0, epsilon=float(epsilon), quad_init=quad)
 
 
-@dataclass(frozen=True)
-class HardIclInstance:
-    """d = 2 covariance S = R diag(kappa^(1/3), 1) R^T with adversarial Q_0."""
-
-    instance: IclInstance
-    q_star: np.ndarray
-    q0: np.ndarray
-    epsilon: float  # Frobenius target ||Q - Q*||_F
-    quad_init: AdversarialInit
-
-
-def build_hard_icl_instance(kappa: float, etas) -> HardIclInstance:
-    """Covariance lower-bound instance with kappa(S)^3 = kappa.
+def build_hard_icl_instance(kappa: float, etas) -> HardInstance:
+    """Covariance lower-bound instance S = R diag(kappa^(1/3), 1) R^T, so
+    kappa(S)^3 = kappa.
 
     Error coordinates z = (a - a*, b - b*) of the invariant slice follow the
     hard-quadratic SignGD recursion exactly, and
@@ -268,18 +252,7 @@ def build_hard_icl_instance(kappa: float, etas) -> HardIclInstance:
     b_star = (1.0 / sigma1 - 1.0) / 2.0
     a0, b0 = a_star + quad.z0[0], b_star + quad.z0[1]
     q0 = np.array([[a0, b0], [b0, a0]])
-    return HardIclInstance(
-        instance=inst, q_star=inv, q0=q0, epsilon=float(epsilon), quad_init=quad
-    )
-
-
-@dataclass(frozen=True)
-class HardRunResult:
-    first_hit: float
-    metric: np.ndarray  # per-step lower-bound metric (||z||, loss or Frobenius error)
-    slice_deviation: float | None  # max departure from equal-diag/equal-offdiag form
-    bridge_deviation: float | None = None  # covariance runs only
-    epsilon: float | None = None  # the accuracy first_hit is measured against
+    return HardInstance(instance=inst, optimum=inv, start=q0, epsilon=float(epsilon), quad_init=quad)
 
 
 def _slice_deviation(mats) -> float:
@@ -289,9 +262,11 @@ def _slice_deviation(mats) -> float:
     return dev
 
 
-def run_hard_mf(hard: HardMfInstance, etas, T: int) -> HardRunResult:
+def run_hard_mf(hard: HardInstance, etas, T: int) -> HardRunResult:
     """SignGD on the hard factorization instance; first hit of loss <= eps."""
-    traj = _signgd_run(hard.instance, hard.u0, etas, T)
+    if not isinstance(hard.instance, MfInstance):
+        raise PreconditionError("run_hard_mf needs a build_hard_mf_instance result")
+    traj = _signgd_run(hard.instance, hard.start, etas, T)
     losses = np.array([rec.loss for rec in traj.records])
     return HardRunResult(
         first_hit=first_hit_time(losses, hard.epsilon),
@@ -301,16 +276,18 @@ def run_hard_mf(hard: HardMfInstance, etas, T: int) -> HardRunResult:
     )
 
 
-def run_hard_icl(hard: HardIclInstance, etas, T: int) -> HardRunResult:
+def run_hard_icl(hard: HardInstance, etas, T: int) -> HardRunResult:
     """SignGD on the hard covariance instance; first hit of
     ||Q_t - Q*||_F <= eps, plus the sqrt(2)-norm-bridge deviation."""
-    traj = _signgd_run(hard.instance, hard.q0, etas, T)
-    a_star = (hard.q_star[0, 0] + hard.q_star[1, 1]) / 2.0
-    b_star = (hard.q_star[0, 1] + hard.q_star[1, 0]) / 2.0
+    if not isinstance(hard.instance, IclInstance):
+        raise PreconditionError("run_hard_icl needs a build_hard_icl_instance result")
+    traj = _signgd_run(hard.instance, hard.start, etas, T)
+    a_star = (hard.optimum[0, 0] + hard.optimum[1, 1]) / 2.0
+    b_star = (hard.optimum[0, 1] + hard.optimum[1, 0]) / 2.0
     frob = np.empty(len(traj.iterates))
     bridge = 0.0
     for t, q in enumerate(traj.iterates):
-        frob[t] = np.linalg.norm(q - hard.q_star)
+        frob[t] = np.linalg.norm(q - hard.optimum)
         z = np.array([(q[0, 0] + q[1, 1]) / 2.0 - a_star, (q[0, 1] + q[1, 0]) / 2.0 - b_star])
         bridge = max(bridge, abs(frob[t] - SQRT2 * np.linalg.norm(z)))
     return HardRunResult(
@@ -351,9 +328,7 @@ def run_lower_bound(
     if family == "icl":
         return run_hard_icl(build_hard_icl_instance(kappa, etas), etas, T)
     init = adversarial_quadratic_init(kappa, etas[0] / max(kappa, 4.0), etas, T)
-    run = signgd_quadratic_run(build_hard_quadratic(kappa), init, etas, T)
-    metric = np.linalg.norm(run.iterates, axis=1)
-    return HardRunResult(first_hit=run.first_hit, metric=metric, slice_deviation=None, epsilon=init.epsilon)
+    return signgd_quadratic_run(build_hard_quadratic(kappa), init, etas, T)
 
 
 def first_hit_time(values, epsilon: float) -> float:

@@ -259,8 +259,6 @@ class DiagonalTrajectory:
     sigmas: np.ndarray  # (T+1, k)
     basis_left: np.ndarray
     basis_right: np.ndarray
-    lambdas: np.ndarray
-    etas: np.ndarray
 
     def __len__(self) -> int:
         return self.sigmas.shape[0]
@@ -268,26 +266,12 @@ class DiagonalTrajectory:
 
 def decoupled_mf_trajectory(init: AlignedInit, etas) -> DiagonalTrajectory:
     """Evolve the k independent factorization modes from an aligned init."""
-    etas = np.asarray(etas, dtype=np.float64)
-    return DiagonalTrajectory(
-        sigmas=mf_modes(init.sigma0, init.lambdas, etas),
-        basis_left=init.basis_left,
-        basis_right=init.basis_right,
-        lambdas=init.lambdas,
-        etas=etas,
-    )
+    return DiagonalTrajectory(mf_modes(init.sigma0, init.lambdas, etas), init.basis_left, init.basis_right)
 
 
 def decoupled_icl_trajectory(inst: IclInstance, etas) -> DiagonalTrajectory:
     """Evolve the d independent covariance modes from Q_0 = 0."""
-    etas = np.asarray(etas, dtype=np.float64)
-    return DiagonalTrajectory(
-        sigmas=icl_modes(inst.eigenvalues, etas),
-        basis_left=inst.eigenvectors,
-        basis_right=inst.eigenvectors,
-        lambdas=inst.eigenvalues,
-        etas=etas,
-    )
+    return DiagonalTrajectory(icl_modes(inst.eigenvalues, etas), inst.eigenvectors, inst.eigenvectors)
 
 
 def oracle_vs_full_divergence(oracle: DiagonalTrajectory, iterates) -> float:

@@ -247,6 +247,22 @@ class TestCliConfigErrors:
         assert len(err.splitlines()) == 1
         assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == "kept"
 
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"kind = mf_sweep\nd = \xff6\n"),
+        lambda path: None,
+    ], ids=["directory", "not-utf8", "missing"])
+    def test_unreadable_config_exits_2_naming_the_path(self, make, tmp_path, capsys):
+        # a directory or a non-UTF-8 file was once an IsADirectoryError or
+        # UnicodeDecodeError traceback, exiting 1 as a failed suite does
+        cfg = tmp_path / "exp.cfg"
+        make(cfg)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, "config") and repr(str(cfg)) in err, err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_single_eigenvalue_and_scaledgd_run_where_they_can(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("kind = mf_sweep\nd = 5\nr = 1\nk = 1\nkappa = 1\nalgorithms = scaledgd, muon\nT = 5\n")

@@ -376,6 +376,25 @@ class TestVerify:
         assert not report.passed
         assert report.lines[0].startswith("SUITE lowerbounds FAIL")
 
+    def test_broken_norm_bridge_fails_its_suite(self, monkeypatch):
+        # the covariance run's ||Q - Q*||_F = sqrt(2) ||z|| bridge is gated at
+        # 1e-12; the printed line does not show it, so only the verdict moves
+        import dataclasses
+
+        import muonlab.experiments as exp
+
+        real = exp.run_lower_bound
+
+        def break_bridge(family, kappa, T, **kw):
+            res = real(family, kappa, T, **kw)
+            return dataclasses.replace(res, bridge_deviation=1e-9) if family == "icl" else res
+
+        passing = exp.verify("lowerbounds")
+        monkeypatch.setattr(exp, "run_lower_bound", break_bridge)
+        report = exp.verify("lowerbounds")
+        assert passing.passed and not report.passed
+        assert report.lines[0] == passing.lines[0].replace("PASS", "FAIL", 1)
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):

@@ -11,7 +11,9 @@ from numpy.testing import assert_allclose
 
 from muonlab import (
     AdversarialInit,
+    OptimizerConfig,
     PreconditionError,
+    SequenceSchedule,
     TieEventError,
     adversarial_quadratic_init,
     build_hard_icl_instance,
@@ -21,11 +23,11 @@ from muonlab import (
     run_hard_icl,
     run_hard_mf,
     run_lower_bound,
+    run_trajectory,
     signgd_quadratic_run,
 )
-from muonlab.lowerbounds import QuadraticRun
 from muonlab.cli import main
-from muonlab.lowerbounds import lower_bound_holds
+from muonlab.lowerbounds import HardRunResult, lower_bound_holds
 
 SQRT2 = math.sqrt(2.0)
 
@@ -118,8 +120,13 @@ class TestQuadraticRun:
         kappa, T = 101.0, 400
         etas = 0.98 ** np.arange(T + 1)
         init = adversarial_quadratic_init(kappa, 1.0 / kappa, etas, T)
-        run = signgd_quadratic_run(build_hard_quadratic(kappa), init, etas, T)
-        frozen = run.rotated[: init.barrier_steps + 1, 1]
+        hq = build_hard_quadratic(kappa)
+        run = signgd_quadratic_run(hq, init, etas, T)
+        traj = run_trajectory(hq, OptimizerConfig("signgd"), SequenceSchedule(etas), init.z0[:, None], T,
+                              keep_iterates=True)
+        zs = np.stack(traj.iterates)[:, :, 0]
+        assert run.metric.tobytes() == np.linalg.norm(zs, axis=1).tobytes()
+        frozen = (zs @ hq.rotation)[: init.barrier_steps + 1, 1]  # rows are (R^T z_t)^T
         assert np.abs(frozen - SQRT2 * kappa * init.epsilon).max() <= 1e-12
 
     @pytest.mark.parametrize("kappa", [21.0, 101.0])
@@ -139,7 +146,8 @@ def _hand_init(z0) -> AdversarialInit:
 
 def reference_quadratic_run(hq, init, etas, T):
     """The hand-written SignGD loop ``signgd_quadratic_run`` once ran, with
-    its switching-law checks inside the step loop."""
+    its switching-law checks inside the step loop; the metric is ||z_t|| of
+    the kept iterates, as ``run_lower_bound`` once took it."""
     etas = np.asarray(etas, dtype=np.float64)
     z = init.z0.astype(np.float64).copy()
     zs = np.empty((T + 1, 2))
@@ -166,16 +174,16 @@ def reference_quadratic_run(hq, init, etas, T):
         if math.isinf(first_hit) and norm <= init.epsilon:
             first_hit = t + 1
         x0, x1, y0, y1 = w0, w1, v0, v1
-    return QuadraticRun(iterates=zs, rotated=zt, first_hit=first_hit)
+    return HardRunResult(first_hit, np.linalg.norm(zs, axis=1), slice_deviation=None, epsilon=init.epsilon)
 
 
 def _outcome(run, *args):
-    """A run's arrays as bytes and its first hit, or its tie message."""
+    """A run's metric as bytes, its first hit and epsilon, or its tie message."""
     try:
         res = run(*args)
     except TieEventError as exc:
         return str(exc)
-    return res.iterates.tobytes(), res.rotated.tobytes(), res.first_hit
+    return res.metric.tobytes(), res.first_hit, res.epsilon
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,9 +231,11 @@ class TestQuadraticRunTieEvents:
         rotation = np.ones((2, 2))
         rotation[:, nan_column] = math.nan
         hq = replace(build_hard_quadratic(21.0), rotation=rotation)
-        run = signgd_quadratic_run(hq, _hand_init([1.0, 1.0]), np.ones(2), 1)
-        assert np.isnan(run.rotated[:, nan_column]).all()
-        assert_allclose(run.rotated[:, 1 - nan_column], [2.0, 0.0])
+        zt = [hq.rotation.T @ z for z in ([1.0, 1.0], [0.0, 0.0])]  # z_0, and z_1 = z_0 - sign(H z_0)
+        assert np.isnan(zt[0][nan_column]) and np.isnan(zt[1][nan_column])
+        assert [zt[0][1 - nan_column], zt[1][1 - nan_column]] == [2.0, 0.0]
+        run = signgd_quadratic_run(hq, _hand_init([1.0, 1.0]), np.ones(2), 1)  # raises no TieEventError
+        assert run.metric.tolist() == [SQRT2, 0.0] and run.first_hit == 1
 
 
 class TestHardMf:
@@ -233,15 +243,15 @@ class TestHardMf:
         # H(4) has eigenvalues (4, 1), so U* = R diag(2, 1) R^T
         etas = (1.0 / 64.0) * 0.98 ** np.arange(200)
         hard = build_hard_mf_instance(4.0, etas)
-        assert_allclose(np.linalg.eigvalsh(hard.u_star), [1.0, 2.0], atol=1e-12)
-        assert_allclose(hard.u_star @ hard.u_star.T, hard.instance.target, atol=1e-12)
+        assert_allclose(np.linalg.eigvalsh(hard.optimum), [1.0, 2.0], atol=1e-12)
+        assert_allclose(hard.optimum @ hard.optimum.T, hard.instance.target, atol=1e-12)
 
     def test_init_inside_ball_and_slice(self):
         etas = (1.0 / 64.0) * 0.98 ** np.arange(200)
-        hard = build_hard_mf_instance(41.0, etas)
-        assert np.linalg.norm(hard.u0 - hard.u_star) <= hard.r0
-        assert hard.u0[0, 0] == hard.u0[1, 1]
-        assert hard.u0[0, 1] == hard.u0[1, 0]
+        hard = build_hard_mf_instance(41.0, etas)  # at the default r0 = 1/16
+        assert np.linalg.norm(hard.start - hard.optimum) <= 1.0 / 16.0
+        assert hard.start[0, 0] == hard.start[1, 1]
+        assert hard.start[0, 1] == hard.start[1, 0]
 
     def test_kappa_below_two_rejected(self):
         etas = (1.0 / 64.0) * 0.98 ** np.arange(50)
@@ -272,7 +282,7 @@ class TestHardIcl:
         etas = 0.98 ** np.arange(100)
         hard = build_hard_icl_instance(8.0, etas)
         assert_allclose(np.sort(np.linalg.eigvalsh(hard.instance.covariance)), [1.0, 2.0])
-        assert_allclose(np.sort(np.linalg.eigvalsh(hard.q_star)), [0.5, 1.0])
+        assert_allclose(np.sort(np.linalg.eigvalsh(hard.optimum)), [0.5, 1.0])
         lam = hard.instance.eigenvalues
         assert (lam[0] / lam[-1]) ** 3 == pytest.approx(8.0, rel=1e-12)
 
@@ -288,6 +298,21 @@ class TestHardIcl:
         assert res.first_hit >= 25.0
         assert res.slice_deviation <= 1e-14
         assert res.bridge_deviation <= 1e-12
+
+
+class TestFamilyRunners:
+    """One ``HardInstance`` type serves both families, so each runner checks
+    it was given its own family's instance."""
+
+    def test_mf_runner_rejects_a_covariance_instance(self):
+        etas = (1.0 / 64.0) * 0.98 ** np.arange(50)
+        with pytest.raises(PreconditionError, match="build_hard_mf_instance"):
+            run_hard_mf(build_hard_icl_instance(8.0, etas), etas, 20)
+
+    def test_icl_runner_rejects_a_factorization_instance(self):
+        etas = (1.0 / 64.0) * 0.98 ** np.arange(50)
+        with pytest.raises(PreconditionError, match="build_hard_icl_instance"):
+            run_hard_icl(build_hard_mf_instance(8.0, etas), etas, 20)
 
 
 class TestFirstHit:

@@ -13,9 +13,11 @@ import muonlab.lowerbounds as lb
 from muonlab import (
     AlignedInit,
     ExponentialSchedule,
+    OptimizerConfig,
     PreconditionError,
     RandomStream,
     ScalarTrace,
+    SequenceSchedule,
     adversarial_quadratic_init,
     build_hard_icl_instance,
     build_hard_mf_instance,
@@ -29,6 +31,7 @@ from muonlab import (
     run_hard_icl,
     run_hard_mf,
     run_lower_bound,
+    run_trajectory,
     scalar_icl_trajectory,
     scalar_muon_trajectory,
     signgd_quadratic_run,
@@ -235,11 +238,15 @@ class TestLowerBoundRunner:
     def test_quadratic_matches_construction(self):
         etas = 0.98 ** np.arange(301)
         init = adversarial_quadratic_init(21.0, etas[0] / 21.0, etas, 300)
-        run = signgd_quadratic_run(build_hard_quadratic(21.0), init, etas, 300)
+        hq = build_hard_quadratic(21.0)
+        run = signgd_quadratic_run(hq, init, etas, 300)
         res = run_lower_bound("quadratic", 21.0, 300)
         assert res.first_hit == run.first_hit and res.epsilon == init.epsilon
-        np.testing.assert_array_equal(res.metric, np.linalg.norm(run.iterates, axis=1))
-        assert res.slice_deviation is None
+        np.testing.assert_array_equal(res.metric, run.metric)
+        traj = run_trajectory(hq, OptimizerConfig("signgd"), SequenceSchedule(etas), init.z0[:, None], 300,
+                              keep_iterates=True)
+        np.testing.assert_array_equal(res.metric, np.linalg.norm(np.stack(traj.iterates)[:, :, 0], axis=1))
+        assert res.slice_deviation is None and res.bridge_deviation is None
 
     def test_mf_default_eta0_is_quarter_r0(self):
         etas = (1.0 / 64.0) * 0.98 ** np.arange(201)

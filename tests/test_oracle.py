@@ -148,7 +148,7 @@ class TestDecoupledMf:
         etas = [0.7 * 0.5**t for t in range(10)]
         oracle = decoupled_mf_trajectory(init, etas)
         for t in (1, 5, 10):
-            expected = np.abs(oracle.sigmas[t] ** 2 - oracle.lambdas).max()
+            expected = np.abs(oracle.sigmas[t] ** 2 - init.lambdas).max()
             assert inst.spectral_errors(matrix_at(oracle, t)[None])[0] == pytest.approx(
                 expected, abs=1e-12
             )
@@ -179,7 +179,7 @@ class TestDecoupledIcl:
         etas = [1.0 * 0.5**t for t in range(20)]
         oracle = decoupled_icl_trajectory(inst, etas)
         for t in range(1, 21):
-            err = np.abs(oracle.sigmas[t] - 1.0 / oracle.lambdas).max()
+            err = np.abs(oracle.sigmas[t] - 1.0 / inst.eigenvalues).max()
             assert err <= etas[t - 1] + 1e-15
 
     def test_full_equivalence(self):
