@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, MuonLabError, NumericalDivergenceError, PreconditionError
-from .experiments import parse_config, run_experiment
+from .experiments import FAMILIES, SUITES, parse_config, run_experiment
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", help="master seed (overrides config)")
 
     lb_p = subcommand("lower-bound", "run a SignGD lower-bound construction")
-    lb_p.add_argument("--family", required=True, help="quadratic | mf | icl")
+    lb_p.add_argument("--family", required=True, help=" | ".join(FAMILIES))
     lb_p.add_argument("--kappa", required=True, help="comma-separated condition numbers")
     lb_p.add_argument("--rho", help="schedule decay (eta_t = eta0 * rho^t)")
     lb_p.add_argument("--eta0", help="initial learning rate")
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv_p.add_argument("--steps", help="comma-separated step indices")
 
     v_p = subcommand("verify", "run a verification suite")
-    v_p.add_argument("--suite", help="msign | oracle | lemmas | lowerbounds | gradients | montecarlo | all")
+    v_p.add_argument("--suite", help=" | ".join(SUITES))
     return parser
 
 
@@ -82,7 +82,8 @@ def _config_text(args: dict) -> str:
 def main(argv=None) -> int:
     """Run one subcommand.  It prints the kind's result lines (suite lines,
     bound checks, block differences), then the written paths; a failed suite
-    or a lower bound the run does not show (VIOLATED, UNDECIDED) exits 1."""
+    or a lower-bound row whose ``lower_bound_verdict`` is not OK (VIOLATED,
+    UNDECIDED, OFF-SLICE) exits 1."""
     args = vars(_build_parser().parse_args(argv))
     out_dir = args.pop("out", None)
     try:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, NumericalDivergenceError, PreconditionError
-from .lowerbounds import FAMILIES, first_hit_time, lower_bound_holds, run_lower_bound
+from .lowerbounds import (DEFAULT_RHO, DEFAULT_T, FAMILIES, R0_MAX, first_hit_time, lower_bound_verdict,
+                          run_lower_bound, step_bound)
 from .msign import msign_exact, msign_newton_schulz
 from .optimizers import (
     ALGORITHMS,
@@ -71,14 +72,14 @@ class ExperimentConfig:
     replicates: int = 1
     out: str = "results"
     family: str = "quadratic"
-    r0: float = 1.0 / 16.0
+    r0: float = R0_MAX
     steps: tuple[int, ...] = (0, 500, 1000)
     suite: str = "all"
 
 
 # defaults that differ from the field defaults, by kind
 KIND_DEFAULTS = {
-    "lower_bound": {"rho": 0.98, "T": 600},
+    "lower_bound": {"rho": DEFAULT_RHO, "T": DEFAULT_T},
     "precond_viz": {"d": 10, "r": 5, "k": 5, "alpha": 1e-10},
 }
 
@@ -197,7 +198,7 @@ def _validate(cfg: ExperimentConfig):
         ("replicates", 1 <= cfg.replicates <= 1000,
          f"replicates must lie in [1, 1000], got {cfg.replicates}"),
         ("family", cfg.family in FAMILIES, f"family must be one of {FAMILIES}, got {cfg.family!r}"),
-        ("r0", 0 < cfg.r0 <= 1.0 / 16.0, "r0 must lie in (0, 1/16]"),
+        ("r0", 0 < cfg.r0 <= R0_MAX, "r0 must lie in (0, 1/16]"),
         ("steps", all(s >= 0 for s in cfg.steps), "steps must be nonnegative"),
         ("steps", _distinct(cfg.steps), f"steps must be distinct, got {cfg.steps}"),
         ("suite", cfg.suite in SUITES, f"suite must be one of {SUITES}, got {cfg.suite!r}"),
@@ -449,38 +450,23 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
     results = [run_lower_bound(cfg.family, kappa, cfg.T, rho=cfg.rho, eta0=cfg.eta0, r0=cfg.r0)
                for kappa in cfg.kappa]
     _make_out_dir(out_dir)
-    csv_paths: list[str] = []
-    summary_rows: list[dict] = []
+    out = RunOutput(csv_paths=[], summary_path=os.path.join(out_dir, "lower_bound_summary.csv"))
+    summary_lines = []
     for kappa, res in zip(cfg.kappa, results):
         path = os.path.join(out_dir, f"lower_bound_{cfg.family}_{_kappa_label(kappa)}.csv")
         write_csv(path, "t,metric", [f"{t},{v}" for t, v in enumerate(res.metric)])
-        csv_paths.append(path)
-        summary_rows.append(
-            {
-                "family": cfg.family,
-                "kappa": kappa,
-                "epsilon": res.epsilon,
-                "first_hit": res.first_hit,
-                "bound": (kappa - 1.0) / 4.0,
-                "satisfied": lower_bound_holds(res.first_hit, kappa, cfg.T),
-            }
-        )
-    summary_path = os.path.join(out_dir, "lower_bound_summary.csv")
-    write_csv(summary_path, "family,kappa,epsilon,first_hit,bound,satisfied", [
-        f"{row['family']},{float(row['kappa'])},{float(row['epsilon'])},{float(row['first_hit'])},"
-        f"{row['bound']},{int(row['satisfied'])}"
-        for row in summary_rows
-    ])
+        out.csv_paths.append(path)
+        bound, verdict = step_bound(kappa), lower_bound_verdict(res, kappa, cfg.T)
+        satisfied = verdict == "OK"
+        out.summary_rows.append({"family": cfg.family, "kappa": kappa, "epsilon": res.epsilon,
+                                 "first_hit": res.first_hit, "bound": bound, "satisfied": satisfied})
+        summary_lines.append(f"{cfg.family},{float(kappa)},{float(res.epsilon)},{float(res.first_hit)},"
+                             f"{bound},{int(satisfied)}")
+        out.lines.append(f"{cfg.family} kappa={kappa:g}: first_hit={res.first_hit} >= bound={bound:g}? {verdict}")
+        out.passed = out.passed and satisfied
+    write_csv(out.summary_path, "family,kappa,epsilon,first_hit,bound,satisfied", summary_lines)
     _write_metadata(cfg, out_dir)
-    return RunOutput(
-        csv_paths=csv_paths, summary_path=summary_path, summary_rows=summary_rows,
-        lines=[
-            f"{row['family']} kappa={row['kappa']:g}: first_hit={row['first_hit']} >= bound={row['bound']:g}? "
-            + ("OK" if row["satisfied"] else "UNDECIDED" if math.isinf(row["first_hit"]) else "VIOLATED")
-            for row in summary_rows
-        ],
-        passed=all(row["satisfied"] for row in summary_rows),
-    )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -654,17 +640,16 @@ def _suite_lemmas():
 
 
 def _suite_lowerbounds():
-    # cells that reach their epsilon within T = 600 at rho = 0.98 (every family
-    # is censored at kappa 101); a censored run would show these bounds too
-    lines = []
-    ok = True
+    # cells that reach their epsilon within the default run (every family is
+    # censored at kappa 101); each must hit, since a censored run shows only
+    # its step budget, and its verdict must be OK
+    lines, ok = [], True
     for family, kappa in (("quadratic", 21.0), ("quadratic", 81.0), ("mf", 41.0),
                           ("mf", 81.0), ("icl", 81.0)):
-        res = run_lower_bound(family, kappa, 600)
-        hit, dev, bridge = res.first_hit, res.slice_deviation, res.bridge_deviation
-        ok = (ok and hit < math.inf and lower_bound_holds(hit, kappa, 600) and (dev is None or dev <= 1e-14)
-              and (bridge is None or bridge <= 1e-12))
-        detail = f"bound={(kappa - 1.0) / 4.0:g}" if dev is None else f"slice_dev={dev:.2e}"
+        res = run_lower_bound(family, kappa, DEFAULT_T)
+        hit, dev = res.first_hit, res.slice_deviation
+        ok = ok and hit < math.inf and lower_bound_verdict(res, kappa, DEFAULT_T) == "OK"
+        detail = f"bound={step_bound(kappa):g}" if dev is None else f"slice_dev={dev:.2e}"
         lines.append(f"{family} kappa={kappa:g} hit={hit} {detail}")
     return ok, "; ".join(lines)
 

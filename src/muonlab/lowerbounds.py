@@ -27,6 +27,16 @@ SQRT2 = math.sqrt(2.0)
 # R^T H R = diag(kappa, 1); columns are the Hessian eigenvectors.
 ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]]) / SQRT2
 
+# Lower-bound run defaults: the schedule decay, the step budget, and the
+# factorization instance's ball radius r0, the largest its hypotheses admit.
+DEFAULT_RHO = 0.98
+DEFAULT_T = 600
+R0_MAX = 1.0 / 16.0
+# A run whose slice deviation (an absolute entry difference) or norm-bridge
+# deviation is above these has left the 2x2 reduction the bound is proved on.
+SLICE_TOL = 1e-14
+BRIDGE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class HardQuadratic:
@@ -184,7 +194,7 @@ class HardInstance:
     quad_init: AdversarialInit
 
 
-def build_hard_mf_instance(kappa: float, etas, r0: float = 1.0 / 16.0) -> HardInstance:
+def build_hard_mf_instance(kappa: float, etas, r0: float = R0_MAX) -> HardInstance:
     """Factorization lower-bound instance (target H, U* = H^(1/2)).
 
     The initialization is built from the quadratic barrier chain run at
@@ -196,7 +206,7 @@ def build_hard_mf_instance(kappa: float, etas, r0: float = 1.0 / 16.0) -> HardIn
     etas = _check_etas(etas)
     if kappa < 2.0:
         raise PreconditionError(f"hard factorization instance needs kappa >= 2, got {kappa}")
-    if not 0.0 < r0 <= 1.0 / 16.0:
+    if not 0.0 < r0 <= R0_MAX:
         raise PreconditionError(f"r0 must lie in (0, 1/16], got {r0}")
     if etas[0] > r0:
         raise PreconditionError(f"need eta_0 <= r0, got eta_0={etas[0]}")
@@ -302,10 +312,8 @@ def run_hard_icl(hard: HardInstance, etas, T: int) -> HardRunResult:
 FAMILIES = ("quadratic", "mf", "icl")
 
 
-def run_lower_bound(
-    family: str, kappa: float, T: int, rho: float = 0.98, eta0: float | None = None,
-    r0: float = 1.0 / 16.0,
-) -> HardRunResult:
+def run_lower_bound(family: str, kappa: float, T: int, rho: float = DEFAULT_RHO,
+                    eta0: float | None = None, r0: float = R0_MAX) -> HardRunResult:
     """SignGD for T steps on one lower-bound family at one kappa, with
     eta_t = eta0 * rho^t.
 
@@ -341,8 +349,19 @@ def first_hit_time(values, epsilon: float) -> float:
     return math.inf
 
 
-def lower_bound_holds(first_hit: float, kappa: float, T: int) -> bool:
-    """Whether a T-step run shows first_hit >= (kappa - 1)/4.  A censored
-    run (first_hit = inf) shows only first_hit >= T + 1, so it counts
-    exactly when T + 1 reaches the bound."""
-    return min(first_hit, T + 1) >= (kappa - 1.0) / 4.0
+def step_bound(kappa: float) -> float:
+    """(kappa - 1)/4: the fewest SignGD steps a hard instance allows."""
+    return (kappa - 1.0) / 4.0
+
+
+def lower_bound_verdict(res: HardRunResult, kappa: float, T: int) -> str:
+    """OFF-SLICE if the run's slice or bridge deviation is above SLICE_TOL
+    or BRIDGE_TOL or is NaN (None never is); else OK if the T-step run shows
+    first_hit >= (kappa - 1)/4, where a censored run (inf) shows only
+    first_hit >= T + 1; else UNDECIDED (censored) or VIOLATED."""
+    for dev, tol in ((res.slice_deviation, SLICE_TOL), (res.bridge_deviation, BRIDGE_TOL)):
+        if dev is not None and not dev <= tol:
+            return "OFF-SLICE"
+    if min(res.first_hit, T + 1) >= step_bound(kappa):
+        return "OK"
+    return "UNDECIDED" if math.isinf(res.first_hit) else "VIOLATED"

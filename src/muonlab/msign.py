@@ -62,20 +62,15 @@ def msign_newton_schulz(z) -> NewtonSchulzResult:
     norm = np.linalg.norm(z)
     if norm == 0.0:
         raise PreconditionError("msign_newton_schulz: input is the zero matrix")
-    d, k = z.shape
-    x = z / norm
-    m = min(d, k)
-    residual = np.inf
+    wide = z.shape[0] < z.shape[1]  # msign(Z^T) = msign(Z)^T: iterate on the tall side
+    x = (z.T if wide else z) / norm
+    eye = np.eye(x.shape[1])
     for it in range(1, NS_MAX_ITERS + 1):
-        if d >= k:
-            gram = x.T @ x
-            x = 1.5 * x - 0.5 * (x @ gram)
-            gram = x.T @ x
-        else:
-            gram = x @ x.T
-            x = 1.5 * x - 0.5 * (gram @ x)
-            gram = x @ x.T
-        residual = float(np.linalg.norm(gram - np.eye(m)))
+        gram = x.T @ x
+        x = 1.5 * x - 0.5 * (x @ gram)
+        gram = x.T @ x
+        residual = float(np.linalg.norm(gram - eye))
         if residual <= NS_ORTH_TOL:
-            return NewtonSchulzResult(matrix=x, iterations=it, residual=residual, converged=True)
-    return NewtonSchulzResult(matrix=x, iterations=NS_MAX_ITERS, residual=residual, converged=False)
+            break
+    return NewtonSchulzResult(matrix=x.T if wide else x, iterations=it, residual=residual,
+                              converged=residual <= NS_ORTH_TOL)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalDivergenceError, PreconditionError, RankDeficiencyError
-from .linalg import check_matrices
+from .linalg import RANK_TOL, check_matrices
 from .msign import _msign_from_svd
 from .rng import RandomStream
 
@@ -202,7 +202,7 @@ def _scaledgd_update(u, grad, eta, factors):
     eigendecomposition; a numerically singular Gram matrix raises."""
     lam, vecs = np.linalg.eigh(u.T @ u)
     lam, vecs = lam[::-1], vecs[:, ::-1]  # descending: the summation order the outputs pin
-    if lam[0] <= 0.0 or lam[-1] <= (1e-12) ** 2 * lam[0]:
+    if lam[0] <= 0.0 or lam[-1] <= RANK_TOL**2 * lam[0]:
         raise RankDeficiencyError("scaledgd: U^T U is numerically singular")
     gram_inv = (vecs / lam) @ vecs.T
     return u - eta * grad @ gram_inv

@@ -1,5 +1,6 @@
 """Adversarial SignGD instances and the learning-rate-barrier construction."""
 
+import csv
 import math
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from muonlab import (
     signgd_quadratic_run,
 )
 from muonlab.cli import main
-from muonlab.lowerbounds import HardRunResult, lower_bound_holds
+from muonlab.lowerbounds import HardRunResult, lower_bound_verdict
 
 SQRT2 = math.sqrt(2.0)
 
@@ -334,17 +335,49 @@ class TestFirstHit:
             first_hit_time([1.0], 0.0)
 
 
-class TestLowerBoundHolds:
+def _verdict(first_hit, kappa, T, slice_deviation=None, bridge_deviation=None):
+    res = HardRunResult(first_hit, np.zeros(1), slice_deviation, 1e-3, bridge_deviation)
+    return lower_bound_verdict(res, kappa, T)
+
+
+class TestLowerBoundVerdict:
+    @pytest.mark.parametrize("first_hit, T, slice_dev, bridge_dev, verdict", [
+        # kappa = 41 throughout: (kappa - 1)/4 = 10
+        (10, 600, 0.0, None, "OK"),
+        (9, 600, 0.0, None, "VIOLATED"),
+        (math.inf, 8, 0.0, None, "UNDECIDED"),  # censored: shows only T + 1 = 9
+        (math.inf, 9, 0.0, None, "OK"),  # censored: T + 1 = 10 reaches the bound
+        (10, 600, 1e-14, 1e-12, "OK"),  # at both gates
+        (10, 600, 2e-14, None, "OFF-SLICE"),
+        (10, 600, 0.0, 2e-12, "OFF-SLICE"),
+        (10, 600, math.nan, None, "OFF-SLICE"),
+        (10, 600, 0.0, math.nan, "OFF-SLICE"),
+        (9, 600, 2e-14, None, "OFF-SLICE"),  # off the slice, the bound says nothing
+        (math.inf, 8, None, 2e-12, "OFF-SLICE"),
+        (10, 600, None, None, "OK"),  # None: a run without the deviation
+        (9, 600, None, None, "VIOLATED"),
+        (math.inf, 8, None, None, "UNDECIDED"),
+    ])
+    def test_table(self, first_hit, T, slice_dev, bridge_dev, verdict):
+        assert _verdict(first_hit, 41.0, T, slice_dev, bridge_dev) == verdict
+
     def test_finite_hit_against_the_bound(self):
         # kappa = 41: (kappa - 1)/4 = 10
-        assert lower_bound_holds(10, 41.0, 600) and lower_bound_holds(600, 41.0, 600)
-        assert not lower_bound_holds(9, 41.0, 600) and not lower_bound_holds(0, 41.0, 600)
+        assert [_verdict(hit, 41.0, 600) for hit in (10, 600, 9, 0)] == ["OK", "OK", "VIOLATED", "VIOLATED"]
 
     def test_censored_run_shows_only_its_budget(self):
         # first_hit = inf after T steps shows first_hit >= T + 1, nothing more
-        assert lower_bound_holds(math.inf, 41.0, 9)
-        assert not lower_bound_holds(math.inf, 41.0, 8)
-        assert lower_bound_holds(math.inf, 2405.0, 600) and not lower_bound_holds(math.inf, 2409.0, 600)
+        assert _verdict(math.inf, 41.0, 9) == "OK" and _verdict(math.inf, 41.0, 8) == "UNDECIDED"
+        assert _verdict(math.inf, 2405.0, 600) == "OK" and _verdict(math.inf, 2409.0, 600) == "UNDECIDED"
+
+    def test_cli_off_slice_run_exits_1(self, tmp_path, capsys):
+        # at rho = 0.9 and eta0 = 0.01 this run drifts 1.2e-13 off its slice
+        argv = ["lower-bound", "--family", "mf", "--kappa", "5", "--rho", "0.9", "--eta0", "0.01"]
+        assert run_lower_bound("mf", 5.0, 600, rho=0.9, eta0=0.01).slice_deviation > 1e-13
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines()[0].endswith("? OFF-SLICE")
+        with open(tmp_path / "lower_bound_summary.csv", newline="") as fh:
+            assert [row["satisfied"] for row in csv.DictReader(fh)] == ["0"]
 
 
 class TestDefaultEpsilon:

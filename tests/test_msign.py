@@ -183,6 +183,15 @@ class TestNewtonSchulz:
         with pytest.raises(PreconditionError):
             msign_newton_schulz(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("d, k", [(3, 7), (6, 12)])
+    def test_wide_input_is_the_transposed_tall_run(self, d, k):
+        # msign(Z^T) = msign(Z)^T: a wide input iterates on its transpose
+        z = RandomStream(117).gaussian_matrix(d, k)
+        wide, tall = msign_newton_schulz(z), msign_newton_schulz(np.ascontiguousarray(z.T))
+        assert wide.converged and (wide.iterations, wide.residual) == (tall.iterations, tall.residual)
+        assert np.array_equal(wide.matrix, tall.matrix.T)
+        assert np.linalg.norm(wide.matrix - msign_exact(z), 2) <= 1e-6
+
     def test_stops_at_the_first_iterate_within_tolerance(self, monkeypatch):
         z = random_with_spectrum(RandomStream(111), 6, 3, np.array([1.0, 0.5, 0.1]))
         res = msign_newton_schulz(z)
