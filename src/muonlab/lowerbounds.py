@@ -49,11 +49,11 @@ class HardQuadratic:
         return (2, 1)
 
     def loss_grad(self, z):
-        """Loss 0.5 * z^T H z and its gradient H z."""
+        """Loss 0.5 * z^T H z, its gradient H z, and z, its own error operand."""
         g = self.hessian @ z
-        return 0.5 * float((z * g).sum()), g
+        return 0.5 * float((z * g).sum()), g, z
 
-    def spectral_errors(self, zs) -> np.ndarray:
+    def operand_errors(self, zs) -> np.ndarray:
         """||z||_2 of each iterate in an (n, 2, 1) stack."""
         return np.linalg.norm(zs[:, :, 0], axis=1)
 

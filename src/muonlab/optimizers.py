@@ -31,9 +31,9 @@ PLATEAU_MIN_GAIN = 1e-3
 PLATEAU_DECAY = 0.3
 # The consecutive non-improving losses after which ``PlateauSchedule`` cuts eta.
 PLATEAU_PATIENCE = 50
-# Bytes of iterates (546 of a d = 30, k = 2 factor) queued before
-# ``run_trajectory`` stacks their metrics; the queue holds their gradients
-# too, so about twice this.  Not tuned.
+# Bytes of error operands queued before ``run_trajectory`` stacks their
+# metrics: 546 factors at d = 30, k = 2, or 36 residuals U U^T - M at d = 30,
+# k = 14.  The queue holds the gradients too, each the iterate's size.  Not tuned.
 METRIC_BLOCK_BYTES = 256 * 1024
 
 
@@ -256,7 +256,8 @@ def run_trajectory(
     ends the run once the spectral error reaches it.
 
     Metrics that do not steer the run are filled by stacked calls over at
-    most ``METRIC_BLOCK_BYTES`` of queued iterates; the error is computed on
+    most ``METRIC_BLOCK_BYTES`` of queued error operands (``inst.loss_grad``'s
+    third value, read by ``inst.operand_errors``); the error is computed on
     the spot only where ``inst.error_floor(loss) <= stop_below``: the floor is
     nondecreasing, so one loss threshold found per run certifies the early stop.
 
@@ -273,8 +274,8 @@ def run_trajectory(
     factored = algo.algorithm == "muon"
     rows: list[tuple[int, int, float, float]] = []  # t, source row, eta, loss
     errs, gsms = np.empty(T + 1), np.empty(T + 1)
-    queue: list[tuple[int, np.ndarray, np.ndarray]] = []  # (t, iterate, gradient)
-    block = max(1, METRIC_BLOCK_BYTES // x.nbytes)
+    queue: list[tuple[int, np.ndarray, np.ndarray]] = []  # (t, error operand, gradient)
+    block = 0  # operands per stacked metric call, sized by the first one
     iterates: list[np.ndarray] | None = [x.copy()] if keep_iterates else None
     # The last two evaluated iterates, matched by bytes (-0.0 is not 0.0): depth
     # 2 covers a frozen tail (period 1) and a sign method's limit cycle (period
@@ -283,8 +284,8 @@ def run_trajectory(
 
     def flush():
         if queue:
-            at, xs, grads = map(list, zip(*queue))
-            errs[at] = inst.spectral_errors(np.stack(xs))
+            at, ops, grads = map(list, zip(*queue))
+            errs[at] = inst.operand_errors(np.stack(ops))
             if not factored:
                 gsms[at] = np.linalg.svd(np.stack(grads), compute_uv=False)[:, -1]
             queue.clear()
@@ -302,13 +303,14 @@ def run_trajectory(
                 if entry[0] == key:
                     break
             else:
-                loss, grad = inst.loss_grad(x)
+                loss, grad, op = inst.loss_grad(x)
                 if not math.isfinite(loss):
                     raise NumericalDivergenceError(
                         f"non-finite loss at iteration {t}", iteration=t, records=records())
                 factors = np.linalg.svd(grad, full_matrices=False) if factored else None
                 gsms[t] = factors[1][-1] if factored else np.nan  # else filled by flush
-                queue.append((t, x, grad))
+                queue.append((t, op, grad))
+                block = block or max(1, METRIC_BLOCK_BYTES // op.nbytes)
                 entry = (key, t, loss, grad, factors)
                 memo = memo[-1:] + [entry]
             _, src, loss, grad, factors = entry

@@ -53,31 +53,42 @@ class MfInstance:
     def iterate_shape(self) -> tuple[int, int]:
         return (self.d, self.k)
 
+    @property
+    def _dense(self) -> bool:
+        # us per call, eigvalsh of the loss's D / core: d = 100, k = 2: 558/61,
+        # k = 25: 531/167, k = 66: 517/601, k = 100: 601/735; d = 30, k = 2: 60/64.
+        # Hence the core only when 2(k + r) <= d; the rule fixes the outputs' bytes too.
+        return 2 * (self.k + self.r) > self.d
+
     def loss_grad(self, u):
-        """Loss 0.25 * ||U U^T - M||_F^2 and its gradient (U U^T - M) U.
+        """Loss 0.25 * ||U U^T - M||_F^2, its gradient (U U^T - M) U, and the
+        ``operand_errors`` operand: D = U U^T - M itself if dense, else U.
 
         Unchecked: U must already be a finite d x k array, as
         ``run_trajectory`` guarantees.  ``mf_loss_grad`` checks first.
         """
         delta = u @ u.T
         delta -= self.target
+        if self._dense:  # D is the operand: its square is a copy, freed before the gradient
+            return 0.25 * float(np.add.reduce(delta * delta, axis=None)), delta @ u, delta
         grad = delta @ u
         delta *= delta  # the bytes of (delta * delta).sum(), with no other temporaries
-        return 0.25 * float(np.add.reduce(delta, axis=None)), grad
+        return 0.25 * float(np.add.reduce(delta, axis=None)), grad, u
+
+    def operand_errors(self, ops) -> np.ndarray:
+        """Recovery error ||U U^T - M|| of each ``loss_grad`` operand in an
+        (n, ...) stack, unchecked.  With [U, V] = Q [A, B], U U^T - M = Q (A A^T
+        - B diag(lam) B^T) Q^T: the (k+r) x (k+r) core holds its eigenvalues."""
+        if self._dense:
+            return _max_abs_eigs(ops)
+        v = np.broadcast_to(self.eigenvectors, (len(ops), self.d, self.r))
+        rr = np.linalg.qr(np.concatenate([ops, v], axis=2), mode="r")
+        a, b = rr[:, :, : self.k], rr[:, :, self.k :]
+        return _max_abs_eigs(a @ np.swapaxes(a, 1, 2) - (b * self.eigenvalues) @ np.swapaxes(b, 1, 2))
 
     def spectral_errors(self, us) -> np.ndarray:
-        """Recovery error ||U U^T - M|| of each factor in an (n, d, k) stack,
-        unchecked.  With [U, V] = Q [A, B], U U^T - M = Q (A A^T - B diag(lam)
-        B^T) Q^T: the (k+r) x (k+r) core holds its eigenvalues."""
-        # us per call, dense SVD / dense eigvalsh / core: d = 100, k = 2:
-        # 731/531/50, k = 25: 682/412/100, k = 66: 493/472/580; d = 30, k = 2:
-        # 76/64/56.  Hence the core only when 2(k + r) <= d.
-        if 2 * (self.k + self.r) <= self.d:
-            v = np.broadcast_to(self.eigenvectors, (len(us), self.d, self.r))
-            rr = np.linalg.qr(np.concatenate([us, v], axis=2), mode="r")
-            a, b = rr[:, :, : self.k], rr[:, :, self.k :]
-            return _max_abs_eigs(a @ np.swapaxes(a, 1, 2) - (b * self.eigenvalues) @ np.swapaxes(b, 1, 2))
-        return _max_abs_eigs(us @ np.swapaxes(us, 1, 2) - self.target)
+        """Recovery error ||U U^T - M|| of each factor in an (n, d, k) stack, unchecked."""
+        return self.operand_errors(us @ np.swapaxes(us, 1, 2) - self.target if self._dense else us)
 
     def error_floor(self, loss: float) -> float:
         """A lower bound on the computed spectral error from the loss
@@ -119,7 +130,7 @@ class IclInstance:
         return (self.d, self.d)
 
     def loss_grad(self, q):
-        """Loss 0.5 * tr((SQ - I) S (SQ - I)^T) and gradient S (SQ - I) S.
+        """Loss 0.5 * tr((SQ - I) S (SQ - I)^T), gradient S (SQ - I) S and Q.
 
         Unchecked: Q must already be a finite d x d array, as
         ``run_trajectory`` guarantees.  ``icl_loss_grad`` checks first.
@@ -128,12 +139,14 @@ class IclInstance:
         resid = s @ q
         resid.ravel()[:: self.d + 1] -= 1.0  # SQ - I; a fresh product, so ravel is a view
         loss = 0.5 * float((resid @ s @ resid.T).trace())
-        return loss, s @ resid @ s
+        return loss, s @ resid @ s, q
 
     def spectral_errors(self, qs) -> np.ndarray:
         """Distance ||Q - S^-1|| of each parameter in an (n, d, d) stack to
         the minimizer, unchecked, in one stacked values-only SVD."""
         return np.linalg.svd(qs - self.inverse, compute_uv=False)[:, 0]
+
+    operand_errors = spectral_errors  # Q is its own error operand
 
     def error_floor(self, loss: float) -> float:
         """``MfInstance.error_floor`` for Q: with E = Q - S^-1, loss =
@@ -182,7 +195,7 @@ def mf_loss_grad(inst: MfInstance, u):
     """Loss 0.25 * ||U U^T - M||_F^2 and its gradient (U U^T - M) U, for a
     finite d x k factor U."""
     (u,) = check_matrices(inst.iterate_shape(), U=u)
-    return inst.loss_grad(u)
+    return inst.loss_grad(u)[:2]
 
 
 def make_icl_instance(
@@ -217,7 +230,7 @@ def icl_loss_grad(inst: IclInstance, q):
     """Loss 0.5 * tr((SQ - I) S (SQ - I)^T) and gradient S (SQ - I) S, for
     a finite d x d parameter Q."""
     (q,) = check_matrices(inst.iterate_shape(), Q=q)
-    return inst.loss_grad(q)
+    return inst.loss_grad(q)[:2]
 
 
 def icl_monte_carlo_loss(

@@ -45,6 +45,8 @@ COMMANDS = {
     "run_mf_sweep_full": (["run", "--config", str(CONFIGS / "mf_sweep_full.cfg")], True),
     # a frozen tail: the iterate stops moving long before T
     "run_mf_underflow": (["run", "--config", str(TEST_CONFIGS / "mf_underflow.cfg")], True),
+    # the only golden run whose spectral errors take the dense path (k = d)
+    "run_mf_dense": (["run", "--config", str(TEST_CONFIGS / "mf_dense.cfg")], True),
     # the only per-iteration prefactor draws, on the only exponential icl_sweep
     "run_icl_exponential": (["run", "--config", str(TEST_CONFIGS / "icl_exponential.cfg")], True),
     **{

@@ -16,6 +16,7 @@ from muonlab import (
     OptimizerConfig,
     PlateauSchedule,
     RandomStream,
+    RankDeficiencyError,
     make_icl_instance,
     make_mf_instance,
     run_trajectory,
@@ -42,7 +43,7 @@ def reference_trajectory(inst, algo, sched, init, T, stream=None, keep_iterates=
     records = []
     iterates = [x.copy()] if keep_iterates else None
     for t in range(T + 1):
-        loss, grad = inst.loss_grad(x)
+        loss, grad, _ = inst.loss_grad(x)
         if not np.isfinite(loss):
             raise NumericalDivergenceError(f"non-finite loss at iteration {t}", iteration=t, records=records)
         err = float(inst.spectral_errors(x[None])[0])
@@ -64,7 +65,7 @@ def _both(monkeypatch, block_records, inst, algo, sched, init, T, **kw):
     """(reference, driver) on fresh copies of the schedule and stream, with
     the driver's metric block cut to ``block_records`` records if given."""
     if block_records is not None:
-        monkeypatch.setattr(optimizers, "METRIC_BLOCK_BYTES", block_records * init.nbytes)
+        monkeypatch.setattr(optimizers, "METRIC_BLOCK_BYTES", block_records * inst.loss_grad(init)[2].nbytes)
     runs = []
     for run in (reference_trajectory, run_trajectory):
         runs.append(run(inst, algo, sched(), init, T, stream=RandomStream(5), keep_iterates=True, **kw))
@@ -78,18 +79,33 @@ def _assert_same(ref, got):
     assert all(np.array_equal(a, b) for a, b in zip(got.iterates, ref.iterates))
 
 
+# (d, k) at r = 2: the core error, then the dense one (2(k + r) > d) at
+# k = d, k > d and a d = 30 factor whose residual outweighs it; every
+# algorithm but ScaledGD at k > d, where U^T U is singular
+MF_CELLS = [(d, k, name) for d, k in [(12, 2), (12, 12), (8, 10), (30, 14)]
+            for name in sorted(ALGOS) if name != "scaledgd" or k <= d]
+
+
 @pytest.mark.parametrize("block_records", [None, 3])
 @pytest.mark.parametrize("stop", STOPS)
-@pytest.mark.parametrize("name", sorted(ALGOS))
-def test_mf_matches_the_reference_loop(monkeypatch, name, stop, block_records):
+@pytest.mark.parametrize("d,k,name", MF_CELLS)
+def test_mf_matches_the_reference_loop(monkeypatch, d, k, name, stop, block_records):
     monkeypatch.setattr(optimizers, "PLATEAU_PATIENCE", 10)
-    inst = make_mf_instance(RandomStream(1), 12, 2, 2, 25.0)
-    init = RandomStream(2).gaussian_matrix(12, 2) * 0.3
+    inst = make_mf_instance(RandomStream(1), d, 2, k, 25.0)
+    init = RandomStream(2).gaussian_matrix(d, k) * (0.3 * np.sqrt(2 / k))  # ||U|| about 1 or less
     algo = ALGOS[name]
     eta0 = default_eta0(algo.algorithm, inst)
-    ref, got = _both(monkeypatch, block_records, inst, algo,
-                     lambda: PlateauSchedule(initial_eta=eta0), init, 400,
-                     stop_below=None if stop is None else stop * inst.lambda_max)
+    stop_below = None if stop is None else stop * inst.lambda_max
+    try:
+        ref, got = _both(monkeypatch, block_records, inst, algo,
+                         lambda: PlateauSchedule(initial_eta=eta0), init, 400, stop_below=stop_below)
+    except RankDeficiencyError:
+        # ScaledGD at k > r: U^T U turns singular as U U^T nears rank r,
+        # unless the run stops first; the driver raises as the loop does
+        assert name == "scaledgd" and k > 2
+        with pytest.raises(RankDeficiencyError):
+            run_trajectory(inst, algo, PlateauSchedule(initial_eta=eta0), init, 400, stop_below=stop_below)
+        return
     _assert_same(ref, got)
 
 
@@ -151,7 +167,7 @@ def test_divergence_records_match_the_reference_loop(monkeypatch, problem, block
         inst, eta = make_icl_instance(RandomStream(6), 6, 3.0, sigma_min=0.5), 1.0
         init = np.zeros((6, 6))
     if block_records is not None:
-        monkeypatch.setattr(optimizers, "METRIC_BLOCK_BYTES", block_records * init.nbytes)
+        monkeypatch.setattr(optimizers, "METRIC_BLOCK_BYTES", block_records * inst.loss_grad(init)[2].nbytes)
     raised = []
     for run in (reference_trajectory, run_trajectory):
         with pytest.raises(NumericalDivergenceError) as info, np.errstate(over="ignore", invalid="ignore"):
@@ -231,28 +247,66 @@ def test_floor_relative_margin_keeps_rounding_level_stops(monkeypatch, far):
 
 
 @pytest.mark.parametrize("name", ["gd", "muon"])
-def test_metric_blocks_keep_to_the_byte_budget(monkeypatch, name):
-    batches = {"errors": [], "svd": []}
-    errors, svd = MfInstance.spectral_errors, np.linalg.svd
+@pytest.mark.parametrize("k", [2, 3])
+def test_metric_blocks_keep_to_the_byte_budget(monkeypatch, k, name):
+    # d = 8, r = 2: k = 2 queues the 8 x 2 factors, k = 3 the 8 x 8 residuals
+    stacks, svd_batches = [], []
+    errors, svd = MfInstance.operand_errors, np.linalg.svd
 
-    def counting_errors(inst, us):
-        batches["errors"].append(len(us))
-        return errors(inst, us)
+    def counting_errors(inst, ops):
+        stacks.append(ops.nbytes)
+        return errors(inst, ops)
 
     def counting_svd(a, **kw):
         if a.ndim == 3:
-            batches["svd"].append(len(a))
+            svd_batches.append(len(a))
         return svd(a, **kw)
 
-    monkeypatch.setattr(MfInstance, "spectral_errors", counting_errors)
+    monkeypatch.setattr(MfInstance, "operand_errors", counting_errors)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    inst = make_mf_instance(RandomStream(9), 8, 2, 2, 4.0)
-    init = RandomStream(10).gaussian_matrix(8, 2) * 0.1
-    monkeypatch.setattr(optimizers, "METRIC_BLOCK_BYTES", 3 * init.nbytes + 1)
+    inst = make_mf_instance(RandomStream(9), 8, 2, k, 4.0)
+    init = RandomStream(10).gaussian_matrix(8, k) * 0.1
+    operand = {2: 8 * 2 * 8, 3: 8 * 8 * 8}[k]  # bytes of one factor, or of one residual
+    budget = 3 * operand + 1
+    monkeypatch.setattr(optimizers, "METRIC_BLOCK_BYTES", budget)
     run_trajectory(inst, ALGOS[name], ConstantSchedule(0.01), init, 10)
     # 11 records; exact Muon takes its sigma_min from the SVD it steps with
-    assert batches["errors"] == [3, 3, 3, 2]
-    assert batches["svd"] == ([3, 3, 3, 2] if name == "gd" else [])
+    assert stacks == [3 * operand, 3 * operand, 3 * operand, 2 * operand]
+    assert max(stacks) <= budget
+    assert svd_batches == ([3, 3, 3, 2] if name == "gd" else [])
+
+
+@pytest.mark.parametrize("d,k,name", [cell for cell in MF_CELLS if 2 * (cell[1] + 2) > cell[0]])
+def test_dense_residual_is_formed_once_per_evaluated_iterate(monkeypatch, d, k, name):
+    """In the dense regime the driver's errors come from the residuals
+    ``loss_grad`` formed, stacked as they are: no residual is formed again
+    from the iterates, and the records are the reference loop's."""
+    inst = make_mf_instance(RandomStream(1), d, 2, k, 25.0)
+    init = RandomStream(2).gaussian_matrix(d, k) * (0.3 * np.sqrt(2 / k))  # ||U|| about 1 or less
+    sched = lambda: PlateauSchedule(initial_eta=default_eta0(name, inst))  # noqa: E731
+    ref = reference_trajectory(inst, ALGOS[name], sched(), init, 100, stop_below=1e-6)
+    formed, stacked = [], []
+    loss_grad, errors = MfInstance.loss_grad, MfInstance.operand_errors
+
+    def recording_loss_grad(self, u):
+        out = loss_grad(self, u)
+        formed.append(out[2].copy())
+        return out
+
+    def recording_errors(self, ops):
+        stacked.extend(ops)
+        return errors(self, ops)
+
+    def no_iterate_errors(self, us):
+        raise AssertionError("spectral_errors re-forms the residual from the iterate")
+
+    monkeypatch.setattr(MfInstance, "loss_grad", recording_loss_grad)
+    monkeypatch.setattr(MfInstance, "operand_errors", recording_errors)
+    monkeypatch.setattr(MfInstance, "spectral_errors", no_iterate_errors)
+    got = run_trajectory(inst, ALGOS[name], sched(), init, 100, stop_below=1e-6)
+    assert got.records == ref.records and np.array_equal(got.final, ref.final)
+    assert all(op.shape == (d, d) for op in formed)
+    assert len(stacked) == len(formed) and all(np.array_equal(a, b) for a, b in zip(stacked, formed))
 
 
 @pytest.mark.parametrize("problem", ["mf", "icl"])

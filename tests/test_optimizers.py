@@ -421,7 +421,7 @@ def _assert_each_record_evaluated(inst, algo, traj):
     and every iterate the update kernel applied to its predecessor."""
     factored = algo.algorithm == "muon"
     for t, (rec, x) in enumerate(zip(traj.records, traj.iterates, strict=True)):
-        loss, grad = inst.loss_grad(x)
+        loss, grad, _ = inst.loss_grad(x)
         # Muon logs sigma_min from the SVD it steps with
         factors = np.linalg.svd(grad, full_matrices=False) if factored else None
         svals = factors[1] if factored else np.linalg.svd(grad, compute_uv=False)

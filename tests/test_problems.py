@@ -113,7 +113,8 @@ class TestMfLossGrad:
         """The in-place loss and gradient equal ``delta = U U^T - M``,
         ``0.25 * (delta * delta).sum()`` and ``delta @ U`` bit for bit, at any
         (d, r, k), k > d and square U included; the gradient is a fresh array
-        and M is left as it was."""
+        and M is left as it was.  The error operand is delta, bit for bit,
+        where the error is dense (2(k + r) > d), else U itself."""
         d = data.draw(st.integers(1, 30))
         k = data.draw(st.one_of(st.just(d), st.integers(1, d), st.integers(d + 1, d + 8)))
         r = data.draw(st.integers(1, min(d, k)))
@@ -124,10 +125,15 @@ class TestMfLossGrad:
         target, u_before = inst.target.copy(), u.copy()
         delta = u @ u.T - inst.target
         want_loss, want_grad = 0.25 * float((delta * delta).sum()), delta @ u
-        loss, grad = inst.loss_grad(u)
+        loss, grad, op = inst.loss_grad(u)
         assert type(loss) is float and loss.hex() == want_loss.hex()
         assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
         assert grad.tobytes() == want_grad.tobytes()
+        if 2 * (k + r) > d:
+            assert op.shape == delta.shape and op.tobytes() == delta.tobytes()
+            assert not np.shares_memory(op, grad) and not np.shares_memory(op, inst.target)
+        else:
+            assert op is u
         assert not np.shares_memory(grad, u) and not np.shares_memory(grad, inst.target)
         assert inst.target.tobytes() == target.tobytes() and u.tobytes() == u_before.tobytes()
 

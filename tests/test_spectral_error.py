@@ -99,6 +99,24 @@ def test_stacked_errors_are_the_per_matrix_errors(low_rank, data):
     assert inst.spectral_errors(us).tolist() == [inst.spectral_errors(u[None])[0] for u in us]
 
 
+@pytest.mark.parametrize("low_rank", [True, False])
+@PROPERTY
+@given(data=st.data())
+def test_loss_grad_operands_give_the_iterate_errors(low_rank, data):
+    """``run_trajectory`` reads each error from the operand ``loss_grad``
+    hands on, a 2-D residual in the dense regime; stacked, those give the
+    stacked residuals' errors of ``spectral_errors`` bit for bit."""
+    d, r, k = data.draw(shapes(low_rank))
+    kappa = 1.0 if r == 1 else data.draw(st.floats(1.0, 1e3))
+    stream = RandomStream(data.draw(st.integers(0, 2**31)))
+    inst = make_mf_instance(stream.derive(1), d, r, k, kappa)
+    kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
+    us = np.stack([_iterate(inst, kind, stream.derive(2 + i)) for i, kind in enumerate(kinds)])
+    ops = np.stack([inst.loss_grad(u)[2] for u in us])
+    assert ops.shape == (us.shape if low_rank else (len(us), d, d))
+    assert inst.operand_errors(ops).tolist() == inst.spectral_errors(us).tolist()
+
+
 @PROPERTY
 @given(d=st.integers(1, 20), n=st.integers(1, 6), seed=st.integers(0, 2**31))
 def test_icl_stacked_errors_are_the_per_matrix_errors(d, n, seed):

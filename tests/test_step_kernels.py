@@ -65,7 +65,7 @@ class TestLossGrad:
     def test_mf_bitwise_the_np_sum_form(self, point):
         inst, u = point
         delta = u @ u.T - inst.target
-        loss, grad = inst.loss_grad(u)
+        loss, grad, _ = inst.loss_grad(u)
         assert same_bits(loss, 0.25 * float(np.sum(delta * delta)))
         assert same_bits(grad, delta @ u)
 
@@ -75,9 +75,10 @@ class TestLossGrad:
         inst, q = point
         s = inst.covariance
         resid = s @ q - np.eye(inst.d)
-        loss, grad = inst.loss_grad(q)
+        loss, grad, op = inst.loss_grad(q)
         assert same_bits(loss, 0.5 * float(np.trace(resid @ s @ resid.T)))
         assert same_bits(grad, s @ resid @ s)
+        assert op is q
 
     def test_icl_leaves_its_input_and_covariance_alone(self):
         inst = make_icl_instance(RandomStream(3), 5, 10.0)
