@@ -10,7 +10,17 @@ class PreconditionError(MuonLabError, ValueError):
 
 
 class RankDeficiencyError(MuonLabError, ValueError):
-    """A matrix that must be (numerically) full rank is not."""
+    """A matrix that must be (numerically) full rank is not.
+
+    Raised by an update kernel, ``run_trajectory`` re-raises it with the
+    iteration whose step could not be taken and the records logged before
+    it, as ``NumericalDivergenceError`` carries them.
+    """
+
+    def __init__(self, message: str, iteration: int | None = None, records=None):
+        super().__init__(message)
+        self.iteration = iteration
+        self.records = records if records is not None else []
 
 
 class NumericalDivergenceError(MuonLabError, RuntimeError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, NumericalDivergenceError, PreconditionError
+from .errors import ConfigError, NumericalDivergenceError, PreconditionError, RankDeficiencyError
 from .lowerbounds import (DEFAULT_RHO, DEFAULT_T, FAMILIES, R0_MAX, first_hit_time, lower_bound_verdict,
                           run_lower_bound, step_bound)
 from .msign import msign_exact, msign_newton_schulz
@@ -396,14 +396,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
                         stop_below=cfg.epsilon,
                     )
                     records = traj.records
-                except NumericalDivergenceError as exc:
+                except (NumericalDivergenceError, RankDeficiencyError) as exc:
                     records = exc.records
                     diagnostic_t = exc.iteration
                 write_records_csv(path, records, diagnostic_t=diagnostic_t)
                 csv_paths.append(path)
                 errors = [rec.spectral_error for rec in records]
-                if rep == 0 and records:
-                    curves[algorithm][label] = ([rec.t for rec in records], errors)
+                if rep == 0 and records:  # t runs 0, 1, ...; an array keeps 8 bytes an error
+                    curves[algorithm][label] = (range(len(records)), np.array(errors))
                 for eps in cfg.epsilons:
                     summary_rows.append(
                         {

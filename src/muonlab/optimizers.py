@@ -252,8 +252,10 @@ def run_trajectory(
     a schedule that underflows to 0 leaves the iterate in place.  Every later
     iterate comes from the update kernels, and one that is no longer finite
     shows up as a non-finite loss, which aborts with
-    ``NumericalDivergenceError`` carrying the records so far.  ``stop_below``
-    ends the run once the spectral error reaches it.
+    ``NumericalDivergenceError`` carrying the records so far; a step the
+    kernel cannot take (ScaledGD's singular U^T U) aborts the same way, with
+    ``RankDeficiencyError``.  ``stop_below`` ends the run once the spectral
+    error reaches it.
 
     Metrics that do not steer the run are filled by stacked calls over at
     most ``METRIC_BLOCK_BYTES`` of queued error operands (``inst.loss_grad``'s
@@ -322,7 +324,10 @@ def run_trajectory(
                 break
             if t == 0 and algo.algorithm == "muon" and not 0.0 < eta < math.inf:
                 raise PreconditionError(f"eta must be positive and finite, got {eta}")
-            x = update(x, grad, eta, factors)
+            try:
+                x = update(x, grad, eta, factors)
+            except RankDeficiencyError as exc:
+                raise RankDeficiencyError(f"{exc} at iteration {t}", iteration=t, records=records()) from None
             rows.append((t, src, eta, loss))
             if keep_iterates:
                 iterates.append(x.copy())

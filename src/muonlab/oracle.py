@@ -318,9 +318,9 @@ def decoupling_gap(inst: MfInstance | IclInstance, stream: RandomStream, T: int)
 BOUND_CHUNK_TRACES = 256
 
 # Steps per recursion call of ``sweep_never_zero``: bounds its iterate block
-# (33 rows of 10,000 traces is 2.6 MB); the recursion is elementwise and reads
+# (9 rows of 10,000 traces is 0.72 MB); the recursion is elementwise and reads
 # only the previous step, so blocking never changes an iterate.
-NEVER_ZERO_BLOCK_STEPS = 32
+NEVER_ZERO_BLOCK_STEPS = 8
 
 
 def _worst_over_chunks(margin, seed: int, n_traces: int, m: int) -> float:

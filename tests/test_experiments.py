@@ -454,6 +454,30 @@ class TestCli:
         (csv_path,) = out.glob("mf_sweep_gd_*.csv")
         assert csv_path.read_text().endswith("\n1,nan,nan,nan,nan\n")
 
+    def test_rank_deficient_scaledgd_cell_does_not_abort_the_sweep(self, tmp_path):
+        # at k = d ScaledGD's extra columns decay until U^T U is singular,
+        # long before the error reaches 1e-17; the cell ends like a diverged
+        # one and the sweep goes on
+        cfg_path = tmp_path / "dense.cfg"
+        text = (ROOT / "tests" / "configs" / "mf_dense.cfg").read_text() + "epsilon = 1e-17\n"
+        cfg_path.write_text(text + "epsilons = 1e-9, 1e-17\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(list(out.glob("mf_sweep_*.csv"))) == 8  # 4 algorithms x 2 kappas
+        with open(out / "summary.csv") as fh:
+            summary = [row for row in csv.DictReader(fh) if row["algorithm"] == "scaledgd"]
+        assert len(summary) == 4
+        for row in summary:
+            label = "kappa1" if float(row["kappa"]) == 1.0 else "kappa25"
+            lines = (out / f"mf_sweep_scaledgd_{label}_k12_rep0.csv").read_text().splitlines()[1:]
+            t = int(row["iterations"])
+            assert lines[-1] == f"{t + 1},nan,nan,nan,nan"  # the step from t + 1 was not taken
+            errors = [float(line.split(",")[3]) for line in lines[:-1]]
+            assert len(errors) == t + 1 and row["final_error"] == lines[-2].split(",")[3]
+            eps = float(row["epsilon"])
+            assert float(row["first_hit"]) == (math.inf if eps == 1e-17 else next(
+                i for i, e in enumerate(errors) if e <= eps))
+
     def test_verify_subcommand(self, capsys):
         assert main(["verify", "--suite", "gradients"]) == 0
         assert "SUITE gradients PASS" in capsys.readouterr().out

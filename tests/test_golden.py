@@ -17,6 +17,7 @@ and names each moved digest in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -58,10 +59,23 @@ COMMANDS = {
 }
 
 
+def blas_kernels() -> str:
+    """The kernel set numpy's bundled OpenBLAS picked for this CPU when it
+    loaded (``OPENBLAS_CORETYPE`` forces one), as the library names it, or
+    "unknown" without the bundled library."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return "unknown"
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def versions() -> dict[str, str]:
-    """The numeric stack the digests were taken on."""
+    """The numeric stack the digests were taken on: other kernels round
+    products differently, so the same numpy can write other bytes."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}", "blas_kernels": blas_kernels()}
 
 
 def command_digest(name: str, workdir: Path) -> str:
@@ -81,6 +95,7 @@ def test_golden_digests(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert golden["versions"] == versions(), (
         f"digests were taken on {golden['versions']}, this stack is {versions()}; "
+        "on other blas_kernels set OPENBLAS_CORETYPE to the digests' set before numpy loads, else "
         "rerun the commands and rewrite tests/golden_digests.json if the bytes are expected to move"
     )
     assert sorted(golden["digests"]) == sorted(COMMANDS)

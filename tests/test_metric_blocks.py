@@ -54,7 +54,10 @@ def reference_trajectory(inst, algo, sched, init, T, stream=None, keep_iterates=
         if t == T or (stop_below is not None and err <= stop_below):
             records.append(TrajectoryRecord(t, eta, loss, err, gsm))
             break
-        x = update(x, grad, eta, factors)
+        try:
+            x = update(x, grad, eta, factors)
+        except RankDeficiencyError as exc:
+            raise RankDeficiencyError(f"{exc} at iteration {t}", iteration=t, records=records) from None
         records.append(TrajectoryRecord(t, eta, loss, err, gsm))
         if keep_iterates:
             iterates.append(x.copy())
@@ -99,12 +102,15 @@ def test_mf_matches_the_reference_loop(monkeypatch, d, k, name, stop, block_reco
     try:
         ref, got = _both(monkeypatch, block_records, inst, algo,
                          lambda: PlateauSchedule(initial_eta=eta0), init, 400, stop_below=stop_below)
-    except RankDeficiencyError:
+    except RankDeficiencyError as ref:
         # ScaledGD at k > r: U^T U turns singular as U U^T nears rank r,
-        # unless the run stops first; the driver raises as the loop does
+        # unless the run stops first; the driver raises as the loop does,
+        # with the same iteration and records
         assert name == "scaledgd" and k > 2
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(RankDeficiencyError) as info:
             run_trajectory(inst, algo, PlateauSchedule(initial_eta=eta0), init, 400, stop_below=stop_below)
+        assert info.value.iteration == ref.iteration > 0
+        assert info.value.records == ref.records
         return
     _assert_same(ref, got)
 

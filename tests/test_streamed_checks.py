@@ -11,6 +11,7 @@ draw does, and each check's peak allocation stays within a fixed budget."""
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  (loaded here, so no budget counts its one-time import)
 import pytest
 
 from muonlab import RandomStream, make_icl_instance, mf_modes
@@ -173,8 +174,8 @@ class TestMemoryBudget:
         q = master.derive(100).gaussian_matrix(6, 6) * 0.5
         assert peak_bytes(icl_monte_carlo_loss, inst, q, master.derive(200), 100_000) < 2.5e6
 
-    def test_never_zero_sweep_stays_under_6_mb(self):
-        assert peak_bytes(sweep_never_zero, 10_000, 200, 2027) < 6e6
+    def test_never_zero_sweep_stays_under_2_mb(self):
+        assert peak_bytes(sweep_never_zero, 10_000, 200, 2027) < 2e6
 
     @pytest.mark.parametrize("n_traces", [1000, 5000])
     @pytest.mark.parametrize(
