@@ -49,7 +49,6 @@ from .optimizers import (
 )
 from .oracle import (
     AlignedInit,
-    BoundsCheck,
     DiagonalTrajectory,
     ScalarTrace,
     aligned_mf_init,

@@ -61,17 +61,11 @@ def icl_modes(lambdas, etas) -> np.ndarray:
     return values
 
 
-def _pow(base, exponent: int) -> np.ndarray:
-    """Python's float pow of each base, through a list of Python floats.  The
-    schedules raise rho**t through it, and numpy's vectorized power can
-    differ from it in the last ulp."""
-    return np.reshape([b**exponent for b in np.ravel(base).tolist()], np.shape(base))
-
-
 def _powers(rho, n: int, *per_trace) -> np.ndarray:
     """rho**t for t = 0..n-1 down a leading axis that broadcasts against
-    the per-trace arrays (``rho`` among them), as ``_pow`` builds them, one
-    row of Python floats at a time."""
+    the per-trace arrays (``rho`` among them), in Python's float pow, one
+    row of Python floats at a time.  The schedules raise rho**t so, and
+    numpy's vectorized power can differ from it in the last ulp."""
     bases = np.ravel(rho).tolist()
     out = np.empty((n, len(bases)))
     for t in range(n):
@@ -106,23 +100,11 @@ class ScalarTrace:
 
 # The lemma inequalities are exact-arithmetic statements; the recursion and
 # the bounds are both evaluated in float64, so a correct implementation can
-# cross a bound by a few ulps.  Violations are classified at this absolute
-# resolution (values are O(1)-scale); genuine bound violations are O(eta),
-# many orders larger.
+# cross a bound by a few ulps.  A worst margin (the minimum over steps and
+# traces of bound - |deviation|) passes down to this absolute resolution
+# (values are O(1)-scale); genuine bound violations are O(eta), many orders
+# larger.
 FLOAT_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class BoundsCheck:
-    passed: bool
-    worst_margin: float  # min over steps and traces of (bound - |deviation|)
-    hypothesis_ok: bool  # holds for every trace
-
-
-def _bounds_check(margins, hypothesis_ok) -> BoundsCheck:
-    worst = float(np.min(margins, initial=np.inf))
-    ok = bool(np.all(hypothesis_ok))
-    return BoundsCheck(passed=worst >= -FLOAT_SLACK, worst_margin=worst, hypothesis_ok=ok)
 
 
 def scalar_muon_trajectory(
@@ -146,39 +128,40 @@ def scalar_muon_trajectory(
     return ScalarTrace(values, etas, lambda_star, rho, lambda_max=lambda_max)
 
 
-def _mf_hypothesis(trace: ScalarTrace):
+def _check_mf_hypothesis(trace: ScalarTrace):
     if trace.lambda_max is None:
         raise PreconditionError("not a factorization trace")
     u0 = trace.values[0]
-    return (np.abs(u0) <= trace.etas[0]) & (u0 != 0.0)
+    if len(trace.etas) == 0 or not np.all((np.abs(u0) <= trace.etas[0]) & (u0 != 0.0)):
+        raise PreconditionError("factorization bounds need T >= 1 and 0 < |u0| <= eta_0")
 
 
-def check_scalar_mf_bounds(trace: ScalarTrace) -> BoundsCheck:
-    """Fixed-prefactor bounds: ||u_{t+1}| - sqrt(lam)| <= eta_t and
-    |u_{t+1}^2 - lam| <= 8 * lambda_max * rho^t for every t."""
-    hypothesis_ok = _mf_hypothesis(trace)
+def check_scalar_mf_bounds(trace: ScalarTrace) -> float:
+    """Worst margin of the fixed-prefactor bounds ||u_{t+1}| - sqrt(lam)| <=
+    eta_t and |u_{t+1}^2 - lam| <= 8 * lambda_max * rho^t over every t."""
+    _check_mf_hypothesis(trace)
     u = trace.values[1:]
     powers = _powers(trace.rho, len(u), trace.values[0])
     m1 = trace.etas - np.abs(np.abs(u) - np.sqrt(trace.lambda_star))
     m2 = 8.0 * trace.lambda_max * powers - np.abs(u * u - trace.lambda_star)
-    return _bounds_check(np.minimum(m1, m2), hypothesis_ok)
+    return float(np.min(np.minimum(m1, m2), initial=np.inf))
 
 
-def check_scalar_mf_bounds_varying(trace: ScalarTrace) -> BoundsCheck:
-    """Per-step-prefactor bounds (rho >= 2/3):
+def check_scalar_mf_bounds_varying(trace: ScalarTrace) -> float:
+    """Worst margin of the per-step-prefactor bounds (rho >= 2/3)
     ||u_t| - sqrt(lam)| <= (2/(1-rho)) * sqrt(lambda_max) * rho^t and
     |u_t^2 - lam| <= (4/(1-rho)^2 + 4/(1-rho)) * lambda_max * rho^t."""
-    hypothesis_ok = _mf_hypothesis(trace)
+    _check_mf_hypothesis(trace)
     rho = trace.rho
     if np.any(rho < 2.0 / 3.0):
         raise PreconditionError("varying-prefactor bounds need rho >= 2/3")
     u = trace.values
     c1 = 2.0 / (1.0 - rho) * np.sqrt(trace.lambda_max)
-    c2 = (4.0 / _pow(1.0 - rho, 2) + 4.0 / (1.0 - rho)) * trace.lambda_max
+    c2 = (4.0 / _powers(1.0 - rho, 3)[2] + 4.0 / (1.0 - rho)) * trace.lambda_max
     powers = _powers(rho, len(u), u[0])
     m1 = c1 * powers - np.abs(np.abs(u) - np.sqrt(trace.lambda_star))
     m2 = c2 * powers - np.abs(u * u - trace.lambda_star)
-    return _bounds_check(np.minimum(m1, m2), hypothesis_ok)
+    return float(np.min(np.minimum(m1, m2), initial=np.inf))
 
 
 def scalar_icl_trajectory(
@@ -196,12 +179,14 @@ def scalar_icl_trajectory(
     return ScalarTrace(icl_modes(lambda_star, etas), etas, lambda_star, rho, lambda_min=lambda_min)
 
 
-def check_scalar_icl_bounds(trace: ScalarTrace) -> BoundsCheck:
-    """Covariance-trace bound: |th_{t+1} - 1/lam| <= eta_t for every t."""
+def check_scalar_icl_bounds(trace: ScalarTrace) -> float:
+    """Worst margin of the covariance-trace bound |th_{t+1} - 1/lam| <= eta_t."""
     if trace.lambda_min is None:
         raise PreconditionError("not a covariance trace")
+    if np.any(trace.values[0] != 0.0):
+        raise PreconditionError("covariance bounds need th_0 = 0")
     margins = trace.etas - np.abs(trace.values[1:] - 1.0 / trace.lambda_star)
-    return _bounds_check(margins, trace.values[0] == 0.0)
+    return float(np.min(margins, initial=np.inf))
 
 
 @dataclass(frozen=True)
@@ -357,7 +342,7 @@ def sweep_mf_bounds(n_traces: int, seed: int, rho: float = 0.5) -> float:
         u0 = _scaled(draws[3], -eta0, eta0)
         u0 = np.where(u0 == 0.0, eta0 / 2.0, u0)
         trace = scalar_muon_trajectory(u0, lambda_star, lambda_max, rho, 45, c_eta=c)
-        return check_scalar_mf_bounds(trace).worst_margin
+        return check_scalar_mf_bounds(trace)
 
     return _worst_over_chunks(margin, seed, n_traces, 4)
 
@@ -379,7 +364,7 @@ def sweep_mf_bounds_varying(
         u0 = np.where(u0 == 0.0, eta0_min / 2.0, u0)
         etas = _scaled(draws[4:], *PREFACTOR_RANGE) * np.sqrt(lambda_max) * _powers(rho, T)
         trace = ScalarTrace(mf_modes(u0, lambda_star, etas), etas, lambda_star, rho, lambda_max=lambda_max)
-        return check_scalar_mf_bounds_varying(trace).worst_margin
+        return check_scalar_mf_bounds_varying(trace)
 
     return _worst_over_chunks(margin, seed, n_traces, 4 + T)
 
@@ -392,7 +377,7 @@ def sweep_icl_bounds(n_traces: int, seed: int, rho: float = 0.5) -> float:
         lambda_min = _scaled(draws[0], 0.1, 2.0)
         lambda_star = lambda_min * _scaled(draws[1], 1.0, 100.0)
         trace = scalar_icl_trajectory(lambda_star, lambda_min, rho, _scaled(draws[2], *PREFACTOR_RANGE), 45)
-        return check_scalar_icl_bounds(trace).worst_margin
+        return check_scalar_icl_bounds(trace)
 
     return _worst_over_chunks(margin, seed, n_traces, 3)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import check_matrix, check_matrices
+from .linalg import check_matrices
 from .rng import RandomStream
 
 # Tasks per chunk of ``icl_monte_carlo_loss``: bounds its draws and per-task
@@ -86,10 +86,6 @@ class MfInstance:
         a, b = rr[:, :, : self.k], rr[:, :, self.k :]
         return _max_abs_eigs(a @ np.swapaxes(a, 1, 2) - (b * self.eigenvalues) @ np.swapaxes(b, 1, 2))
 
-    def spectral_errors(self, us) -> np.ndarray:
-        """Recovery error ||U U^T - M|| of each factor in an (n, d, k) stack, unchecked."""
-        return self.operand_errors(us @ np.swapaxes(us, 1, 2) - self.target if self._dense else us)
-
     def error_floor(self, loss: float) -> float:
         """A lower bound on the computed spectral error from the loss
         alone: error_floor(loss) > s rules out error <= s.
@@ -141,12 +137,10 @@ class IclInstance:
         loss = 0.5 * float((resid @ s @ resid.T).trace())
         return loss, s @ resid @ s, q
 
-    def spectral_errors(self, qs) -> np.ndarray:
-        """Distance ||Q - S^-1|| of each parameter in an (n, d, d) stack to
-        the minimizer, unchecked, in one stacked values-only SVD."""
+    def operand_errors(self, qs) -> np.ndarray:
+        """Distance ||Q - S^-1|| of each ``loss_grad`` operand, Q itself, in an
+        (n, d, d) stack to the minimizer, unchecked, in one stacked values-only SVD."""
         return np.linalg.svd(qs - self.inverse, compute_uv=False)[:, 0]
-
-    operand_errors = spectral_errors  # Q is its own error operand
 
     def error_floor(self, loss: float) -> float:
         """``MfInstance.error_floor`` for Q: with E = Q - S^-1, loss =
@@ -246,20 +240,18 @@ def icl_monte_carlo_loss(
 
     On ``stream``, every task's w comes first, then every query index.  The
     indices are read from a copy of the stream jumped past the whole w draw
-    (``RandomStream.advanced``), so both are drawn ``ICL_TASK_CHUNK`` tasks
-    at a time and only the per-task values scale with ``n_tasks``.  The
+    (``RandomStream.after_gaussians``), so both are drawn ``ICL_TASK_CHUNK``
+    tasks at a time and only the per-task values scale with ``n_tasks``.  The
     stream is left where one whole draw of each leaves it: the same next
     uniform and the same cached Box-Muller sine.
     """
-    q = check_matrix(q, "parameter Q")
+    (q,) = check_matrices(inst.iterate_shape(), Q=q)
     if inst.samples is None:
         raise PreconditionError("instance carries no sample set")
     if n_tasks < 100:
         raise PreconditionError(f"need n_tasks >= 100, got {n_tasks}")
     n_samples = inst.samples.shape[0]
-    # Box-Muller takes its uniforms in pairs, after any sine cached at entry
-    cached = stream._cached_gaussian is not None
-    queries = stream.advanced(2 * ((n_tasks * inst.d - cached + 1) // 2))
+    queries = stream.after_gaussians(n_tasks * inst.d)
     # prediction error w^T (S Q - I) x_q, one dot product per task; the
     # sample set has only N = d rows, so each is mapped once
     table = inst.samples @ (inst.covariance @ q - np.eye(inst.d)).T
@@ -270,7 +262,7 @@ def icl_monte_carlo_loss(
         idx = np.floor(queries.uniforms(rows, 0.0, float(n_samples))).astype(np.intp)
         vals[start : start + rows] = 0.5 * np.einsum("ij,ij->i", w, table[idx]) ** 2
     del w, idx  # freed before the statistics' temporaries
-    stream._gen = queries._gen  # past the indices too, keeping the sine w left cached
+    stream.skip(n_tasks)  # past the indices too, keeping the sine w left cached
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n_tasks))
     return estimate, stderr

@@ -41,17 +41,24 @@ class RandomStream:
         """Child stream under the same master seed."""
         return RandomStream(self.seed, stream_id)
 
-    def advanced(self, n: int) -> "RandomStream":
-        """A copy of this stream n uniforms ahead, with no Box-Muller sine
-        cached; this stream does not move.  PCG64 jumps there in O(log n)
-        steps, so a caller can draw what follows a long draw before, or
-        alongside, the draw itself."""
+    def after_gaussians(self, n: int) -> "RandomStream":
+        """A copy of this stream past the uniforms of n more normals (their
+        Box-Muller pairs, after any sine cached here), caching no sine; this
+        stream does not move.  PCG64 jumps there in O(log n) steps, so a caller
+        can draw what follows a long draw before, or alongside, the draw itself."""
         if n < 0:
-            raise PreconditionError(f"cannot advance by {n} uniforms")
+            raise PreconditionError(f"cannot skip {n} normals")
         ahead = RandomStream(self.seed, self.stream_id)
         ahead._gen.bit_generator.state = self._gen.bit_generator.state
-        ahead._gen.bit_generator.advance(n)
+        ahead.skip(2 * ((n - (self._cached_gaussian is not None) + 1) // 2))
         return ahead
+
+    def skip(self, n: int) -> None:
+        """Move this stream n uniforms ahead in place, in O(log n) steps,
+        keeping any cached Box-Muller sine."""
+        if n < 0:
+            raise PreconditionError(f"cannot skip {n} uniforms")
+        self._gen.bit_generator.advance(n)
 
     def uniform(self, lo: float, hi: float) -> float:
         """One draw from the half-open interval [lo, hi)."""

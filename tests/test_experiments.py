@@ -1,8 +1,11 @@
 """Config parsing, the sweep runner, SVG output, verify suites, and the CLI."""
 
 import csv
+import itertools
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from muonlab import ConfigError
+from muonlab import ConfigError, RandomStream
 from muonlab.cli import main
 from muonlab.experiments import (
     CSV_HEADER,
@@ -20,6 +23,7 @@ from muonlab.experiments import (
     parse_config,
     preconditioner_report,
     run_experiment,
+    scaled_orthonormal_init,
     verify,
     write_records_csv,
 )
@@ -121,6 +125,26 @@ class TestRunExperiment:
             if row["algorithm"] == "muon" and row["epsilon"] == 1e-6
         }
         assert max(hits.values()) <= 2.0 * min(hits.values())
+
+    def test_over_parameterized_sweep_writes_a_full_summary(self, tmp_path):
+        # k > d: the start has orthonormal rows and the errors take the dense path
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text("kind = mf_sweep\nd = 6\nr = 2\nk = 9\nkappa = 1, 4\n"
+                            "algorithms = muon, signgd, gd\nT = 60\nepsilons = 1e-3, 1e-6\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        cells = itertools.product(["muon", "signgd", "gd"], [1.0, 4.0], [1e-3, 1e-6])
+        assert sorted((r["algorithm"], float(r["kappa"]), float(r["epsilon"])) for r in rows) == sorted(cells)
+        assert {r["k"] for r in rows} == {"9"} and all(int(r["iterations"]) > 0 for r in rows)
+        assert len(list(out.glob("mf_sweep_*_k9_rep0.csv"))) == 6
+
+    @pytest.mark.parametrize("d, k", [(1, 4), (3, 5), (6, 9)])
+    def test_wide_init_has_orthonormal_rows(self, d, k):
+        u = scaled_orthonormal_init(RandomStream(d * k), d, k, 0.3)
+        assert u.shape == (d, k)
+        np.testing.assert_allclose(u @ u.T, 0.09 * np.eye(d), rtol=0, atol=1e-15)
 
     def test_divergence_writes_diagnostic_row(self, tmp_path):
         cfg = parse_config(
@@ -477,6 +501,14 @@ class TestCli:
             eps = float(row["epsilon"])
             assert float(row["first_hit"]) == (math.inf if eps == 1e-17 else next(
                 i for i, e in enumerate(errors) if e <= eps))
+
+    def test_python_m_muonlab_runs_the_cli(self, tmp_path):
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "muonlab", "verify", "--suite", "msign"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 and proc.stdout.startswith("SUITE msign PASS ")
 
     def test_verify_subcommand(self, capsys):
         assert main(["verify", "--suite", "gradients"]) == 0

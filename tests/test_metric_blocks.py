@@ -43,10 +43,10 @@ def reference_trajectory(inst, algo, sched, init, T, stream=None, keep_iterates=
     records = []
     iterates = [x.copy()] if keep_iterates else None
     for t in range(T + 1):
-        loss, grad, _ = inst.loss_grad(x)
+        loss, grad, operand = inst.loss_grad(x)
         if not np.isfinite(loss):
             raise NumericalDivergenceError(f"non-finite loss at iteration {t}", iteration=t, records=records)
-        err = float(inst.spectral_errors(x[None])[0])
+        err = float(inst.operand_errors(operand[None])[0])
         factors = np.linalg.svd(grad, full_matrices=False) if factored else None
         svals = factors[1] if factored else np.linalg.svd(grad, compute_uv=False)
         gsm = float(svals[-1])
@@ -62,6 +62,12 @@ def reference_trajectory(inst, algo, sched, init, T, stream=None, keep_iterates=
         if keep_iterates:
             iterates.append(x.copy())
     return Trajectory(records=records, final=x, iterates=iterates)
+
+
+def error(inst, x) -> float:
+    """The recovery error ``run_trajectory`` records for iterate x: the instance's
+    error of the operand ``loss_grad`` returns."""
+    return inst.operand_errors(inst.loss_grad(x)[2][None])[0]
 
 
 def _both(monkeypatch, block_records, inst, algo, sched, init, T, **kw):
@@ -205,7 +211,7 @@ def test_floor_slack_keeps_rounding_level_stops(monkeypatch, converged, stop):
     only the floor's absolute slack has the driver stop at t = 0 as the loop
     does."""
     inst, x, bare = converged()
-    err = inst.spectral_errors(x[None])[0]
+    err = error(inst, x)
     assert bare > 2.0 * err
     assert inst.error_floor(inst.loss_grad(x)[0]) <= err
     scale = getattr(inst, "lambda_max", None) or 1.0 / inst.sigma_min
@@ -241,10 +247,10 @@ def test_floor_relative_margin_keeps_rounding_level_stops(monkeypatch, far):
     """Where rounding puts the bare loss bound above the computed error,
     by thousands of times the floor's absolute slack, only its relative
     margin has the driver stop at ``stop_below = error`` at t = 0."""
-    points = [(inst, x) for inst, x, bare in far() if bare > inst.spectral_errors(x[None])[0]]
+    points = [(inst, x) for inst, x, bare in far() if bare > error(inst, x)]
     assert len(points) >= 3
     for inst, x in points:
-        err = inst.spectral_errors(x[None])[0]
+        err = error(inst, x)
         assert inst.error_floor(inst.loss_grad(x)[0]) <= err
         ref, got = _both(monkeypatch, None, inst, ALGOS["gd"], lambda: ConstantSchedule(1e-9), x, 5,
                          stop_below=err)
@@ -303,12 +309,8 @@ def test_dense_residual_is_formed_once_per_evaluated_iterate(monkeypatch, d, k, 
         stacked.extend(ops)
         return errors(self, ops)
 
-    def no_iterate_errors(self, us):
-        raise AssertionError("spectral_errors re-forms the residual from the iterate")
-
     monkeypatch.setattr(MfInstance, "loss_grad", recording_loss_grad)
     monkeypatch.setattr(MfInstance, "operand_errors", recording_errors)
-    monkeypatch.setattr(MfInstance, "spectral_errors", no_iterate_errors)
     got = run_trajectory(inst, ALGOS[name], sched(), init, 100, stop_below=1e-6)
     assert got.records == ref.records and np.array_equal(got.final, ref.final)
     assert all(op.shape == (d, d) for op in formed)

@@ -300,7 +300,7 @@ class TestRunTrajectory:
         assert [r.t for r in traj.records] == list(range(T + 1))
         assert len(traj.iterates) == T + 1
         assert traj.records[-1].spectral_error == pytest.approx(
-            inst.spectral_errors(traj.final[None])[0]
+            np.linalg.norm(traj.final @ traj.final.T - inst.target, 2)
         )
 
     def test_deterministic_reruns(self):
@@ -421,12 +421,12 @@ def _assert_each_record_evaluated(inst, algo, traj):
     and every iterate the update kernel applied to its predecessor."""
     factored = algo.algorithm == "muon"
     for t, (rec, x) in enumerate(zip(traj.records, traj.iterates, strict=True)):
-        loss, grad, _ = inst.loss_grad(x)
+        loss, grad, operand = inst.loss_grad(x)
         # Muon logs sigma_min from the SVD it steps with
         factors = np.linalg.svd(grad, full_matrices=False) if factored else None
         svals = factors[1] if factored else np.linalg.svd(grad, compute_uv=False)
         assert rec.loss == loss
-        assert rec.spectral_error == inst.spectral_errors(x[None])[0]
+        assert rec.spectral_error == inst.operand_errors(operand[None])[0]
         assert rec.grad_sigma_min == svals[-1]
         if t + 1 < len(traj.records):
             x_next = optimizers._UPDATES[algo.algorithm](x, grad, rec.eta, factors)

@@ -1,5 +1,8 @@
 """Decoupled scalar/diagonal dynamics and their bound checkers."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,15 +14,18 @@ from muonlab import (
     OptimizerConfig,
     PreconditionError,
     RandomStream,
+    ScalarTrace,
     SequenceSchedule,
     aligned_mf_init,
     check_scalar_icl_bounds,
     check_scalar_mf_bounds,
+    check_scalar_mf_bounds_varying,
     decoupled_icl_trajectory,
     decoupled_mf_trajectory,
     make_icl_instance,
     make_mf_instance,
     materialize_etas,
+    mf_modes,
     oracle_vs_full_divergence,
     run_trajectory,
     scalar_icl_trajectory,
@@ -61,11 +67,9 @@ class TestScalarMuon:
 class TestScalarBounds:
     def test_hand_checked_margins(self):
         trace = scalar_muon_trajectory(0.5, 1.0, 1.0, 0.5, 5, c_eta=1.0)
-        check = check_scalar_mf_bounds(trace)
-        assert check.passed and check.hypothesis_ok
         # hand margins: t=0 gives eta_0 - |1.5 - 1| = 0.5; the stationary tail
         # gives exactly eta_t per step, so the minimum is the last eta, 1/16
-        assert check.worst_margin == pytest.approx(0.0625)
+        assert check_scalar_mf_bounds(trace) == pytest.approx(0.0625)
 
     def test_sweep_mf(self):
         assert sweep_mf_bounds(1000, seed=2024) >= -FLOAT_SLACK
@@ -73,10 +77,16 @@ class TestScalarBounds:
     def test_sweep_varying(self):
         assert sweep_mf_bounds_varying(1000, seed=2025) >= -FLOAT_SLACK
 
-    def test_hypothesis_violation_reported_not_asserted(self):
-        trace = scalar_muon_trajectory(10.0, 1.0, 1.0, 0.5, 5, c_eta=1.0)  # |u0| > eta0
-        check = check_scalar_mf_bounds(trace)
-        assert not check.hypothesis_ok
+    @pytest.mark.parametrize("u0", [10.0, -1.0 - 1e-15, 0.0])  # |u0| > eta_0 = 1, or u0 = 0
+    @pytest.mark.parametrize("check, rho", [(check_scalar_mf_bounds, 0.5), (check_scalar_mf_bounds_varying, 0.8)])
+    def test_start_outside_the_hypothesis_is_rejected(self, check, rho, u0):
+        etas = rho ** np.arange(5.0)
+        trace = ScalarTrace(mf_modes(u0, 1.0, etas), etas, 1.0, rho, lambda_max=1.0)
+        with pytest.raises(PreconditionError, match=re.escape("0 < |u0| <= eta_0")):
+            check(trace)
+        assert check(replace(trace, values=mf_modes(-1.0, 1.0, etas))) >= -FLOAT_SLACK
+        with pytest.raises(PreconditionError, match="T >= 1"):  # no eta_0 to bound u0 by
+            check(ScalarTrace(np.array([0.5]), np.empty(0), 1.0, rho, lambda_max=1.0))
 
 
 class TestScalarIcl:
@@ -84,10 +94,13 @@ class TestScalarIcl:
         # lambda*=2, lambda_min=1, C=1: theta = (0, 1, 0.5, 0.5, ...)
         trace = scalar_icl_trajectory(2.0, 1.0, 0.5, 1.0, 4)
         assert_allclose(trace.values, [0.0, 1.0, 0.5, 0.5, 0.5])
-        check = check_scalar_icl_bounds(trace)
-        assert check.passed
         # margins: 1 - 0.5, then eta_t exactly along the stationary tail
-        assert check.worst_margin == pytest.approx(0.125)
+        assert check_scalar_icl_bounds(trace) == pytest.approx(0.125)
+
+    def test_nonzero_start_is_rejected(self):
+        trace = scalar_icl_trajectory(2.0, 1.0, 0.5, 1.0, 4)
+        with pytest.raises(PreconditionError, match="need th_0 = 0"):
+            check_scalar_icl_bounds(replace(trace, values=trace.values + 0.25))
 
     def test_one_step_exact_hit(self):
         trace = scalar_icl_trajectory(1.0, 1.0, 0.5, 1.0, 5)
@@ -100,6 +113,12 @@ class TestScalarIcl:
 class TestNeverZero:
     def test_small_sweep(self):
         assert sweep_never_zero(1000, 200, seed=2027)
+
+
+def error(inst, u) -> float:
+    """The recovery error ``run_trajectory`` records for factor u: the instance's
+    error of the operand ``loss_grad`` returns."""
+    return inst.operand_errors(inst.loss_grad(u)[2][None])[0]
 
 
 def matrix_at(oracle, t):
@@ -139,7 +158,7 @@ class TestDecoupledMf:
         init = aligned_mf_init(inst, np.sqrt(inst.eigenvalues), RandomStream(32))
         oracle = decoupled_mf_trajectory(init, [0.5**t for t in range(20)])
         assert_allclose(oracle.sigmas[-1], oracle.sigmas[0], rtol=0)
-        assert inst.spectral_errors(matrix_at(oracle, 19)[None])[0] <= 1e-12
+        assert error(inst, matrix_at(oracle, 19)) <= 1e-12
 
     def test_spectral_error_equals_worst_mode(self):
         inst = make_mf_instance(RandomStream(33), 8, 3, 5, 16.0)
@@ -149,9 +168,7 @@ class TestDecoupledMf:
         oracle = decoupled_mf_trajectory(init, etas)
         for t in (1, 5, 10):
             expected = np.abs(oracle.sigmas[t] ** 2 - init.lambdas).max()
-            assert inst.spectral_errors(matrix_at(oracle, t)[None])[0] == pytest.approx(
-                expected, abs=1e-12
-            )
+            assert error(inst, matrix_at(oracle, t)) == pytest.approx(expected, abs=1e-12)
 
     def test_full_equivalence_all_search_ranks(self):
         master = RandomStream(35)

@@ -1,5 +1,6 @@
 """Objective/gradient/error contracts for the two case-study problems."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,12 @@ def diag_icl_instance(lam):
         eigenvectors=np.eye(d),
         inverse=np.diag(1.0 / lam),
     )
+
+
+def error(inst, x) -> float:
+    """The recovery error ``run_trajectory`` records for iterate x: the instance's
+    error of the operand ``loss_grad`` returns."""
+    return inst.operand_errors(inst.loss_grad(x)[2][None])[0]
 
 
 class TestMfInstance:
@@ -70,7 +77,7 @@ class TestMfLossGrad:
         loss, grad = mf_loss_grad(inst, u)
         assert loss == pytest.approx(0.0, abs=1e-20)
         assert np.abs(grad).max() <= 1e-10
-        assert inst.spectral_errors(u[None])[0] <= 1e-10
+        assert error(inst, u) <= 1e-10
 
     def test_hand_example(self):
         # M = diag(1, 0), U = (2, 0)^T: loss = 9/4, grad = (6, 0)^T
@@ -84,14 +91,14 @@ class TestMfLossGrad:
         loss, grad = mf_loss_grad(inst, u)
         assert loss == pytest.approx(2.25)
         assert_allclose(grad, np.array([[6.0], [0.0]]))
-        assert inst.spectral_errors(u[None])[0] == pytest.approx(3.0)
+        assert error(inst, u) == pytest.approx(3.0)
 
     def test_origin_saddle(self):
         inst = make_mf_instance(RandomStream(6), 5, 2, 3, 2.0)
         loss, grad = mf_loss_grad(inst, np.zeros((5, 3)))
         assert loss == pytest.approx(0.25 * np.sum(inst.target**2))
         assert_allclose(grad, np.zeros((5, 3)))
-        assert inst.spectral_errors(np.zeros((1, 5, 3)))[0] == pytest.approx(inst.eigenvalues[0])
+        assert error(inst, np.zeros((5, 3))) == pytest.approx(inst.eigenvalues[0])
 
     def test_loss_orthogonal_right_invariance(self):
         inst = make_mf_instance(RandomStream(7), 6, 2, 3, 3.0)
@@ -165,7 +172,7 @@ class TestIclLossGrad:
         loss, grad = icl_loss_grad(inst, inst.inverse)
         assert loss == pytest.approx(0.0, abs=1e-20)
         assert np.abs(grad).max() <= 1e-12
-        assert inst.spectral_errors(inst.inverse[None])[0] <= 1e-12
+        assert error(inst, inst.inverse) <= 1e-12
 
     def test_hand_example(self):
         # S = diag(2, 1), Q = 0: grad = -S^2, loss = tr(S)/2
@@ -173,11 +180,11 @@ class TestIclLossGrad:
         loss, grad = icl_loss_grad(inst, np.zeros((2, 2)))
         assert loss == pytest.approx(1.5)
         assert_allclose(grad, np.diag([-4.0, -1.0]))
-        assert inst.spectral_errors(np.eye(2)[None])[0] == pytest.approx(0.5)
+        assert error(inst, np.eye(2)) == pytest.approx(0.5)
 
     def test_zero_iterate_error(self):
         inst = make_icl_instance(RandomStream(15), 5, 4.0, sigma_min=0.5)
-        assert inst.spectral_errors(np.zeros((1, 5, 5)))[0] == pytest.approx(1.0 / 0.5, rel=1e-10)
+        assert error(inst, np.zeros((5, 5))) == pytest.approx(1.0 / 0.5, rel=1e-10)
 
     def test_nonnegative_loss(self):
         inst = make_icl_instance(RandomStream(16), 5, 2.0)
@@ -214,6 +221,16 @@ class TestMonteCarloLoss:
             icl_monte_carlo_loss(replace(inst, samples=None), np.eye(4), RandomStream(0), 1000)
         with pytest.raises(PreconditionError):
             icl_monte_carlo_loss(inst, np.eye(4), RandomStream(0), 99)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 7)])
+    def test_rejects_a_parameter_of_the_wrong_shape(self, shape):
+        # the shape check icl_loss_grad makes, not a numpy broadcasting error
+        inst = make_icl_instance(RandomStream(26), 6, 2.0)
+        message = f"Q must have shape (6, 6), got {shape}"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            icl_loss_grad(inst, np.zeros(shape))
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            icl_monte_carlo_loss(inst, np.zeros(shape), RandomStream(0), 1000)
 
 
 def _two_copies_fd(loss_fn, x, h=1e-5):

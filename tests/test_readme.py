@@ -2,8 +2,8 @@
 exits 0, so the documented commands cannot drift from the CLI; every
 experiment kind is reached by a shipped config or one of those commands;
 every public name, and every public method and property of an exported
-class, has a caller; and every parameter and every dataclass or NamedTuple
-field with a default is set by one."""
+class, has a caller; every parameter and every dataclass or NamedTuple field
+with a default is set by one; and every module uses each name it imports."""
 
 import ast
 import re
@@ -63,7 +63,8 @@ class _References(ast.NodeVisitor):
     name (a recursive call or a classmethod's own class is no caller)."""
 
     def __init__(self):
-        self.found: set[str] = set()
+        self.names: set[str] = set()
+        self.attributes: set[str] = set()
         self._defining: list[str] = []
 
     def _definition(self, node):
@@ -75,20 +76,20 @@ class _References(ast.NodeVisitor):
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load) and node.id not in self._defining:
-            self.found.add(node.id)
+            self.names.add(node.id)
 
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Load) and node.attr not in self._defining:
-            self.found.add(node.attr)
+            self.attributes.add(node.attr)
         self.generic_visit(node)
 
 
-def _referenced() -> set[str]:
+def _referenced() -> _References:
     """Every name read and attribute taken in ``SOURCES``."""
     refs = _References()
     for path in SOURCES:
         refs.visit(ast.parse(path.read_text()))
-    return refs.found
+    return refs
 
 
 def _passed_names() -> set[tuple[str, int | str]]:
@@ -109,14 +110,16 @@ def test_every_public_name_has_a_caller():
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     public = [alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
               for alias in node.names]
-    found = _referenced()
+    refs = _referenced()
+    found = refs.names | refs.attributes
     assert len(public) > 40
     assert [name for name in public if name not in found] == []
 
 
 def test_every_public_member_has_a_caller():
     # the same rule one level down: each public method and property of a
-    # class __init__.py exports is used outside its own definition
+    # class __init__.py exports is read as an attribute outside its own
+    # definition; a bare name, such as an alias line in the class body, is no caller
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     members = []
     for node in init.body:
@@ -126,9 +129,25 @@ def test_every_public_member_has_a_caller():
             members += [(cls.name, fn.name) for cls in module.body
                         if isinstance(cls, ast.ClassDef) and cls.name in names
                         for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
-    found = _referenced()
+    found = _referenced().attributes
     assert len(members) > 20
     assert [f"{cls}.{fn}" for cls, fn in members if fn not in found] == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter runs in CI, so an import a deletion leaves behind fails here;
+    # ``__init__.py`` imports to re-export
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert unused == []
 
 
 def _defaulted(node, cls=None) -> list[tuple[str, str, int | None]]:

@@ -109,32 +109,38 @@ class TestGaussianBlocks:
         assert stream._cached_gaussian == ref.cached
 
 
-class TestAdvanced:
-    """``advanced(n)`` is a copy n uniforms ahead: its draws are the ones the
-    stream itself makes after n uniforms, and the stream does not move."""
+class TestAfterGaussians:
+    """``after_gaussians(n)`` is a copy of the stream past the uniforms its
+    next n normals take, caching no sine, and the stream does not move;
+    ``skip(n)`` moves the stream itself n uniforms ahead, keeping its sine."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32), n=st.integers(0, 20_000), k=st.integers(0, 50))
-    def test_copy_after_k_draws_is_the_stream_after_n_plus_k(self, seed, n, k):
-        stream = RandomStream(seed, 3)
-        ahead = stream.advanced(n)
-        assert ahead.uniforms(k).tolist() == RandomStream(seed, 3).uniforms(n + k)[n:].tolist()
-        assert stream.uniforms(n + k).tolist() == RandomStream(seed, 3).uniforms(n + k).tolist()
+    @given(seed=st.integers(0, 2**32), cached=st.booleans(), n=st.integers(0, 20_000), k=st.integers(0, 50))
+    def test_copy_stands_where_n_normals_leave_the_stream(self, seed, cached, n, k):
+        stream, ref = RandomStream(seed, 3), RandomStream(seed, 3)
+        if cached:  # one normal caches the sine of its pair
+            stream.gaussians(1), ref.gaussians(1)
+        state = stream._gen.bit_generator.state
+        ahead = stream.after_gaussians(n)
+        assert stream._gen.bit_generator.state == state and (stream._cached_gaussian is not None) == cached
+        ref.gaussians(n)
+        assert ahead._cached_gaussian is None
+        assert ahead.uniforms(k).tolist() == ref.uniforms(k).tolist()
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32), pairs=st.integers(0, 5_000), k=st.integers(1, 50))
-    def test_copy_caches_no_sine(self, seed, pairs, k):
-        # the stream has drawn one Box-Muller pair and caches its sine; the
-        # copy starts a fresh pair after 2 pairs' worth of uniforms
-        stream = RandomStream(seed)
-        stream.gaussians(1)
-        ahead = stream.advanced(2 * pairs)
-        expected = RandomStream(seed).gaussians(2 + 2 * pairs + k)[2 + 2 * pairs :]
-        assert ahead.gaussians(k).tolist() == expected.tolist()
+    @given(seed=st.integers(0, 2**32), n=st.integers(0, 20_000), k=st.integers(1, 50))
+    def test_skip_keeps_the_cached_sine(self, seed, n, k):
+        stream, ref = RandomStream(seed), RandomStream(seed)
+        stream.gaussians(1), ref.gaussians(1)
+        stream.skip(n)
+        ref.uniforms(n)
+        assert stream.gaussians(k).tolist() == ref.gaussians(k).tolist()
 
     def test_rejects_negative(self):
         with pytest.raises(PreconditionError):
-            RandomStream(0).advanced(-1)
+            RandomStream(0).after_gaussians(-1)
+        with pytest.raises(PreconditionError):
+            RandomStream(0).skip(-1)
 
 
 class TestHaar:

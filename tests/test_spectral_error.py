@@ -21,6 +21,12 @@ PROPERTY = settings(max_examples=60, deadline=None)
 KINDS = ("random", "near_converged", "zero")
 
 
+def error(inst, x) -> float:
+    """The recovery error ``run_trajectory`` records for iterate x: the instance's
+    error of the operand ``loss_grad`` returns."""
+    return inst.operand_errors(inst.loss_grad(x)[2][None])[0]
+
+
 @st.composite
 def shapes(draw, low_rank: bool):
     """(d, r, k) with r <= min(d, k), d <= 40, on one side of 2(k + r) <= d."""
@@ -61,13 +67,13 @@ def test_agrees_with_dense_spectral_norm(low_rank, data):
     u = _iterate(inst, kind, stream.derive(2))
     dense = np.linalg.norm(u @ u.T - inst.target, 2)
     scale = max(1.0, np.linalg.norm(u, 2) ** 2, inst.lambda_max)
-    assert abs(inst.spectral_errors(u[None])[0] - dense) <= 1e-14 * scale
+    assert abs(error(inst, u) - dense) <= 1e-14 * scale
 
 
 def test_icl_error_is_the_dense_spectral_norm():
     inst = make_icl_instance(RandomStream(3), d=20, kappa_s=10.0)
     q = RandomStream(4).gaussian_matrix(20, 20)
-    assert inst.spectral_errors(q[None])[0] == np.linalg.norm(q - inst.inverse, 2)
+    assert error(inst, q) == np.linalg.norm(q - inst.inverse, 2)
 
 
 def test_d100_muon_first_hit_matches_dense_reference():
@@ -95,26 +101,28 @@ def test_stacked_errors_are_the_per_matrix_errors(low_rank, data):
     stream = RandomStream(data.draw(st.integers(0, 2**31)))
     inst = make_mf_instance(stream.derive(1), d, r, k, kappa)
     kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
-    us = np.stack([_iterate(inst, kind, stream.derive(2 + i)) for i, kind in enumerate(kinds)])
-    assert inst.spectral_errors(us).tolist() == [inst.spectral_errors(u[None])[0] for u in us]
+    us = [_iterate(inst, kind, stream.derive(2 + i)) for i, kind in enumerate(kinds)]
+    ops = np.stack([inst.loss_grad(u)[2] for u in us])  # the residuals in the dense regime
+    assert inst.operand_errors(ops).tolist() == [inst.operand_errors(op[None])[0] for op in ops]
 
 
 @pytest.mark.parametrize("low_rank", [True, False])
 @PROPERTY
 @given(data=st.data())
-def test_loss_grad_operands_give_the_iterate_errors(low_rank, data):
+def test_loss_grad_operand_is_the_residual_or_the_factor(low_rank, data):
     """``run_trajectory`` reads each error from the operand ``loss_grad``
-    hands on, a 2-D residual in the dense regime; stacked, those give the
-    stacked residuals' errors of ``spectral_errors`` bit for bit."""
+    hands on: the residual U U^T - M, bit for bit, in the dense regime, else
+    the factor U itself."""
     d, r, k = data.draw(shapes(low_rank))
     kappa = 1.0 if r == 1 else data.draw(st.floats(1.0, 1e3))
     stream = RandomStream(data.draw(st.integers(0, 2**31)))
     inst = make_mf_instance(stream.derive(1), d, r, k, kappa)
-    kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
-    us = np.stack([_iterate(inst, kind, stream.derive(2 + i)) for i, kind in enumerate(kinds)])
-    ops = np.stack([inst.loss_grad(u)[2] for u in us])
-    assert ops.shape == (us.shape if low_rank else (len(us), d, d))
-    assert inst.operand_errors(ops).tolist() == inst.spectral_errors(us).tolist()
+    u = _iterate(inst, data.draw(st.sampled_from(KINDS)), stream.derive(2))
+    op = inst.loss_grad(u)[2]
+    if low_rank:
+        assert op is u
+    else:
+        assert op.tobytes() == (u @ u.T - inst.target).tobytes()
 
 
 @PROPERTY
@@ -122,8 +130,8 @@ def test_loss_grad_operands_give_the_iterate_errors(low_rank, data):
 def test_icl_stacked_errors_are_the_per_matrix_errors(d, n, seed):
     stream = RandomStream(seed)
     inst = make_icl_instance(stream.derive(1), d, 1.0 if d == 1 else 10.0)
-    qs = stream.derive(2).gaussian_matrix(n * d, d).reshape(n, d, d)
-    assert inst.spectral_errors(qs).tolist() == [inst.spectral_errors(q[None])[0] for q in qs]
+    qs = np.stack([inst.loss_grad(q)[2] for q in stream.derive(2).gaussian_matrix(n * d, d).reshape(n, d, d)])
+    assert inst.operand_errors(qs).tolist() == [inst.operand_errors(q[None])[0] for q in qs]
 
 
 @PROPERTY
@@ -135,7 +143,7 @@ def test_mf_error_floor_is_below_the_error(data):
     stream = RandomStream(data.draw(st.integers(0, 2**31)))
     inst = make_mf_instance(stream.derive(1), d, r, k, kappa, lambda_max=lam_max)
     u = _iterate(inst, data.draw(st.sampled_from(KINDS)), stream.derive(2))
-    assert inst.error_floor(inst.loss_grad(u)[0]) <= inst.spectral_errors(u[None])[0]
+    assert inst.error_floor(inst.loss_grad(u)[0]) <= error(inst, u)
 
 
 @PROPERTY
@@ -149,7 +157,7 @@ def test_icl_error_floor_is_below_the_error(data):
     kind = data.draw(st.sampled_from(KINDS))
     q = {"zero": np.zeros((d, d)), "random": stream.derive(2).gaussian_matrix(d, d) / inst.sigma_min,
          "near_converged": inst.inverse + 1e-13 * stream.derive(2).gaussian_matrix(d, d)}[kind]
-    assert inst.error_floor(inst.loss_grad(q)[0]) <= inst.spectral_errors(q[None])[0]
+    assert inst.error_floor(inst.loss_grad(q)[0]) <= error(inst, q)
 
 
 @PROPERTY
@@ -187,7 +195,7 @@ def test_error_floor_where_it_is_tight(lam_max, d, r, k):
     inst = make_mf_instance(RandomStream(d), d, r, k, 1.0, lambda_max=lam_max)
     basis = np.linalg.qr(np.hstack([inst.eigenvectors, RandomStream(d + 1).gaussian_matrix(d, k)]))[0]
     u = basis[:, r:] * np.sqrt(lam_max)
-    err = inst.spectral_errors(u[None])[0]
+    err = error(inst, u)
     assert err == pytest.approx(2.0 * np.sqrt(inst.loss_grad(u)[0]) / np.sqrt(k + r), rel=1e-12)
     assert inst.error_floor(inst.loss_grad(u)[0]) <= err
 
@@ -199,6 +207,6 @@ def test_icl_error_floor_where_it_is_tight(sigma, d):
     inst = make_icl_instance(RandomStream(d), d, 1.0, sigma_min=sigma)
     for c in (1e-12 / sigma, 1.0 / sigma):
         q = inst.inverse + c * np.eye(d)
-        err = inst.spectral_errors(q[None])[0]
+        err = error(inst, q)
         assert err == pytest.approx(c, rel=1e-3)
         assert inst.error_floor(inst.loss_grad(q)[0]) <= err
