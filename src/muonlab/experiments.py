@@ -414,7 +414,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
                             "epsilon": eps,
                             "first_hit": first_hit_time(errors, eps),
                             "final_error": errors[-1] if errors else float("nan"),
-                            # no records: the loss was not finite at t = 0
+                            # no records: the loss was not finite at t = 0,
+                            # or the step from t = 0 was refused (ScaledGD)
                             "iterations": max(len(records) - 1, 0),
                         }
                     )
@@ -686,18 +687,102 @@ def _suite_montecarlo():
     return ok, f"max |estimate - closed|/SE = {worst_sigmas:.2f} (limit 5)"
 
 
+def _run_suite(name: str) -> tuple[bool, str]:
+    """(passed, detail) of the suite ``_suite_<name>``; a crashed suite is a
+    failed suite."""
+    try:
+        return globals()[f"_suite_{name}"]()
+    except Exception as exc:
+        return False, f"raised {type(exc).__name__}: {exc}"
+
+
+# The suite ``verify("all")`` runs in a forked child while the others run in
+# this process: it shares no state with them, and it calls no
+# ``run_trajectory``, so a wrapper that counts steps here still sees them all.
+_FORKED_SUITE = "montecarlo"
+
+
+class _ForkedSuite:
+    """One suite running in a forked child.
+
+    The child writes its result to a pipe, one byte (``1`` passed, ``0``
+    failed) and then the detail in UTF-8, and always ends in ``os._exit``: it
+    flushes no inherited stdio buffer and runs no atexit hook.  ``result``
+    reads the pipe to its end, closes it and reaps the child; ``close`` does
+    the same for a child whose result was not read, killing it first.
+    """
+
+    def __init__(self, name: str):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                ok, detail = _run_suite(name)
+                data = memoryview((b"1" if ok else b"0") + detail.encode("utf-8", "surrogatepass"))
+                while data:
+                    data = data[os.write(write_fd, data):]
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pid, self.fd, self.status = pid, read_fd, None
+
+    def _release(self) -> int:
+        """Close the read end and reap the child, once each; its wait status."""
+        if self.fd is not None:
+            fd, self.fd = self.fd, None
+            os.close(fd)
+        if self.status is None:
+            self.status = os.waitpid(self.pid, 0)[1]
+        return self.status
+
+    def result(self) -> tuple[bool, str]:
+        """The child's (passed, detail); one that ended without sending a
+        whole result is a failed suite naming its exit status."""
+        chunks = []
+        while chunk := os.read(self.fd, 1 << 16):
+            chunks.append(chunk)
+        data = b"".join(chunks)
+        code = os.waitstatus_to_exitcode(self._release())
+        if code == 0 and data:
+            return data[:1] == b"1", data[1:].decode("utf-8", "surrogatepass")
+        ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return False, f"forked child {ended} without sending a result"
+
+    def close(self) -> None:
+        if self.fd is not None:  # the result is unread: this process is raising
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+        self._release()
+
+
 def verify(suite: str) -> RunOutput:
     """Run a named verification suite; the result has no paths, machine-readable
-    lines (``SUITE <name> PASS|FAIL <detail>``) and the overall outcome."""
+    lines (``SUITE <name> PASS|FAIL <detail>``, in ``_SUITE_NAMES`` order) and
+    the overall outcome.  Where ``os.fork`` exists, ``"all"`` runs
+    ``_FORKED_SUITE`` in a forked child beside the other suites."""
     if suite not in SUITES:
         raise PreconditionError(f"unknown suite {suite!r}; options: {SUITES}")
     names = _SUITE_NAMES if suite == "all" else (suite,)
+    child = _ForkedSuite(_FORKED_SUITE) if len(names) > 1 and hasattr(os, "fork") else None
+    try:
+        results = {name: _run_suite(name) for name in names if child is None or name != _FORKED_SUITE}
+        if child is not None:
+            results[_FORKED_SUITE] = child.result()
+    finally:
+        if child is not None:
+            child.close()
     lines, passed = [], True
     for name in names:
-        try:
-            ok, detail = globals()[f"_suite_{name}"]()
-        except Exception as exc:  # a crashed suite is a failed suite
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        ok, detail = results[name]
         passed = passed and ok
         lines.append(f"SUITE {name} {'PASS' if ok else 'FAIL'} {detail}")
     return RunOutput(csv_paths=[], summary_path=None, lines=lines, passed=passed)

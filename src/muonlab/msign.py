@@ -65,8 +65,8 @@ def msign_newton_schulz(z) -> NewtonSchulzResult:
     wide = z.shape[0] < z.shape[1]  # msign(Z^T) = msign(Z)^T: iterate on the tall side
     x = (z.T if wide else z) / norm
     eye = np.eye(x.shape[1])
+    gram = x.T @ x  # each Gram serves one residual and the next step
     for it in range(1, NS_MAX_ITERS + 1):
-        gram = x.T @ x
         x = 1.5 * x - 0.5 * (x @ gram)
         gram = x.T @ x
         residual = float(np.linalg.norm(gram - eye))

@@ -174,6 +174,23 @@ class TestRunExperiment:
         with open(out.summary_path, newline="") as fh:
             assert {row["iterations"] for row in csv.DictReader(fh)} == {"0"}
 
+    def test_scaledgd_cell_refused_at_t0_reports_zero_steps(self, tmp_path):
+        # alpha = 1e-200 underflows U^T U to zero, so ScaledGD refuses the
+        # very first step; the cell keeps no record, like one whose loss is
+        # not finite at t = 0, and the sweep still exits 0
+        cfg_path = tmp_path / "refused.cfg"
+        cfg_path.write_text("d = 5\nr = 2\nk = 3\nkappa = 5\nalgorithms = scaledgd\nT = 300\nalpha = 1e-200\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (csv_path,) = out.glob("mf_sweep_scaledgd_*.csv")
+        assert csv_path.read_text() == f"{CSV_HEADER}\n0,nan,nan,nan,nan\n"
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2  # one per default epsilon
+        for row in rows:
+            assert (row["iterations"], row["final_error"], row["first_hit"]) == ("0", "nan", "inf")
+        assert not list(out.glob("*.svg"))  # a cell without records draws no curve
+
     @pytest.mark.parametrize("seed", [42, 3, 5, 15])
     def test_shipped_small_sweep_muon_hits_every_level(self, seed, tmp_path):
         # seeds at which a strict-< plateau rule let a period-2 cycle reset

@@ -208,3 +208,38 @@ class TestNewtonSchulz:
         assert not res.converged
         assert res.iterations == 8
         assert res.residual > msign.NS_ORTH_TOL
+
+    @pytest.mark.parametrize("d, k, svals, budget", [
+        (3, 7, None, 64), (6, 12, None, 64), (8, 4, None, 64), (30, 16, None, 64), (5, 5, None, 64),
+        (12, 3, [1.0, 1e-3, 1e-3], 64),  # the edge of the documented regime
+        (3, 6, [1.0, 1e-7, 1e-8], 8),  # runs out of its budget
+    ])
+    def test_one_gram_per_iteration_matches_the_two_gram_loop(self, d, k, svals, budget, monkeypatch):
+        # the loop forms X^T X once per iteration and reuses the Gram of the
+        # residual as the next step's; the loop that formed it twice stays
+        # here as the reference, compared bitwise
+        def two_gram_reference(z):
+            wide = z.shape[0] < z.shape[1]
+            x = (z.T if wide else z) / np.linalg.norm(z)
+            eye = np.eye(x.shape[1])
+            for it in range(1, msign.NS_MAX_ITERS + 1):
+                gram = x.T @ x
+                x = 1.5 * x - 0.5 * (x @ gram)
+                gram = x.T @ x
+                residual = float(np.linalg.norm(gram - eye))
+                if residual <= msign.NS_ORTH_TOL:
+                    break
+            return x.T if wide else x, it, residual, residual <= msign.NS_ORTH_TOL
+
+        monkeypatch.setattr(msign, "NS_MAX_ITERS", budget)
+        stream = RandomStream(119)
+        if svals is None:
+            z = stream.gaussian_matrix(d, k)
+        else:
+            z = random_with_spectrum(stream, max(d, k), min(d, k), np.array(svals))
+            z = z if d >= k else z.T
+        res = msign_newton_schulz(z)
+        matrix, iterations, residual, converged = two_gram_reference(z)
+        assert np.array_equal(res.matrix, matrix)
+        assert (res.iterations, res.residual, res.converged) == (iterations, residual, converged)
+        assert res.converged == (budget == 64)
