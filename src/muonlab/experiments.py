@@ -327,10 +327,15 @@ def _sweep_points(cfg: ExperimentConfig):
 
 
 def _make_out_dir(out_dir: str) -> None:
+    import errno
+
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:  # a file in the way, not a failed write
-        raise ConfigError(f"out {out_dir!r} cannot be made a directory: {exc.strerror}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        if isinstance(exc, OSError) and exc.errno not in (errno.EEXIST, errno.ENOTDIR, errno.ENAMETOOLONG):
+            raise  # a failed write, not a file in the way or a name the OS rejects
+        raise ConfigError(f"out {out_dir!r} cannot be made a directory: "
+                          f"{getattr(exc, 'strerror', exc)}") from None
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutput:
@@ -657,21 +662,16 @@ def _suite_lowerbounds():
 
 def _suite_gradients():
     master = RandomStream(2024)
+    mf = [(make_mf_instance(master.derive(i), d=6, r=2, k=3, kappa=10.0), mf_loss_grad,
+           master.derive(1000 + i).gaussian_matrix(6, 3)) for i in range(50)]
+    icl = [(make_icl_instance(master.derive(5000 + i), d=5, kappa_s=3.0), icl_loss_grad,
+            master.derive(6000 + i).gaussian_matrix(5, 5)) for i in range(50)]
     worst = 0.0
-    for i in range(50):
-        inst = make_mf_instance(master.derive(i), d=6, r=2, k=3, kappa=10.0)
-        u = master.derive(1000 + i).gaussian_matrix(6, 3)
-        _, grad = mf_loss_grad(inst, u)
-        fd = finite_difference_gradient(lambda x: inst.loss_grad(x)[0], u)
+    for inst, loss_grad, x in mf + icl:
+        _, grad = loss_grad(inst, x)
+        fd = finite_difference_gradient(lambda y: inst.loss_grad(y)[0], x)
         worst = max(worst, float(np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))))
-    for i in range(50):
-        inst = make_icl_instance(master.derive(5000 + i), d=5, kappa_s=3.0)
-        q = master.derive(6000 + i).gaussian_matrix(5, 5)
-        _, grad = icl_loss_grad(inst, q)
-        fd = finite_difference_gradient(lambda x: inst.loss_grad(x)[0], q)
-        worst = max(worst, float(np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))))
-    ok = worst <= 1e-6
-    return ok, f"max relative finite-difference error {worst:.3e}"
+    return worst <= 1e-6, f"max relative finite-difference error {worst:.3e}"
 
 
 def _suite_montecarlo():
@@ -702,84 +702,54 @@ def _run_suite(name: str) -> tuple[bool, str]:
 _FORKED_SUITE = "montecarlo"
 
 
-class _ForkedSuite:
-    """One suite running in a forked child.
-
-    The child writes its result to a pipe, one byte (``1`` passed, ``0``
-    failed) and then the detail in UTF-8, and always ends in ``os._exit``: it
-    flushes no inherited stdio buffer and runs no atexit hook.  ``result``
-    reads the pipe to its end, closes it and reaps the child; ``close`` does
-    the same for a child whose result was not read, killing it first.
-    """
-
-    def __init__(self, name: str):
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
+def _run_suites_forked(names) -> dict[str, tuple[bool, str]]:
+    """Each suite's (passed, detail), ``_FORKED_SUITE``'s from a forked child
+    that sends one byte (``1`` passed, ``0`` failed) and the UTF-8 detail down
+    a pipe; one that sends no whole result is a failed suite naming its exit
+    status.  A raising caller kills the child, which is reaped on every path."""
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+        pid = os.fork()
         if pid == 0:
             status = 1
             try:
-                os.close(read_fd)
-                ok, detail = _run_suite(name)
-                data = memoryview((b"1" if ok else b"0") + detail.encode("utf-8", "surrogatepass"))
-                while data:
-                    data = data[os.write(write_fd, data):]
+                reader.close()
+                ok, detail = _run_suite(_FORKED_SUITE)
+                writer.write((b"1" if ok else b"0") + detail.encode("utf-8", "surrogatepass"))
+                writer.flush()
                 status = 0
             finally:
-                os._exit(status)
-        os.close(write_fd)
-        self.pid, self.fd, self.status = pid, read_fd, None
-
-    def _release(self) -> int:
-        """Close the read end and reap the child, once each; its wait status."""
-        if self.fd is not None:
-            fd, self.fd = self.fd, None
-            os.close(fd)
-        if self.status is None:
-            self.status = os.waitpid(self.pid, 0)[1]
-        return self.status
-
-    def result(self) -> tuple[bool, str]:
-        """The child's (passed, detail); one that ended without sending a
-        whole result is a failed suite naming its exit status."""
-        chunks = []
-        while chunk := os.read(self.fd, 1 << 16):
-            chunks.append(chunk)
-        data = b"".join(chunks)
-        code = os.waitstatus_to_exitcode(self._release())
-        if code == 0 and data:
-            return data[:1] == b"1", data[1:].decode("utf-8", "surrogatepass")
-        ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        return False, f"forked child {ended} without sending a result"
-
-    def close(self) -> None:
-        if self.fd is not None:  # the result is unread: this process is raising
+                os._exit(status)  # flushes no inherited stdio buffer, runs no atexit hook
+        writer.close()
+        try:
+            results = {name: _run_suite(name) for name in names if name != _FORKED_SUITE}
+            data = reader.read()
+        except BaseException:
             import signal
 
-            os.kill(self.pid, signal.SIGKILL)
-        self._release()
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0 and data:
+        results[_FORKED_SUITE] = data[:1] == b"1", data[1:].decode("utf-8", "surrogatepass")
+    else:
+        ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        results[_FORKED_SUITE] = False, f"forked child {ended} without sending a result"
+    return results
 
 
 def verify(suite: str) -> RunOutput:
     """Run a named verification suite; the result has no paths, machine-readable
     lines (``SUITE <name> PASS|FAIL <detail>``, in ``_SUITE_NAMES`` order) and
-    the overall outcome.  Where ``os.fork`` exists, ``"all"`` runs
-    ``_FORKED_SUITE`` in a forked child beside the other suites."""
+    the outcome.  Where ``os.fork`` exists, ``"all"`` forks ``_FORKED_SUITE``."""
     if suite not in SUITES:
         raise PreconditionError(f"unknown suite {suite!r}; options: {SUITES}")
     names = _SUITE_NAMES if suite == "all" else (suite,)
-    child = _ForkedSuite(_FORKED_SUITE) if len(names) > 1 and hasattr(os, "fork") else None
-    try:
-        results = {name: _run_suite(name) for name in names if child is None or name != _FORKED_SUITE}
-        if child is not None:
-            results[_FORKED_SUITE] = child.result()
-    finally:
-        if child is not None:
-            child.close()
+    if len(names) > 1 and hasattr(os, "fork"):
+        results = _run_suites_forked(names)
+    else:
+        results = {name: _run_suite(name) for name in names}
     lines, passed = [], True
     for name in names:
         ok, detail = results[name]

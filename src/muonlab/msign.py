@@ -59,11 +59,12 @@ def msign_newton_schulz(z) -> NewtonSchulzResult:
     event and continue.
     """
     z = check_matrix(z, "msign input")
-    norm = np.linalg.norm(z)
+    wide = z.shape[0] < z.shape[1]  # msign(Z^T) = msign(Z)^T: iterate on the tall side
+    x = np.ascontiguousarray(z.T if wide else z)  # one layout: a wide run is its transpose's
+    norm = np.linalg.norm(x)
     if norm == 0.0:
         raise PreconditionError("msign_newton_schulz: input is the zero matrix")
-    wide = z.shape[0] < z.shape[1]  # msign(Z^T) = msign(Z)^T: iterate on the tall side
-    x = (z.T if wide else z) / norm
+    x = x / norm
     eye = np.eye(x.shape[1])
     gram = x.T @ x  # each Gram serves one residual and the next step
     for it in range(1, NS_MAX_ITERS + 1):

@@ -247,6 +247,32 @@ class TestCliConfigErrors:
         assert len(err.splitlines()) == 1
         assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == "kept"
 
+    @pytest.mark.parametrize("argv", [
+        ["precond-viz"],
+        ["lower-bound", "--family", "quadratic", "--kappa", "21"],
+    ])
+    def test_out_name_too_long_exits_2_naming_the_path(self, argv, tmp_path, capsys):
+        # once an OSError (File name too long) traceback from the output
+        # directory's makedirs, exiting 1 as a failed suite does
+        out = str(tmp_path / ("a" * 300))
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, "out") and repr(out) in err, err
+        assert len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("lines", ["kind = precond_viz", "kind = lower_bound\nfamily = quadratic\nkappa = 21"])
+    def test_out_holding_a_nul_exits_2_naming_the_path(self, lines, tmp_path, capsys):
+        # once a ValueError (embedded null byte) traceback, exiting 1
+        cfg = tmp_path / "exp.cfg"
+        out = str(tmp_path / "a\0b")
+        cfg.write_text(f"{lines}\nout = {out}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, "out") and repr(out) in err, err
+        assert len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == ["exp.cfg"]
+
     @pytest.mark.parametrize("make", [
         lambda path: path.mkdir(),
         lambda path: path.write_bytes(b"kind = mf_sweep\nd = \xff6\n"),

@@ -3,6 +3,7 @@ other five: the same lines and outcome as six single-suite runs, a failed
 line for a child that raises or dies, and no child process or pipe end left
 behind on any path."""
 
+import errno
 import os
 import signal
 import time
@@ -58,6 +59,15 @@ def test_a_single_suite_forks_nothing(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert exp.verify("montecarlo").passed
+
+
+def test_a_failed_fork_raises_leaving_no_pipe(monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(OSError):
+        exp.verify("all")
 
 
 @pytest.mark.parametrize("message", ["boom", "café \udcff"])  # any str crosses the pipe

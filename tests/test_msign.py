@@ -220,7 +220,8 @@ class TestNewtonSchulz:
         # here as the reference, compared bitwise
         def two_gram_reference(z):
             wide = z.shape[0] < z.shape[1]
-            x = (z.T if wide else z) / np.linalg.norm(z)
+            x = np.ascontiguousarray(z.T if wide else z)
+            x = x / np.linalg.norm(x)
             eye = np.eye(x.shape[1])
             for it in range(1, msign.NS_MAX_ITERS + 1):
                 gram = x.T @ x
