@@ -13,6 +13,7 @@ import os
 import numpy as np
 
 import muonlab as ml
+from muonlab.experiments import write_text
 from muonlab.optimizers import (
     ConstantSchedule,
     ExponentialSchedule,
@@ -60,8 +61,7 @@ for keff, hit in rows:
     print(f"{keff:>10g} {hit['muon']:>8} {hit['gd']:>8} {hit['signgd']:>8}")
 
 path = os.path.join(OUT, "linear_attention_muon.svg")
-emit_svg_plot(curves, title="Muon on the linear-attention quadratic",
-              xlabel="iteration", ylabel="||Q - S^-1||", path=path)
+write_text(path, emit_svg_plot(curves, title="Muon on the linear-attention quadratic", ylabel="||Q - S^-1||"))
 print("wrote", path)
 
 print("""

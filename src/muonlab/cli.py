@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, MuonLabError, NumericalDivergenceError, PreconditionError
-from .experiments import FAMILIES, SUITES, parse_config, run_experiment
+from .experiments import KIND_KEYS, parse_config, run_experiment
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -22,38 +22,26 @@ EXIT_NUMERICAL_ERROR = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """Every flag except ``--config`` and ``--out`` is named after the config
-    key it sets; unset flags stay out of the namespace, so the config text
-    and the kind's defaults decide."""
+    """``run`` takes ``--config`` and the overrides ``--out`` and ``--seed``;
+    every other subcommand takes one flag per key its kind reads
+    (``KIND_KEYS``).  Unset flags stay out of the namespace, so the config
+    text and the kind's defaults decide."""
     parser = argparse.ArgumentParser(
         prog="muonlab",
         description="Spectral-orthogonalization optimizer laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def subcommand(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-
-    run_p = subcommand("run", "run a config-driven experiment")
-    run_p.add_argument("--config", required=True, help="path to a key = value config file")
-    run_p.add_argument("--out", help="output directory (overrides config)")
-    run_p.add_argument("--seed", help="master seed (overrides config)")
-
-    lb_p = subcommand("lower-bound", "run a SignGD lower-bound construction")
-    lb_p.add_argument("--family", required=True, help=" | ".join(FAMILIES))
-    lb_p.add_argument("--kappa", required=True, help="comma-separated condition numbers")
-    lb_p.add_argument("--rho", help="schedule decay (eta_t = eta0 * rho^t)")
-    lb_p.add_argument("--eta0", help="initial learning rate")
-    lb_p.add_argument("--T", help="iterations to run")
-    lb_p.add_argument("--out", help="output directory")
-
-    pv_p = subcommand("precond-viz", "Muon vs ScaledGD preconditioner heatmaps")
-    for key in ("d", "r", "k", "alpha", "seed", "out"):
-        pv_p.add_argument(f"--{key}")
-    pv_p.add_argument("--steps", help="comma-separated step indices")
-
-    v_p = subcommand("verify", "run a verification suite")
-    v_p.add_argument("--suite", help=" | ".join(SUITES))
+    helps = {
+        "run": "run a config-driven experiment",
+        "lower-bound": "run a SignGD lower-bound construction",
+        "precond-viz": "Muon vs ScaledGD preconditioner heatmaps",
+        "verify": "run a verification suite",
+    }
+    for command, help in helps.items():
+        p = sub.add_parser(command, help=help, argument_default=argparse.SUPPRESS)
+        keys = ("config", "out", "seed") if command == "run" else sorted(KIND_KEYS[command.replace("-", "_")])
+        for key in keys:
+            p.add_argument(f"--{key}", required=key == "config")
     return parser
 
 
@@ -74,8 +62,9 @@ def _config_text(args: dict) -> str:
     else:
         text = f"kind = {command.replace('-', '_')}"
     for key, value in args.items():
-        if len(value.splitlines()) > 1:  # a second line would set another key
-            raise ConfigError(f"--{key} must be one line, got {value!r}")
+        # a second line would set another key, and a '#' would cut the value short
+        if len(value.splitlines()) > 1 or "#" in value:
+            raise ConfigError(f"--{key} must be one line without '#', got {value!r}")
     return text + "".join(f"\n{key} = {value}" for key, value in args.items())
 
 

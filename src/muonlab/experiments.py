@@ -83,17 +83,18 @@ KIND_DEFAULTS = {
     "precond_viz": {"d": 10, "r": 5, "k": 5, "alpha": 1e-10},
 }
 
-# the keys each kind reads; _validate checks only these
+# the keys each kind reads: _validate checks only these, and they are the
+# flags of the kind's subcommand
 _SWEEP_KEYS = {"d", "kappa", "algorithms", "schedule", "rho", "prefactor", "eta0", "T",
                "epsilon", "epsilons", "seed", "replicates", "out"}
-_KIND_KEYS = {
+KIND_KEYS = {
     "mf_sweep": _SWEEP_KEYS | {"r", "k", "alpha"},
     "icl_sweep": _SWEEP_KEYS,
     "lower_bound": {"family", "kappa", "rho", "eta0", "T", "r0", "out"},
     "precond_viz": {"d", "r", "k", "alpha", "steps", "seed", "out"},
     "verify": {"suite"},
 }
-KINDS = tuple(_KIND_KEYS)
+KINDS = tuple(KIND_KEYS)
 # the verification suites in run order; verify looks _suite_<name> up by name
 # when it runs, so a wrapper rebound over one (bench/tracer.py times each
 # suite so) is the one that runs
@@ -159,7 +160,7 @@ def _distinct(items) -> bool:
 def _validate(cfg: ExperimentConfig):
     if cfg.kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
-    reads = _KIND_KEYS[cfg.kind]
+    reads = KIND_KEYS[cfg.kind]
     sweep = cfg.kind in ("mf_sweep", "icl_sweep")
     checks = (  # (key, ok, message), in the order they are reported
         ("d", cfg.d >= 1, "d must be positive"),
@@ -209,17 +210,22 @@ def _validate(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O
+# Output files
 # ---------------------------------------------------------------------------
 
 
-def write_csv(path: str, header: str, lines) -> None:
-    """Write ``header`` and the already-formatted ``lines`` in one write, LF
-    endings.  Callers format floats with ``f"{x}"``, which is ``str(x)``: the
-    shortest round-trip form for a Python float or ``np.float64`` (an int
-    needs ``float()``)."""
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` in one write, LF endings: the one function
+    that opens an output file."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([header, *lines, ""]))
+        fh.write(text)
+
+
+def write_csv(path: str, header: str, lines) -> None:
+    """Write ``header`` and the already-formatted ``lines``.  Callers format
+    floats with ``f"{x}"``, which is ``str(x)``: the shortest round-trip form
+    for a Python float or ``np.float64`` (an int needs ``float()``)."""
+    write_text(path, "\n".join([header, *lines, ""]))
 
 
 def write_records_csv(path: str, records, diagnostic_t: int | None = None):
@@ -307,15 +313,15 @@ def _write_metadata(cfg: ExperimentConfig, out_dir: str) -> str:
     """Write the resolved config as a config file ``parse_config`` reads
     back to ``cfg``; unset optional keys are left out."""
     path = os.path.join(out_dir, "run_metadata.txt")
-    with open(path, "w", newline="\n") as fh:
-        for f in fields(cfg):
-            value = getattr(cfg, f.name)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            fh.write(f"{f.name} = {value}\n")
-        fh.write("# early stop: trajectory ends once spectral_error <= epsilon\n")
+    lines = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{f.name} = {value}\n")
+    write_text(path, "".join(lines) + "# early stop: trajectory ends once spectral_error <= epsilon\n")
     return path
 
 
@@ -327,13 +333,21 @@ def _sweep_points(cfg: ExperimentConfig):
 
 
 def _make_out_dir(out_dir: str) -> None:
+    import contextlib
     import errno
 
+    missing, head = [], os.path.dirname(out_dir)  # the ancestors makedirs may make, deepest first
+    while head and not os.path.lexists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         if isinstance(exc, OSError) and exc.errno not in (errno.EEXIST, errno.ENOTDIR, errno.ENAMETOOLONG):
             raise  # a failed write, not a file in the way or a name the OS rejects
+        for path in missing:
+            with contextlib.suppress(OSError, ValueError):  # not made, or not empty
+                os.rmdir(path)
         raise ConfigError(f"out {out_dir!r} cannot be made a directory: "
                           f"{getattr(exc, 'strerror', exc)}") from None
 
@@ -435,13 +449,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
     for algorithm, series in curves.items():
         if series:
             fig_path = os.path.join(out_dir, f"{cfg.kind}_{algorithm}.svg")
-            emit_svg_plot(
-                series,
-                title=f"{algorithm} ({cfg.kind})",
-                xlabel="iteration",
-                ylabel="spectral error",
-                path=fig_path,
-            )
+            write_text(fig_path, emit_svg_plot(series, title=f"{algorithm} ({cfg.kind})",
+                                               ylabel="spectral error"))
             figure_paths.append(fig_path)
     _write_metadata(cfg, out_dir)
     return RunOutput(
@@ -545,8 +554,8 @@ def preconditioner_report(
     for s, pm, ps in zip(steps, muon_blocks, sgd_blocks):
         pa = os.path.join(out_dir, f"precond_muon_t{s}.svg")
         pb = os.path.join(out_dir, f"precond_scaledgd_t{s}.svg")
-        emit_svg_heatmap(pm, title=f"Muon preconditioner block, t={s}", path=pa)
-        emit_svg_heatmap(ps, title=f"ScaledGD preconditioner block, t={s}", path=pb)
+        write_text(pa, emit_svg_heatmap(pm, title=f"Muon preconditioner block, t={s}"))
+        write_text(pb, emit_svg_heatmap(ps, title=f"ScaledGD preconditioner block, t={s}"))
         heatmaps.extend([pa, pb])
     diff_path = os.path.join(out_dir, "precond_differences.csv")
     write_csv(diff_path, "t,normalized_difference", [f"{s},{v}" for s, v in zip(steps, diffs)])

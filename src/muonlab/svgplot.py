@@ -1,7 +1,8 @@
 """Self-contained SVG emission for convergence curves and heatmaps.
 
 No plotting dependency: identical inputs produce byte-identical SVG text,
-which keeps figure output diffable in review.  Curves get a log-scaled y
+which keeps figure output diffable in review.  The emitters return the text;
+callers write it with ``experiments.write_text``.  Curves get a log-scaled y
 axis; nonpositive values on a log axis are clamped to 1e-300 and flagged
 with a warning annotation inside the file.
 """
@@ -31,18 +32,11 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def emit_svg_plot(
-    series: dict[str, tuple],
-    title: str = "",
-    xlabel: str = "iteration",
-    ylabel: str = "value",
-    path: str | None = None,
-) -> str:
-    """Render named (xs, ys) series as polylines on a log-scaled y axis and
-    return the SVG text.
+def emit_svg_plot(series: dict[str, tuple], title: str = "", ylabel: str = "value") -> str:
+    """Render named (xs, ys) series as polylines against the iteration on a
+    log-scaled y axis and return the SVG text.
 
-    ``series`` maps legend label -> (xs, ys).  With ``path`` set, the text is
-    also written to disk with LF endings.
+    ``series`` maps legend label -> (xs, ys).
     """
     if not series:
         raise PreconditionError("emit_svg_plot needs at least one series")
@@ -117,7 +111,7 @@ def emit_svg_plot(
         )
     out.append(
         f'<text x="{_MARGIN_L + plot_w // 2}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{xlabel}</text>'
+        f'font-size="13" font-family="sans-serif">iteration</text>'
     )
     out.append(
         f'<text x="18" y="{_MARGIN_T + plot_h // 2}" text-anchor="middle" font-size="13" '
@@ -149,14 +143,10 @@ def emit_svg_plot(
             f"on log axis</text>"
         )
     out.append("</svg>")
-    text = "\n".join(out) + "\n"
-    if path is not None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(out) + "\n"
 
 
-def emit_svg_heatmap(matrix, title: str = "", path: str | None = None) -> str:
+def emit_svg_heatmap(matrix, title: str = "") -> str:
     """Render a matrix as a signed heatmap (blue negative, red positive).
 
     Cell colors are linear in value / max|value|; each cell also carries its
@@ -201,8 +191,4 @@ def emit_svg_heatmap(matrix, title: str = "", path: str | None = None) -> str:
         f"max|value| = {vmax:.6g}</text>"
     )
     out.append("</svg>")
-    text = "\n".join(out) + "\n"
-    if path is not None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(out) + "\n"

@@ -2,6 +2,7 @@
 with per-kind defaults, checks on the keys each kind reads, and a
 ``run_metadata.txt`` that reads back as the config it records."""
 
+import argparse
 import os
 import re
 import tempfile
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muonlab import ConfigError
-from muonlab.cli import main
-from muonlab.experiments import FAMILIES, KINDS, SUITES, ExperimentConfig, _write_metadata, parse_config
+from muonlab.cli import _build_parser, main
+from muonlab.experiments import FAMILIES, KIND_KEYS, KINDS, SUITES, ExperimentConfig, _write_metadata, parse_config
 from muonlab.optimizers import ALGORITHMS
 
 POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
@@ -124,6 +125,8 @@ class TestCliConfigErrors:
         (["lower-bound", "--family", "cubic", "--kappa", "21"], "family"),
         (["verify", "--suite", "nonsense"], "suite"),
         (["lower-bound", "--family", "quadratic", "--kappa", "21\nkind = verify"], "kappa"),
+        # once ran kappa 21 alone: the '#' began a comment in the config line
+        (["lower-bound", "--family", "quadratic", "--kappa", "21,#101"], "kappa"),
         (["lower-bound", "--family", "quadratic", "--kappa", "21,21.000001"], "kappa"),
         (["precond-viz", "--steps", "0,10,0"], "steps"),
         # accepted, each of these failed in the library after writing part of its output
@@ -251,10 +254,12 @@ class TestCliConfigErrors:
         ["precond-viz"],
         ["lower-bound", "--family", "quadratic", "--kappa", "21"],
     ])
-    def test_out_name_too_long_exits_2_naming_the_path(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("parent", ["", "nd/sub/"])
+    def test_out_name_too_long_exits_2_naming_the_path(self, argv, parent, tmp_path, capsys):
         # once an OSError (File name too long) traceback from the output
-        # directory's makedirs, exiting 1 as a failed suite does
-        out = str(tmp_path / ("a" * 300))
+        # directory's makedirs, exiting 1 as a failed suite does; below a
+        # missing parent, the parents makedirs made were once left behind
+        out = str(tmp_path / parent / ("a" * 300))
         assert main(argv + ["--out", out]) == 2
         err = capsys.readouterr().err
         assert names_key(err, "out") and repr(out) in err, err
@@ -262,10 +267,12 @@ class TestCliConfigErrors:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("lines", ["kind = precond_viz", "kind = lower_bound\nfamily = quadratic\nkappa = 21"])
-    def test_out_holding_a_nul_exits_2_naming_the_path(self, lines, tmp_path, capsys):
-        # once a ValueError (embedded null byte) traceback, exiting 1
+    @pytest.mark.parametrize("parent", ["", "nd/"])
+    def test_out_holding_a_nul_exits_2_naming_the_path(self, lines, parent, tmp_path, capsys):
+        # once a ValueError (embedded null byte) traceback, exiting 1; below
+        # a missing parent, the parent makedirs made was once left behind
         cfg = tmp_path / "exp.cfg"
-        out = str(tmp_path / "a\0b")
+        out = str(tmp_path / parent / "a\0b")
         cfg.write_text(f"{lines}\nout = {out}\n")
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
@@ -300,6 +307,32 @@ class TestCliConfigErrors:
         cfg.write_text(f"kind = precond_viz\nd = 10\nr = {r}\nk = 5\nsteps = 0,10\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "precond_differences.csv").exists()
+
+
+class TestSubcommandFlags:
+    def test_flags_are_the_keys_the_kind_reads(self):
+        # the parser is built from KIND_KEYS, so no key lacks its flag
+        parser = _build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        flags = {command: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+                 for command, p in commands.items()}
+        assert flags.pop("run") == {"--config", "--out", "--seed"}
+        assert flags == {command: {f"--{key}" for key in KIND_KEYS[command.replace("-", "_")]}
+                         for command in ("lower-bound", "precond-viz", "verify")}
+
+    def test_lower_bound_r0_flag_reaches_the_metadata(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["lower-bound", "--family", "mf", "--kappa", "41", "--r0", "0.03", "--out", str(out)]) == 0
+        assert "r0 = 0.03\n" in (out / "run_metadata.txt").read_text()
+
+    def test_lower_bound_without_flags_runs_the_kind_defaults(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["lower-bound"]) == 0
+        by_flags = capsys.readouterr().out
+        (tmp_path / "exp.cfg").write_text("kind = lower_bound\n")
+        assert main(["run", "--config", "exp.cfg", "--out", "file"]) == 0
+        assert by_flags == capsys.readouterr().out.replace("file/", "results/")
+        assert _outputs(tmp_path / "results") == _outputs(tmp_path / "file")
 
 
 def _outputs(directory):

@@ -26,6 +26,7 @@ from muonlab.experiments import (
     scaled_orthonormal_init,
     verify,
     write_records_csv,
+    write_text,
 )
 from muonlab.optimizers import TrajectoryRecord
 from muonlab.svgplot import emit_svg_heatmap, emit_svg_plot
@@ -307,9 +308,10 @@ class TestCsvFormat:
 class TestSvg:
     def test_single_series_polyline(self, tmp_path):
         path = str(tmp_path / "p.svg")
-        text = emit_svg_plot({"loss": ([0, 1, 2], [1.0, 0.1, 0.01])}, path=path)
+        text = emit_svg_plot({"loss": ([0, 1, 2], [1.0, 0.1, 0.01])})
         assert text.count("<polyline") == 1
-        with open(path) as fh:
+        write_text(path, text)
+        with open(path, newline="") as fh:
             assert fh.read() == text
 
     def test_five_series_legend(self):

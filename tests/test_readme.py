@@ -3,7 +3,8 @@ exits 0, so the documented commands cannot drift from the CLI; every
 experiment kind is reached by a shipped config or one of those commands;
 every public name, and every public method and property of an exported
 class, has a caller; every parameter and every dataclass or NamedTuple field
-with a default is set by one; and every module uses each name it imports."""
+with a default is set by one; every module uses each name it imports; and
+one function opens output files."""
 
 import ast
 import re
@@ -148,6 +149,40 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert unused == []
+
+
+def _opens_for_text_writing(call: ast.Call) -> bool:
+    """Whether ``call`` may open a path for text writing: an ``open`` whose
+    mode is not a constant or writes (``w``, ``a``, ``x`` or ``+``) without
+    ``b``, or a ``write_text`` method such as pathlib's (the package calls
+    its own ``write_text`` by name)."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if isinstance(call.func, ast.Attribute) and name == "write_text":
+        return True
+    modes = [*call.args[1:2], *(kw.value for kw in call.keywords if kw.arg == "mode")]
+    if name != "open" or not modes:
+        return False
+    mode = getattr(modes[0], "value", None)
+    return not isinstance(mode, str) or (bool(set(mode) & set("wax+")) and "b" not in mode)
+
+
+def _text_writers(node, function=None) -> list[str]:
+    """The function around each call under ``node`` that may open a path
+    for text writing."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _opens_for_text_writing(child):
+            found.append(function)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        found += _text_writers(child, inner)
+    return found
+
+
+def test_one_function_opens_an_output_file():
+    # output files get one encoding and one line ending from experiments.write_text;
+    # the SVG emitters return their text and write nothing
+    writers = [w for path in sorted(PACKAGE.glob("*.py")) for w in _text_writers(ast.parse(path.read_text()))]
+    assert writers == ["write_text"]
 
 
 def _defaulted(node, cls=None) -> list[tuple[str, str, int | None]]:
