@@ -33,10 +33,11 @@ print(f"first iteration with ||U U^T - M|| <= {EPSILON:g}  "
       f"(d={cfg.d}, r={cfg.r}, k={cfg.k}, T={cfg.T}, seed={cfg.seed})")
 print(f"{'kappa':>8} " + " ".join(f"{a:>8}" for a in cfg.algorithms))
 for kappa in cfg.kappa:
-    print(f"{kappa:>8g} " + " ".join(f"{hits[a, kappa]:>8}" for a in cfg.algorithms))
+    print(f"{kappa:>8g} " + " ".join(f"{hits[a, kappa]:>8g}" for a in cfg.algorithms))
 
-for path in out.figure_paths + [out.summary_path]:
-    print("wrote", path)
+for path in out.paths:
+    if path.endswith((".svg", "summary.csv")):
+        print("wrote", path)
 
 print("""
 Muon's column stays flat as kappa grows 625-fold: orthogonalizing the

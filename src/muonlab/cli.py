@@ -70,7 +70,8 @@ def _config_text(args: dict) -> str:
 
 def main(argv=None) -> int:
     """Run one subcommand.  It prints the kind's result lines (suite lines,
-    bound checks, block differences), then the written paths; a failed suite
+    bound checks, block differences), then one ``wrote`` line per file the
+    run wrote, in write order, ``run_metadata.txt`` last; a failed suite
     or a lower-bound row whose ``lower_bound_verdict`` is not OK (VIOLATED,
     UNDECIDED, OFF-SLICE) exits 1."""
     args = vars(_build_parser().parse_args(argv))
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL_ERROR
     for line in out.lines:
         print(line)
-    for path in out.csv_paths + out.figure_paths + ([out.summary_path] if out.summary_path else []):
+    for path in out.paths:
         print(f"wrote {path}")
     return EXIT_OK if out.passed else EXIT_VERIFY_FAILED
 

@@ -298,15 +298,20 @@ def _make_schedule(cfg: ExperimentConfig, algorithm: str, inst):
 
 @dataclass
 class RunOutput:
-    """What a run wrote, its summary rows, and its report: the kind's
-    printable result lines and whether every check in them passed."""
+    """What a run wrote (every file, in write order), its summary rows, and
+    its report: the kind's printable result lines and whether every check
+    in them passed."""
 
-    csv_paths: list[str]
-    summary_path: str | None
+    paths: list[str]
     summary_rows: list[dict] = field(default_factory=list)
-    figure_paths: list[str] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
     passed: bool = True
+
+
+def _write_table(path: str, rows: list[dict]) -> None:
+    """Write nonempty ``rows`` as a CSV: the header is their keys, each line
+    the ``str()`` of a row's values, so rows hold the values as written."""
+    write_csv(path, ",".join(rows[0]), [",".join(map(str, row.values())) for row in rows])
 
 
 def _write_metadata(cfg: ExperimentConfig, out_dir: str) -> str:
@@ -325,17 +330,12 @@ def _write_metadata(cfg: ExperimentConfig, out_dir: str) -> str:
     return path
 
 
-def _sweep_points(cfg: ExperimentConfig):
-    """(label, kappa, k) triples for the requested sweep; k is the iterate's
-    column count (d for the square covariance problem)."""
-    k = cfg.d if cfg.kind == "icl_sweep" else cfg.k
-    return [(f"{_kappa_label(kappa)}_k{k}", kappa, k) for kappa in cfg.kappa]
-
-
 def _make_out_dir(out_dir: str) -> None:
     import contextlib
     import errno
 
+    if not out_dir:
+        raise ConfigError("out must name a directory, got ''")
     missing, head = [], os.path.dirname(out_dir)  # the ancestors makedirs may make, deepest first
     while head and not os.path.lexists(head):
         missing.append(head)
@@ -353,40 +353,34 @@ def _make_out_dir(out_dir: str) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutput:
-    """Execute a config.  A sweep writes one CSV per (algorithm, point,
-    replicate), a first-hit summary CSV, figures and a resolved-config
-    metadata file; ``lower_bound`` and ``precond_viz`` write their CSVs and
-    the metadata file too.  ``kind = verify`` writes nothing.  The result
+    """Execute a config in ``out_dir`` (``cfg.out`` when None).  A sweep
+    writes one CSV per (algorithm, kappa, replicate), a first-hit summary CSV
+    and figures; ``lower_bound`` and ``precond_viz`` write their CSVs and
+    heatmaps; each then writes the resolved-config file ``run_metadata.txt``,
+    the last of its ``paths``.  ``kind = verify`` writes nothing.  The result
     lines are the suite lines (``verify``), one bound check per kappa
     (``lower_bound``, failed unless shown) or one block difference per step
     (``precond_viz``); sweeps have none.
     """
     if cfg.kind == "verify":
         return verify(cfg.suite)
-    out_dir = out_dir or cfg.out
-    if cfg.kind == "lower_bound":
-        return _run_lower_bound(cfg, out_dir)
-    _make_out_dir(out_dir)
-    if cfg.kind == "precond_viz":
-        report = preconditioner_report(
-            d=cfg.d, r=cfg.r, k=cfg.k, alpha=cfg.alpha, steps=cfg.steps,
-            seed=cfg.seed, out_dir=out_dir,
-        )
-        _write_metadata(cfg, out_dir)
-        return RunOutput(
-            csv_paths=list(report.heatmap_paths),
-            summary_path=report.difference_path,
-            lines=[f"t={t}: trace-normalized block difference {diff:.6f}"
-                   for t, diff in zip(report.steps, report.normalized_differences)],
-        )
+    out_dir = cfg.out if out_dir is None else out_dir
+    run = {"lower_bound": _run_lower_bound, "precond_viz": _run_precond_viz}.get(cfg.kind, _run_sweep)
+    out = run(cfg, out_dir)
+    out.paths.append(_write_metadata(cfg, out_dir))
+    return out
 
+
+def _run_sweep(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
+    _make_out_dir(out_dir)
     master = RandomStream(cfg.seed)
-    points = _sweep_points(cfg)
-    csv_paths: list[str] = []
+    k = cfg.d if cfg.kind == "icl_sweep" else cfg.k  # the iterate's column count
+    paths: list[str] = []
     summary_rows: list[dict] = []
     curves: dict[str, dict[str, tuple]] = {a: {} for a in cfg.algorithms}
     cell_index = 0
-    for p_idx, (label, kappa, k) in enumerate(points):
+    for p_idx, kappa in enumerate(cfg.kappa):
+        label = f"{_kappa_label(kappa)}_k{k}"
         inst_stream = master.derive(10_000 + p_idx)
         if cfg.kind == "icl_sweep":
             inst = make_icl_instance(inst_stream, cfg.d, kappa ** (1.0 / 3.0), sigma_min=1.0)
@@ -419,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
                     records = exc.records
                     diagnostic_t = exc.iteration
                 write_records_csv(path, records, diagnostic_t=diagnostic_t)
-                csv_paths.append(path)
+                paths.append(path)
                 errors = [rec.spectral_error for rec in records]
                 if rep == 0 and records:  # t runs 0, 1, ...; an array keeps 8 bytes an error
                     curves[algorithm][label] = (range(len(records)), np.array(errors))
@@ -427,36 +421,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunOutp
                     summary_rows.append(
                         {
                             "algorithm": algorithm,
-                            "kappa": kappa,
+                            "kappa": float(kappa),
                             "k": k,
                             "replicate": rep,
-                            "epsilon": eps,
-                            "first_hit": first_hit_time(errors, eps),
+                            "epsilon": float(eps),
+                            "first_hit": float(first_hit_time(errors, eps)),
                             "final_error": errors[-1] if errors else float("nan"),
                             # no records: the loss was not finite at t = 0,
                             # or the step from t = 0 was refused (ScaledGD)
                             "iterations": max(len(records) - 1, 0),
                         }
                     )
-    summary_path = os.path.join(out_dir, "summary.csv")
-    header = "algorithm,kappa,k,replicate,epsilon,first_hit,final_error,iterations"
-    write_csv(summary_path, header, [
-        f"{row['algorithm']},{float(row['kappa'])},{row['k']},{row['replicate']},"
-        f"{float(row['epsilon'])},{float(row['first_hit'])},{row['final_error']},{row['iterations']}"
-        for row in summary_rows
-    ])
-    figure_paths: list[str] = []
+    paths.append(os.path.join(out_dir, "summary.csv"))
+    _write_table(paths[-1], summary_rows)
     for algorithm, series in curves.items():
         if series:
-            fig_path = os.path.join(out_dir, f"{cfg.kind}_{algorithm}.svg")
-            write_text(fig_path, emit_svg_plot(series, title=f"{algorithm} ({cfg.kind})",
-                                               ylabel="spectral error"))
-            figure_paths.append(fig_path)
-    _write_metadata(cfg, out_dir)
-    return RunOutput(
-        csv_paths=csv_paths, summary_path=summary_path,
-        summary_rows=summary_rows, figure_paths=figure_paths,
-    )
+            paths.append(os.path.join(out_dir, f"{cfg.kind}_{algorithm}.svg"))
+            write_text(paths[-1], emit_svg_plot(series, title=f"{algorithm} ({cfg.kind})",
+                                                ylabel="spectral error"))
+    return RunOutput(paths=paths, summary_rows=summary_rows)
 
 
 def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
@@ -465,23 +448,30 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
     results = [run_lower_bound(cfg.family, kappa, cfg.T, rho=cfg.rho, eta0=cfg.eta0, r0=cfg.r0)
                for kappa in cfg.kappa]
     _make_out_dir(out_dir)
-    out = RunOutput(csv_paths=[], summary_path=os.path.join(out_dir, "lower_bound_summary.csv"))
-    summary_lines = []
+    paths, summary_rows, lines = [], [], []
     for kappa, res in zip(cfg.kappa, results):
-        path = os.path.join(out_dir, f"lower_bound_{cfg.family}_{_kappa_label(kappa)}.csv")
-        write_csv(path, "t,metric", [f"{t},{v}" for t, v in enumerate(res.metric)])
-        out.csv_paths.append(path)
+        paths.append(os.path.join(out_dir, f"lower_bound_{cfg.family}_{_kappa_label(kappa)}.csv"))
+        write_csv(paths[-1], "t,metric", [f"{t},{v}" for t, v in enumerate(res.metric)])
         bound, verdict = step_bound(kappa), lower_bound_verdict(res, kappa, cfg.T)
-        satisfied = verdict == "OK"
-        out.summary_rows.append({"family": cfg.family, "kappa": kappa, "epsilon": res.epsilon,
-                                 "first_hit": res.first_hit, "bound": bound, "satisfied": satisfied})
-        summary_lines.append(f"{cfg.family},{float(kappa)},{float(res.epsilon)},{float(res.first_hit)},"
-                             f"{bound},{int(satisfied)}")
-        out.lines.append(f"{cfg.family} kappa={kappa:g}: first_hit={res.first_hit} >= bound={bound:g}? {verdict}")
-        out.passed = out.passed and satisfied
-    write_csv(out.summary_path, "family,kappa,epsilon,first_hit,bound,satisfied", summary_lines)
-    _write_metadata(cfg, out_dir)
-    return out
+        summary_rows.append({"family": cfg.family, "kappa": float(kappa), "epsilon": float(res.epsilon),
+                             "first_hit": float(res.first_hit), "bound": bound, "satisfied": int(verdict == "OK")})
+        lines.append(f"{cfg.family} kappa={kappa:g}: first_hit={res.first_hit} >= bound={bound:g}? {verdict}")
+    paths.append(os.path.join(out_dir, "lower_bound_summary.csv"))
+    _write_table(paths[-1], summary_rows)
+    return RunOutput(paths=paths, summary_rows=summary_rows, lines=lines,
+                     passed=all(row["satisfied"] for row in summary_rows))
+
+
+def _run_precond_viz(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
+    _make_out_dir(out_dir)
+    report = preconditioner_report(
+        d=cfg.d, r=cfg.r, k=cfg.k, alpha=cfg.alpha, steps=cfg.steps, seed=cfg.seed, out_dir=out_dir,
+    )
+    return RunOutput(
+        paths=[*report.heatmap_paths, report.difference_path],
+        lines=[f"t={t}: trace-normalized block difference {diff:.6f}"
+               for t, diff in zip(report.steps, report.normalized_differences)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -764,4 +754,4 @@ def verify(suite: str) -> RunOutput:
         ok, detail = results[name]
         passed = passed and ok
         lines.append(f"SUITE {name} {'PASS' if ok else 'FAIL'} {detail}")
-    return RunOutput(csv_paths=[], summary_path=None, lines=lines, passed=passed)
+    return RunOutput(paths=[], lines=lines, passed=passed)

@@ -17,32 +17,23 @@ from .errors import PreconditionError
 RANK_TOL = 1e-12
 
 
-def check_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D float64 array with finite entries.
+def check_matrix(a, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Coerce ``a`` to a 2-D float64 array with finite entries and, unless
+    ``shape`` is None, that shape.
 
     Raises
     ------
     PreconditionError
-        If the input is not 2-D or contains NaN/Inf.
+        If the input is not 2-D, contains NaN/Inf or has another shape; its
+        message names the input ``name``.
     """
     out = np.asarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise PreconditionError(f"{name} must be 2-D, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise PreconditionError(f"{name} contains non-finite entries")
-    return out
-
-
-def check_matrices(shape: tuple[int, ...], **named) -> list[np.ndarray]:
-    """``check_matrix`` on each keyword argument (its name labels errors),
-    then ``PreconditionError`` unless each has ``shape``; returns the
-    coerced arrays in argument order."""
-    out = []
-    for name, a in named.items():
-        a = check_matrix(a, name)
-        if a.shape != tuple(shape):
-            raise PreconditionError(f"{name} must have shape {tuple(shape)}, got {a.shape}")
-        out.append(a)
+    if shape is not None and out.shape != tuple(shape):
+        raise PreconditionError(f"{name} must have shape {tuple(shape)}, got {out.shape}")
     return out
 
 

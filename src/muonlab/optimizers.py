@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalDivergenceError, PreconditionError, RankDeficiencyError
-from .linalg import RANK_TOL, check_matrices
+from .linalg import RANK_TOL, check_matrix
 from .msign import _msign_from_svd
 from .rng import RandomStream
 
@@ -270,8 +270,7 @@ def run_trajectory(
     """
     if T < 1:
         raise PreconditionError("T must be >= 1")
-    (x,) = check_matrices(inst.iterate_shape(), init=init)
-    x = x.copy()
+    x = check_matrix(init, "init", inst.iterate_shape()).copy()
     update = _UPDATES[algo.algorithm]
     factored = algo.algorithm == "muon"
     rows: list[tuple[int, int, float, float]] = []  # t, source row, eta, loss

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import check_matrices
+from .linalg import check_matrix
 from .rng import RandomStream
 
 # Tasks per chunk of ``icl_monte_carlo_loss``: bounds its draws and per-task
@@ -188,7 +188,7 @@ def make_mf_instance(
 def mf_loss_grad(inst: MfInstance, u):
     """Loss 0.25 * ||U U^T - M||_F^2 and its gradient (U U^T - M) U, for a
     finite d x k factor U."""
-    (u,) = check_matrices(inst.iterate_shape(), U=u)
+    u = check_matrix(u, "U", inst.iterate_shape())
     return inst.loss_grad(u)[:2]
 
 
@@ -223,7 +223,7 @@ def make_icl_instance(
 def icl_loss_grad(inst: IclInstance, q):
     """Loss 0.5 * tr((SQ - I) S (SQ - I)^T) and gradient S (SQ - I) S, for
     a finite d x d parameter Q."""
-    (q,) = check_matrices(inst.iterate_shape(), Q=q)
+    q = check_matrix(q, "Q", inst.iterate_shape())
     return inst.loss_grad(q)[:2]
 
 
@@ -245,7 +245,7 @@ def icl_monte_carlo_loss(
     stream is left where one whole draw of each leaves it: the same next
     uniform and the same cached Box-Muller sine.
     """
-    (q,) = check_matrices(inst.iterate_shape(), Q=q)
+    q = check_matrix(q, "Q", inst.iterate_shape())
     if inst.samples is None:
         raise PreconditionError("instance carries no sample set")
     if n_tasks < 100:

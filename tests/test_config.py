@@ -187,6 +187,25 @@ class TestCliConfigErrors:
         assert names_key(err, key), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "precond.cfg"],
+        ["run", "--config", "bound.cfg"],
+        ["precond-viz", "--out", ""],
+        ["lower-bound", "--kappa", "21", "--out", ""],
+    ])
+    def test_empty_out_exits_2_naming_out(self, argv, tmp_path, monkeypatch, capsys):
+        # the config line 'out =' once raised FileNotFoundError (exit 1),
+        # and --out "" silently wrote into results/
+        configs = {"precond.cfg": "kind = precond_viz\nout =\n",
+                   "bound.cfg": "kind = lower_bound\nkappa = 21\nout =\n"}
+        for name, text in configs.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, "out") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(configs)
+
     def test_sweep_limits_admit_their_largest_values(self):
         kappas = ", ".join(str(x) for x in range(1, 11))
         cfg = parse_config(f"d = 6\nkappa = {kappas}\nreplicates = 1000\nschedule = exponential\neta0 = 8e307")

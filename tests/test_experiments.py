@@ -92,12 +92,10 @@ class TestRunExperiment:
         out1 = run_experiment(cfg, out_dir=str(tmp_path / "a"))
         cfg2 = parse_config(SMALL_SWEEP)
         out2 = run_experiment(cfg2, out_dir=str(tmp_path / "b"))
-        assert len(out1.csv_paths) == 4  # 2 kappas x 2 algorithms
-        assert len(out1.figure_paths) == 2  # one panel per algorithm
-        for p1, p2 in zip(
-            out1.csv_paths + out1.figure_paths + [out1.summary_path],
-            out2.csv_paths + out2.figure_paths + [out2.summary_path],
-        ):
+        # 2 kappas x 2 algorithms, the summary, one panel per algorithm, the metadata
+        assert len(out1.paths) == 8
+        assert [os.path.basename(p) for p in out1.paths] == [os.path.basename(p) for p in out2.paths]
+        for p1, p2 in zip(out1.paths, out2.paths):
             with open(p1, "rb") as f1, open(p2, "rb") as f2:
                 assert f1.read() == f2.read()
 
@@ -107,7 +105,9 @@ class TestRunExperiment:
         cfg = parse_config(SMALL_SWEEP)
         out = run_experiment(cfg, out_dir=str(tmp_path))
         by_file = {}
-        for path in out.csv_paths:
+        for path in out.paths:
+            if not path.endswith("_rep0.csv"):
+                continue
             with open(path, newline="") as fh:
                 errors = [float(row["spectral_error"]) for row in csv.DictReader(fh)]
             by_file[os.path.basename(path)] = errors
@@ -153,7 +153,7 @@ class TestRunExperiment:
             "schedule = exponential\neta0 = 1e12\nT = 30\n"
         )
         out = run_experiment(cfg, out_dir=str(tmp_path))
-        with open(out.csv_paths[0]) as fh:
+        with open(out.paths[0]) as fh:  # the one cell's CSV
             text = fh.read()
         assert text.strip().splitlines()[-1].endswith("nan,nan,nan,nan")
         assert all(math.isinf(row["first_hit"]) for row in out.summary_rows)
@@ -172,8 +172,9 @@ class TestRunExperiment:
             assert row["iterations"] == 0
             assert math.isnan(row["final_error"])
             assert math.isinf(row["first_hit"])
-        with open(out.summary_path, newline="") as fh:
+        with open(tmp_path / "summary.csv", newline="") as fh:
             assert {row["iterations"] for row in csv.DictReader(fh)} == {"0"}
+        assert str(tmp_path / "summary.csv") in out.paths
 
     def test_scaledgd_cell_refused_at_t0_reports_zero_steps(self, tmp_path):
         # alpha = 1e-200 underflows U^T U to zero, so ScaledGD refuses the
@@ -290,18 +291,19 @@ class TestCsvFormat:
         assert path.read_bytes() == f"{CSV_HEADER}\n0,nan,nan,nan,nan\n".encode()
 
     def test_summaries_print_first_hit_as_float(self, tmp_path):
-        # first_hit is an int step or math.inf; f"{5}" would print "5"
+        # first_hit is a step count or math.inf, held as a float: str(5) would print "5"
         sweep = run_experiment(parse_config(SMALL_SWEEP), out_dir=str(tmp_path / "sweep"))
         bound = run_experiment(
             parse_config("kind = lower_bound\nfamily = quadratic\nkappa = 21, 101\nT = 300\n"),
             out_dir=str(tmp_path / "bound"),
         )
-        for out in (sweep, bound):
-            with open(out.summary_path, newline="") as fh:
+        for out, name in ((sweep, "summary.csv"), (bound, "lower_bound_summary.csv")):
+            (path,) = [p for p in out.paths if os.path.basename(p) == name]
+            with open(path, newline="") as fh:
                 printed = [row["first_hit"] for row in csv.DictReader(fh)]
             hits = [row["first_hit"] for row in out.summary_rows]
-            assert any(isinstance(hit, int) for hit in hits) and math.inf in hits
-            assert printed == [repr(float(hit)) for hit in hits]
+            assert all(isinstance(hit, float) for hit in hits) and math.inf in hits
+            assert printed == [repr(hit) for hit in hits]
             assert "inf" in printed and all(p == "inf" or p.endswith(".0") for p in printed)
 
 
@@ -520,6 +522,26 @@ class TestCli:
             eps = float(row["epsilon"])
             assert float(row["first_hit"]) == (math.inf if eps == 1e-17 else next(
                 i for i, e in enumerate(errors) if e <= eps))
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "sweep.cfg"],
+        ["lower-bound", "--kappa", "21,41", "--T", "300"],
+        ["precond-viz", "--d", "6", "--r", "3", "--k", "3", "--steps", "0,10"],
+    ])
+    def test_wrote_lines_name_every_file_in_write_order(self, argv, tmp_path, monkeypatch, capsys):
+        # run_metadata.txt was written but never printed
+        import muonlab.experiments as experiments
+
+        written, write_text = [], experiments.write_text
+        monkeypatch.setattr(experiments, "write_text",
+                            lambda path, text: (written.append(path), write_text(path, text)))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep.cfg").write_text(SMALL_SWEEP)
+        assert main(argv + ["--out", "out"]) == 0
+        wrote = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert wrote == written and wrote[-1] == os.path.join("out", "run_metadata.txt")
+        assert sorted(wrote) == sorted(os.path.join("out", name) for name in os.listdir("out"))
 
     def test_python_m_muonlab_runs_the_cli(self, tmp_path):
         src = str(ROOT / "src")
