@@ -31,9 +31,9 @@ inst = ml.make_icl_instance(master.derive(300), D, 625.0 ** (1.0 / 3.0), sigma_m
 print(f"  d={D}: max per-step spectral gap = {decoupling_gap(inst, master.derive(301), T):.3e}")
 
 print("\n=== scalar error bounds along one mode ===")
-trace = ml.scalar_muon_trajectory(0.3, 0.8, 1.0, 0.5, 12, c_eta=1.4)
-margin = ml.check_scalar_mf_bounds(trace)
-print(f"  u_t      : {np.array2string(trace.values[:8], precision=4)}")
+values, etas = ml.scalar_muon_trajectory(0.3, 0.8, 1.0, 0.5, 12, c_eta=1.4)
+margin = ml.check_scalar_mf_bounds(values, etas, 0.8, 0.5, 1.0)
+print(f"  u_t      : {np.array2string(values[:8], precision=4)}")
 print(f"  per-step bound check passed={margin >= -FLOAT_SLACK}, tightest margin={margin:.3e}")
 
 print("""

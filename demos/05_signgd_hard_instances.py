@@ -38,7 +38,7 @@ deviation here confirms the reduction is exact, not just approximate.
 
 Contrast with Muon on the same factorization instance:""")
 
-hard_mf = ml.build_hard_mf_instance(41.0, (R0_MAX / 4.0) * DEFAULT_RHO ** np.arange(T + 1))
+hard_mf = ml.build_hard_mf_instance(41.0, [(R0_MAX / 4.0) * DEFAULT_RHO**t for t in range(T + 1)])
 inst = hard_mf.instance
 sched = ml.ExponentialSchedule(rho=0.5, base_scale=np.sqrt(inst.lambda_max), fixed_prefactor=1.0)
 traj = ml.run_trajectory(inst, ml.OptimizerConfig("muon"), sched, hard_mf.start, 60)

@@ -50,7 +50,6 @@ from .optimizers import (
 from .oracle import (
     AlignedInit,
     DiagonalTrajectory,
-    ScalarTrace,
     aligned_mf_init,
     check_scalar_icl_bounds,
     check_scalar_mf_bounds,

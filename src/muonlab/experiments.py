@@ -741,11 +741,14 @@ def _run_suites_forked(names) -> dict[str, tuple[bool, str]]:
 def verify(suite: str) -> RunOutput:
     """Run a named verification suite; the result has no paths, machine-readable
     lines (``SUITE <name> PASS|FAIL <detail>``, in ``_SUITE_NAMES`` order) and
-    the outcome.  Where ``os.fork`` exists, ``"all"`` forks ``_FORKED_SUITE``."""
+    the outcome.  Where ``os.fork`` exists, ``"all"`` forks ``_FORKED_SUITE``
+    unless ``os.sched_getaffinity`` leaves this process one CPU, where the
+    child would only take turns with this process."""
     if suite not in SUITES:
         raise PreconditionError(f"unknown suite {suite!r}; options: {SUITES}")
     names = _SUITE_NAMES if suite == "all" else (suite,)
-    if len(names) > 1 and hasattr(os, "fork"):
+    one_cpu = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) == 1
+    if len(names) > 1 and hasattr(os, "fork") and not one_cpu:
         results = _run_suites_forked(names)
     else:
         results = {name: _run_suite(name) for name in names}

@@ -324,9 +324,11 @@ def run_lower_bound(family: str, kappa: float, T: int, rho: float = DEFAULT_RHO,
     """
     if family not in FAMILIES:
         raise PreconditionError(f"family must be one of {FAMILIES}, got {family!r}")
+    if not 0.0 < rho <= 1.0:  # a larger rho**t overflows Python's float pow
+        raise PreconditionError(f"rho must lie in (0, 1], got {rho}")
     if eta0 is None:
         eta0 = r0 / 4.0 if family == "mf" else 1.0
-    etas = eta0 * rho ** np.arange(T + 1)
+    etas = np.array([eta0 * rho**t for t in range(T + 1)])  # Python's float pow, as the schedules
     zero = np.flatnonzero(etas == 0.0)
     if eta0 > 0.0 and zero.size:
         raise PreconditionError(

@@ -79,25 +79,6 @@ def _check_rho(rho, lo: float):
         raise PreconditionError(f"rho must lie in [{lo}, 1), got {rho}")
 
 
-@dataclass(frozen=True)
-class ScalarTrace:
-    """Scalar recursions: values (length T+1), the etas that drove them
-    (length T), and the parameters needed to check their bounds.  A trailing
-    axis on ``values`` and ``etas`` holds one trace per entry; the parameters
-    are then per-trace arrays or shared scalars."""
-
-    values: np.ndarray
-    etas: np.ndarray
-    lambda_star: float | np.ndarray
-    rho: float | np.ndarray
-    lambda_max: float | np.ndarray | None = None  # factorization traces
-    lambda_min: float | np.ndarray | None = None  # covariance traces
-
-    def __post_init__(self):
-        if self.values.shape[0] != self.etas.shape[0] + 1:
-            raise PreconditionError("trace needs len(values) == len(etas) + 1")
-
-
 # The lemma inequalities are exact-arithmetic statements; the recursion and
 # the bounds are both evaluated in float64, so a correct implementation can
 # cross a bound by a few ulps.  A worst margin (the minimum over steps and
@@ -114,79 +95,80 @@ def scalar_muon_trajectory(
     rho: float,
     T: int,
     c_eta: float,
-) -> ScalarTrace:
+) -> tuple[np.ndarray, np.ndarray]:
     """Scalar factorization recursion with eta_t = C * sqrt(lambda_max) * rho^t
-    for a fixed prefactor C = ``c_eta``; ``u0``, ``lambda_star``,
-    ``lambda_max`` and ``c_eta`` may be per-trace arrays."""
+    for a fixed prefactor C = ``c_eta``: its values (length T+1) and etas
+    (length T).  ``u0``, ``lambda_star``, ``lambda_max`` and ``c_eta`` may be
+    per-trace arrays, giving one trace per entry along a trailing axis."""
     if np.any(u0 == 0.0):
         raise PreconditionError("u0 must be nonzero")
     if not np.all((0.0 <= lambda_star) & (lambda_star <= lambda_max)):
         raise PreconditionError("need 0 <= lambda_star <= lambda_max")
     _check_rho(rho, 0.5)
     etas = c_eta * np.sqrt(lambda_max) * _powers(rho, T, u0, lambda_star, lambda_max, c_eta)
-    values = mf_modes(u0, lambda_star, etas)
-    return ScalarTrace(values, etas, lambda_star, rho, lambda_max=lambda_max)
+    return mf_modes(u0, lambda_star, etas), etas
 
 
-def _check_mf_hypothesis(trace: ScalarTrace):
-    if trace.lambda_max is None:
-        raise PreconditionError("not a factorization trace")
-    u0 = trace.values[0]
-    if len(trace.etas) == 0 or not np.all((np.abs(u0) <= trace.etas[0]) & (u0 != 0.0)):
+def _check_lengths(values, etas):
+    if values.shape[0] != etas.shape[0] + 1:
+        raise PreconditionError("trace needs len(values) == len(etas) + 1")
+
+
+def _check_mf_hypothesis(values, etas):
+    _check_lengths(values, etas)
+    u0 = values[0]
+    if len(etas) == 0 or not np.all((np.abs(u0) <= etas[0]) & (u0 != 0.0)):
         raise PreconditionError("factorization bounds need T >= 1 and 0 < |u0| <= eta_0")
 
 
-def check_scalar_mf_bounds(trace: ScalarTrace) -> float:
+def check_scalar_mf_bounds(values, etas, lambda_star, rho, lambda_max) -> float:
     """Worst margin of the fixed-prefactor bounds ||u_{t+1}| - sqrt(lam)| <=
-    eta_t and |u_{t+1}^2 - lam| <= 8 * lambda_max * rho^t over every t."""
-    _check_mf_hypothesis(trace)
-    u = trace.values[1:]
-    powers = _powers(trace.rho, len(u), trace.values[0])
-    m1 = trace.etas - np.abs(np.abs(u) - np.sqrt(trace.lambda_star))
-    m2 = 8.0 * trace.lambda_max * powers - np.abs(u * u - trace.lambda_star)
+    eta_t and |u_{t+1}^2 - lam| <= 8 * lambda_max * rho^t over every t and
+    trace; the constants are per-trace arrays or shared scalars."""
+    _check_mf_hypothesis(values, etas)
+    u = values[1:]
+    m1 = etas - np.abs(np.abs(u) - np.sqrt(lambda_star))
+    m2 = 8.0 * lambda_max * _powers(rho, len(u), values[0]) - np.abs(u * u - lambda_star)
     return float(np.min(np.minimum(m1, m2), initial=np.inf))
 
 
-def check_scalar_mf_bounds_varying(trace: ScalarTrace) -> float:
+def check_scalar_mf_bounds_varying(values, etas, lambda_star, rho, lambda_max) -> float:
     """Worst margin of the per-step-prefactor bounds (rho >= 2/3)
     ||u_t| - sqrt(lam)| <= (2/(1-rho)) * sqrt(lambda_max) * rho^t and
     |u_t^2 - lam| <= (4/(1-rho)^2 + 4/(1-rho)) * lambda_max * rho^t."""
-    _check_mf_hypothesis(trace)
-    rho = trace.rho
+    _check_mf_hypothesis(values, etas)
     if np.any(rho < 2.0 / 3.0):
         raise PreconditionError("varying-prefactor bounds need rho >= 2/3")
-    u = trace.values
-    c1 = 2.0 / (1.0 - rho) * np.sqrt(trace.lambda_max)
-    c2 = (4.0 / _powers(1.0 - rho, 3)[2] + 4.0 / (1.0 - rho)) * trace.lambda_max
-    powers = _powers(rho, len(u), u[0])
-    m1 = c1 * powers - np.abs(np.abs(u) - np.sqrt(trace.lambda_star))
-    m2 = c2 * powers - np.abs(u * u - trace.lambda_star)
+    c1 = 2.0 / (1.0 - rho) * np.sqrt(lambda_max)
+    c2 = (4.0 / _powers(1.0 - rho, 3)[2] + 4.0 / (1.0 - rho)) * lambda_max
+    powers = _powers(rho, len(values), values[0])
+    m1 = c1 * powers - np.abs(np.abs(values) - np.sqrt(lambda_star))
+    m2 = c2 * powers - np.abs(values * values - lambda_star)
     return float(np.min(np.minimum(m1, m2), initial=np.inf))
 
 
 def scalar_icl_trajectory(
     lambda_star: float, lambda_min: float, rho: float, c_eta: float, T: int
-) -> ScalarTrace:
+) -> tuple[np.ndarray, np.ndarray]:
     """Scalar covariance recursion from th_0 = 0 with
-    eta_t = (C / lambda_min) * rho^t; ``lambda_star``, ``lambda_min`` and
-    ``c_eta`` may be per-trace arrays."""
+    eta_t = (C / lambda_min) * rho^t: its values and etas, as in
+    ``scalar_muon_trajectory``; ``lambda_star``, ``lambda_min`` and ``c_eta``
+    may be per-trace arrays."""
     if not np.all((0.0 < lambda_min) & (lambda_min <= lambda_star)):
         raise PreconditionError("need 0 < lambda_min <= lambda_star")
     _check_rho(rho, 0.5)
     if np.any(c_eta < 1.0):
         raise PreconditionError("c_eta must be >= 1")
     etas = c_eta / lambda_min * _powers(rho, T, lambda_star, lambda_min, c_eta)
-    return ScalarTrace(icl_modes(lambda_star, etas), etas, lambda_star, rho, lambda_min=lambda_min)
+    return icl_modes(lambda_star, etas), etas
 
 
-def check_scalar_icl_bounds(trace: ScalarTrace) -> float:
+def check_scalar_icl_bounds(values, etas, lambda_star) -> float:
     """Worst margin of the covariance-trace bound |th_{t+1} - 1/lam| <= eta_t."""
-    if trace.lambda_min is None:
-        raise PreconditionError("not a covariance trace")
-    if np.any(trace.values[0] != 0.0):
+    _check_lengths(values, etas)
+    if np.any(values[0] != 0.0):
         raise PreconditionError("covariance bounds need th_0 = 0")
-    margins = trace.etas - np.abs(trace.values[1:] - 1.0 / trace.lambda_star)
-    return float(np.min(margins, initial=np.inf))
+    return float(np.min(etas - np.abs(values[1:] - 1.0 / lambda_star), initial=np.inf))
 
 
 @dataclass(frozen=True)
@@ -341,8 +323,8 @@ def sweep_mf_bounds(n_traces: int, seed: int, rho: float = 0.5) -> float:
         eta0 = c * np.sqrt(lambda_max)
         u0 = _scaled(draws[3], -eta0, eta0)
         u0 = np.where(u0 == 0.0, eta0 / 2.0, u0)
-        trace = scalar_muon_trajectory(u0, lambda_star, lambda_max, rho, 45, c_eta=c)
-        return check_scalar_mf_bounds(trace)
+        values, etas = scalar_muon_trajectory(u0, lambda_star, lambda_max, rho, 45, c_eta=c)
+        return check_scalar_mf_bounds(values, etas, lambda_star, rho, lambda_max)
 
     return _worst_over_chunks(margin, seed, n_traces, 4)
 
@@ -363,8 +345,7 @@ def sweep_mf_bounds_varying(
         u0 = _scaled(draws[3], -eta0_min, eta0_min)
         u0 = np.where(u0 == 0.0, eta0_min / 2.0, u0)
         etas = _scaled(draws[4:], *PREFACTOR_RANGE) * np.sqrt(lambda_max) * _powers(rho, T)
-        trace = ScalarTrace(mf_modes(u0, lambda_star, etas), etas, lambda_star, rho, lambda_max=lambda_max)
-        return check_scalar_mf_bounds_varying(trace)
+        return check_scalar_mf_bounds_varying(mf_modes(u0, lambda_star, etas), etas, lambda_star, rho, lambda_max)
 
     return _worst_over_chunks(margin, seed, n_traces, 4 + T)
 
@@ -376,8 +357,8 @@ def sweep_icl_bounds(n_traces: int, seed: int, rho: float = 0.5) -> float:
     def margin(draws):
         lambda_min = _scaled(draws[0], 0.1, 2.0)
         lambda_star = lambda_min * _scaled(draws[1], 1.0, 100.0)
-        trace = scalar_icl_trajectory(lambda_star, lambda_min, rho, _scaled(draws[2], *PREFACTOR_RANGE), 45)
-        return check_scalar_icl_bounds(trace)
+        values, etas = scalar_icl_trajectory(lambda_star, lambda_min, rho, _scaled(draws[2], *PREFACTOR_RANGE), 45)
+        return check_scalar_icl_bounds(values, etas, lambda_star)
 
     return _worst_over_chunks(margin, seed, n_traces, 3)
 

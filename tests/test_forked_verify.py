@@ -1,7 +1,8 @@
 """``verify("all")`` runs the Monte-Carlo suite in a forked child beside the
-other five: the same lines and outcome as six single-suite runs, a failed
-line for a child that raises or dies, and no child process or pipe end left
-behind on any path."""
+other five where a second CPU can take it: the same lines and outcome as six
+single-suite runs, a failed line for a child that raises or dies, and no
+child process or pipe end left behind on any path.  With one CPU it forks
+nothing."""
 
 import errno
 import os
@@ -19,6 +20,13 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def _open_fds():
     """This process's open file descriptors, where the platform lists them."""
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """Two CPUs in this process's affinity, so ``verify("all")`` forks on any
+    host; a test that wants one sets it again."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +59,16 @@ def test_all_is_the_single_suites_in_order(single_lines):
 def test_without_fork_the_suites_run_in_order(single_lines, monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert exp.verify("all").lines == [line for name in exp._SUITE_NAMES for line in single_lines[name]]
+
+
+def test_with_one_cpu_the_suites_run_in_order_unforked(single_lines, monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out.splitlines() == [line for name in exp._SUITE_NAMES for line in single_lines[name]]
 
 
 def test_a_single_suite_forks_nothing(monkeypatch):

@@ -3,6 +3,7 @@ recursions behind every oracle path, the batched bound checkers, and the one
 lower-bound family runner behind the CLI, the verify suite and the demos."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from muonlab import (
     OptimizerConfig,
     PreconditionError,
     RandomStream,
-    ScalarTrace,
     SequenceSchedule,
     adversarial_quadratic_init,
     build_hard_icl_instance,
@@ -27,6 +27,7 @@ from muonlab import (
     check_scalar_mf_bounds_varying,
     decoupled_mf_trajectory,
     icl_modes,
+    materialize_etas,
     mf_modes,
     run_hard_icl,
     run_hard_mf,
@@ -129,18 +130,18 @@ class TestBatchedRecursions:
             matrix=np.diag(sigma0), basis_left=np.eye(k), basis_right=np.eye(k),
             sigma0=sigma0, lambdas=lambdas,
         )
-        etas = scalar_muon_trajectory(sigma0[0], lambdas[0], 1.0, rho, T, c_eta=c_eta).etas
+        _, etas = scalar_muon_trajectory(sigma0[0], lambdas[0], 1.0, rho, T, c_eta=c_eta)
         oracle = decoupled_mf_trajectory(init, etas)
         for j in range(k):
-            trace = scalar_muon_trajectory(sigma0[j], lambdas[j], 1.0, rho, T, c_eta=c_eta)
-            np.testing.assert_array_equal(trace.etas, etas)
-            np.testing.assert_array_equal(oracle.sigmas[:, j], trace.values)
+            values, etas_j = scalar_muon_trajectory(sigma0[j], lambdas[j], 1.0, rho, T, c_eta=c_eta)
+            np.testing.assert_array_equal(etas_j, etas)
+            np.testing.assert_array_equal(oracle.sigmas[:, j], values)
 
     def test_schedule_powers_match_exponential_schedule(self):
         # rho**t is Python's float pow, as in ExponentialSchedule
-        trace = scalar_muon_trajectory(0.3, 0.5, 1.0, 0.77, 60, c_eta=1.3)
+        _, etas = scalar_muon_trajectory(0.3, 0.5, 1.0, 0.77, 60, c_eta=1.3)
         sched = ExponentialSchedule(0.77, 1.0, fixed_prefactor=1.3)
-        assert trace.etas.tolist() == [sched.eta(t) for t in range(60)]
+        assert etas.tolist() == [sched.eta(t) for t in range(60)]
 
 
 class TestPythonPow:
@@ -178,23 +179,19 @@ class TestPythonPow:
         assert self.bits(each) == self.bits([[pow(r, t) for r in rhos] for t in range(n)])
 
 
-def single(trace, j):
-    """Trace j of a batched trace, as a one-trace ScalarTrace."""
-
-    def pick(x):  # per-trace parameters are arrays, shared ones scalars
-        return x if x is None or np.ndim(x) == 0 else x[j]
-
-    return ScalarTrace(
-        values=trace.values[:, j], etas=trace.etas[:, j], lambda_star=pick(trace.lambda_star),
-        rho=pick(trace.rho), lambda_max=pick(trace.lambda_max), lambda_min=pick(trace.lambda_min),
-    )
+def single(args, j):
+    """A check's arguments for trace j of a batched trace: the j-th column of
+    its values and etas, and entry j of each per-trace constant (shared ones
+    are scalars)."""
+    values, etas, *constants = args
+    return (values[:, j], etas[:, j], *(c if np.ndim(c) == 0 else c[j] for c in constants))
 
 
 class TestBatchedCheckers:
     """A batched checker reports the minimum margin over its traces."""
 
-    def assert_batch_agrees(self, check, trace, n):
-        assert check(trace) == min(check(single(trace, j)) for j in range(n))
+    def assert_batch_agrees(self, check, args, n):
+        assert check(*args) == min(check(*single(args, j)) for j in range(n))
 
     @PROPERTY
     @given(st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(0.0, 1.0)), min_size=1, max_size=6))
@@ -202,8 +199,8 @@ class TestBatchedCheckers:
         u0 = np.array([d[0] for d in draws])
         u0[u0 == 0.0] = 0.5  # the lemma needs 0 < |u0| <= eta_0 = 1.5
         lam = np.array([d[1] for d in draws])
-        trace = scalar_muon_trajectory(u0, lam, 1.0, 0.5, 25, c_eta=np.full(len(draws), 1.5))
-        self.assert_batch_agrees(check_scalar_mf_bounds, trace, len(draws))
+        values, etas = scalar_muon_trajectory(u0, lam, 1.0, 0.5, 25, c_eta=np.full(len(draws), 1.5))
+        self.assert_batch_agrees(check_scalar_mf_bounds, (values, etas, lam, 0.5, 1.0), len(draws))
 
     @PROPERTY
     @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(2.0 / 3.0, 0.95)),
@@ -212,29 +209,29 @@ class TestBatchedCheckers:
         u0, lam, rho = (np.array(col) for col in zip(*draws))
         u0[u0 == 0.0] = 0.5
         etas = 1.5 * np.power.outer(rho, np.arange(30)).T
-        trace = ScalarTrace(mf_modes(u0, lam, etas), etas, lam, rho, lambda_max=1.0)
-        self.assert_batch_agrees(check_scalar_mf_bounds_varying, trace, len(draws))
+        self.assert_batch_agrees(check_scalar_mf_bounds_varying, (mf_modes(u0, lam, etas), etas, lam, rho, 1.0),
+                                 len(draws))
 
     @PROPERTY
     @given(st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(1.0, 100.0), st.floats(1.0, 2.0)),
                     min_size=1, max_size=6))
     def test_covariance(self, draws):
         lam_min, ratio, c = (np.array(col) for col in zip(*draws))
-        trace = scalar_icl_trajectory(lam_min * ratio, lam_min, 0.5, c, 25)
-        self.assert_batch_agrees(check_scalar_icl_bounds, trace, len(draws))
+        values, etas = scalar_icl_trajectory(lam_min * ratio, lam_min, 0.5, c, 25)
+        self.assert_batch_agrees(check_scalar_icl_bounds, (values, etas, lam_min * ratio), len(draws))
 
     def test_one_trace_outside_the_hypothesis_rejects_the_batch(self):
         # trace 1 starts outside |u0| <= eta_0, trace 0 inside
-        trace = scalar_muon_trajectory(np.array([0.5, 10.0]), np.array([1.0, 1.0]), 1.0, 0.5, 5,
-                                       c_eta=np.array([1.0, 1.0]))
+        lam = np.array([1.0, 1.0])
+        values, etas = scalar_muon_trajectory(np.array([0.5, 10.0]), lam, 1.0, 0.5, 5, c_eta=np.array([1.0, 1.0]))
         with pytest.raises(PreconditionError, match="eta_0"):
-            check_scalar_mf_bounds(trace)
-        assert check_scalar_mf_bounds(single(trace, 0)) == pytest.approx(0.0625)
+            check_scalar_mf_bounds(values, etas, lam, 0.5, 1.0)
+        assert check_scalar_mf_bounds(*single((values, etas, lam, 0.5, 1.0), 0)) == pytest.approx(0.0625)
 
 
 class TestLowerBoundRunner:
     def test_quadratic_matches_construction(self):
-        etas = 0.98 ** np.arange(301)
+        etas = np.array([0.98**t for t in range(301)])
         init = adversarial_quadratic_init(21.0, etas[0] / 21.0, etas, 300)
         hq = build_hard_quadratic(21.0)
         run = signgd_quadratic_run(hq, init, etas, 300)
@@ -247,7 +244,7 @@ class TestLowerBoundRunner:
         assert res.slice_deviation is None and res.bridge_deviation is None
 
     def test_mf_default_eta0_is_quarter_r0(self):
-        etas = (1.0 / 64.0) * 0.98 ** np.arange(201)
+        etas = np.array([(1.0 / 64.0) * 0.98**t for t in range(201)])
         hard = build_hard_mf_instance(41.0, etas)
         direct = run_hard_mf(hard, etas, 200)
         res = run_lower_bound("mf", 41.0, 200)
@@ -255,7 +252,7 @@ class TestLowerBoundRunner:
         np.testing.assert_array_equal(res.metric, direct.metric)
 
     def test_icl_matches_construction(self):
-        etas = 0.5 * 0.9 ** np.arange(101)
+        etas = np.array([0.5 * 0.9**t for t in range(101)])
         hard = build_hard_icl_instance(101.0, etas)
         direct = run_hard_icl(hard, etas, 100)
         res = run_lower_bound("icl", 101.0, 100, rho=0.9, eta0=0.5)
@@ -263,9 +260,31 @@ class TestLowerBoundRunner:
         np.testing.assert_array_equal(res.metric, direct.metric)
         assert res.slice_deviation == direct.slice_deviation
 
+    @pytest.mark.parametrize("family, eta0", [("quadratic", 1.0), ("mf", lb.R0_MAX / 4.0), ("icl", 1.0)])
+    def test_etas_are_the_exponential_schedules(self, family, eta0, monkeypatch):
+        # rho**t in Python's float pow: numpy's vectorized power misses it by
+        # an ulp at 32 of these 601 etas
+        seen, real = [], lb._signgd_run
+
+        def record(inst, x0, etas, T):
+            seen.append(np.array(etas))
+            return real(inst, x0, etas, T)
+
+        monkeypatch.setattr(lb, "_signgd_run", record)
+        run_lower_bound(family, 21.0, 600, rho=0.98)
+        expected = materialize_etas(ExponentialSchedule(0.98, eta0, fixed_prefactor=1.0), 601)
+        assert len(seen) == 1 and seen[0].tobytes() == np.array(expected).tobytes()
+
     def test_unknown_family(self):
         with pytest.raises(PreconditionError):
             run_lower_bound("cubic", 5.0, 10)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5])
+    def test_rho_outside_the_unit_interval(self, rho):
+        # 1.5**2000 overflows Python's float pow; the etas must be a
+        # positive, non-increasing sequence in any case
+        with pytest.raises(PreconditionError, match=re.escape(f"rho must lie in (0, 1], got {rho}")):
+            run_lower_bound("quadratic", 21.0, 2000, rho=rho)
 
 
 class TestCliReport:

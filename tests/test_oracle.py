@@ -1,7 +1,6 @@
 """Decoupled scalar/diagonal dynamics and their bound checkers."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from muonlab import (
     OptimizerConfig,
     PreconditionError,
     RandomStream,
-    ScalarTrace,
     SequenceSchedule,
     aligned_mf_init,
     check_scalar_icl_bounds,
@@ -45,19 +43,19 @@ class TestScalarMuon:
     def test_hand_recursion(self):
         # u0=0.5: sign((0.25-1)*0.5) = -1 so u1 = 1.5; then sign((1.25)*1.5) = +1
         # so u2 = 1.0 = sqrt(lambda), stationary after that
-        trace = scalar_muon_trajectory(0.5, 1.0, 1.0, 0.5, 5, c_eta=1.0)
-        assert_allclose(trace.values, [0.5, 1.5, 1.0, 1.0, 1.0, 1.0])
-        assert_allclose(trace.etas, [1.0, 0.5, 0.25, 0.125, 0.0625])
+        values, etas = scalar_muon_trajectory(0.5, 1.0, 1.0, 0.5, 5, c_eta=1.0)
+        assert_allclose(values, [0.5, 1.5, 1.0, 1.0, 1.0, 1.0])
+        assert_allclose(etas, [1.0, 0.5, 0.25, 0.125, 0.0625])
 
     def test_fixed_point(self):
         # lambda = 4 so the root is exactly representable and sign(0) = 0 fires
-        trace = scalar_muon_trajectory(2.0, 4.0, 4.0, 0.5, 10, c_eta=1.5)
-        assert_allclose(trace.values, 2.0 * np.ones(11), rtol=0)
+        values, _ = scalar_muon_trajectory(2.0, 4.0, 4.0, 0.5, 10, c_eta=1.5)
+        assert_allclose(values, 2.0 * np.ones(11), rtol=0)
 
     def test_zero_lambda_oscillates_within_eta(self):
-        trace = scalar_muon_trajectory(1.0, 0.0, 1.0, 0.5, 40, c_eta=1.0)
+        values, etas = scalar_muon_trajectory(1.0, 0.0, 1.0, 0.5, 40, c_eta=1.0)
         for t in range(1, 41):
-            assert abs(trace.values[t]) <= trace.etas[t - 1] + 1e-15
+            assert abs(values[t]) <= etas[t - 1] + 1e-15
 
     def test_rejects_zero_start(self):
         with pytest.raises(PreconditionError):
@@ -66,10 +64,10 @@ class TestScalarMuon:
 
 class TestScalarBounds:
     def test_hand_checked_margins(self):
-        trace = scalar_muon_trajectory(0.5, 1.0, 1.0, 0.5, 5, c_eta=1.0)
+        values, etas = scalar_muon_trajectory(0.5, 1.0, 1.0, 0.5, 5, c_eta=1.0)
         # hand margins: t=0 gives eta_0 - |1.5 - 1| = 0.5; the stationary tail
         # gives exactly eta_t per step, so the minimum is the last eta, 1/16
-        assert check_scalar_mf_bounds(trace) == pytest.approx(0.0625)
+        assert check_scalar_mf_bounds(values, etas, 1.0, 0.5, 1.0) == pytest.approx(0.0625)
 
     def test_sweep_mf(self):
         assert sweep_mf_bounds(1000, seed=2024) >= -FLOAT_SLACK
@@ -81,30 +79,39 @@ class TestScalarBounds:
     @pytest.mark.parametrize("check, rho", [(check_scalar_mf_bounds, 0.5), (check_scalar_mf_bounds_varying, 0.8)])
     def test_start_outside_the_hypothesis_is_rejected(self, check, rho, u0):
         etas = rho ** np.arange(5.0)
-        trace = ScalarTrace(mf_modes(u0, 1.0, etas), etas, 1.0, rho, lambda_max=1.0)
         with pytest.raises(PreconditionError, match=re.escape("0 < |u0| <= eta_0")):
-            check(trace)
-        assert check(replace(trace, values=mf_modes(-1.0, 1.0, etas))) >= -FLOAT_SLACK
+            check(mf_modes(u0, 1.0, etas), etas, 1.0, rho, 1.0)
+        assert check(mf_modes(-1.0, 1.0, etas), etas, 1.0, rho, 1.0) >= -FLOAT_SLACK
         with pytest.raises(PreconditionError, match="T >= 1"):  # no eta_0 to bound u0 by
-            check(ScalarTrace(np.array([0.5]), np.empty(0), 1.0, rho, lambda_max=1.0))
+            check(np.array([0.5]), np.empty(0), 1.0, rho, 1.0)
+
+    @pytest.mark.parametrize("check, constants", [
+        (check_scalar_mf_bounds, (1.0, 0.5, 1.0)),
+        (check_scalar_mf_bounds_varying, (1.0, 0.8, 1.0)),
+        (check_scalar_icl_bounds, (1.0,)),
+    ])
+    def test_mismatched_lengths_are_rejected(self, check, constants):
+        # T + 1 values need T etas; here one eta is missing
+        with pytest.raises(PreconditionError, match=re.escape("len(values) == len(etas) + 1")):
+            check(np.zeros(5), np.ones(3), *constants)
 
 
 class TestScalarIcl:
     def test_hand_recursion(self):
         # lambda*=2, lambda_min=1, C=1: theta = (0, 1, 0.5, 0.5, ...)
-        trace = scalar_icl_trajectory(2.0, 1.0, 0.5, 1.0, 4)
-        assert_allclose(trace.values, [0.0, 1.0, 0.5, 0.5, 0.5])
+        values, etas = scalar_icl_trajectory(2.0, 1.0, 0.5, 1.0, 4)
+        assert_allclose(values, [0.0, 1.0, 0.5, 0.5, 0.5])
         # margins: 1 - 0.5, then eta_t exactly along the stationary tail
-        assert check_scalar_icl_bounds(trace) == pytest.approx(0.125)
+        assert check_scalar_icl_bounds(values, etas, 2.0) == pytest.approx(0.125)
 
     def test_nonzero_start_is_rejected(self):
-        trace = scalar_icl_trajectory(2.0, 1.0, 0.5, 1.0, 4)
+        values, etas = scalar_icl_trajectory(2.0, 1.0, 0.5, 1.0, 4)
         with pytest.raises(PreconditionError, match="need th_0 = 0"):
-            check_scalar_icl_bounds(replace(trace, values=trace.values + 0.25))
+            check_scalar_icl_bounds(values + 0.25, etas, 2.0)
 
     def test_one_step_exact_hit(self):
-        trace = scalar_icl_trajectory(1.0, 1.0, 0.5, 1.0, 5)
-        assert_allclose(trace.values[1:], np.ones(5))
+        values, _ = scalar_icl_trajectory(1.0, 1.0, 0.5, 1.0, 5)
+        assert_allclose(values[1:], np.ones(5))
 
     def test_sweep(self):
         assert sweep_icl_bounds(1000, seed=2026) >= -FLOAT_SLACK
