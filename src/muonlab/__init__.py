@@ -16,7 +16,7 @@ from .errors import (
     RankDeficiencyError,
     TieEventError,
 )
-from .linalg import RANK_TOL, qr_householder
+from .linalg import RANK_TOL
 from .lowerbounds import (
     AdversarialInit,
     HardInstance,

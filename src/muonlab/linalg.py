@@ -1,9 +1,8 @@
-"""Dense linear algebra kernels used throughout the library.
+"""The contracts the library's dense linear algebra relies on.
 
 Everything is double precision and desk scale (matrices up to a few hundred
-rows), so the implementations lean on LAPACK via ``numpy.linalg`` and add the
-contracts the rest of the library relies on: an explicit effective-rank
-cutoff, sign-normalized QR, and structured errors for violated
+rows), so the library leans on LAPACK via ``numpy.linalg``; this module adds
+an explicit effective-rank cutoff and structured errors for violated
 preconditions.
 """
 
@@ -35,20 +34,3 @@ def check_matrix(a, name: str, shape: tuple[int, ...] | None = None) -> np.ndarr
     if shape is not None and out.shape != tuple(shape):
         raise PreconditionError(f"{name} must have shape {tuple(shape)}, got {out.shape}")
     return out
-
-
-def qr_householder(g):
-    """Thin QR of a tall matrix with a nonnegative diagonal of R.
-
-    Returns (Q, R) with Q of shape (d, k) orthonormal and R upper triangular;
-    the sign of each R diagonal entry is absorbed into the matching column of
-    Q so the factorization is unique for full-rank input.
-    """
-    g = check_matrix(g, "qr input")
-    d, k = g.shape
-    if d < k:
-        raise PreconditionError(f"qr_householder needs d >= k, got {d}x{k}")
-    q, r = np.linalg.qr(g, mode="reduced")
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs, signs[:, None] * r

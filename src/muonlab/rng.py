@@ -13,11 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import qr_householder
-
-# Box-Muller pairs per block of ``RandomStream.gaussians``: bounds its
-# temporaries; the transform is elementwise, so it never changes a draw.
-GAUSSIAN_BLOCK_PAIRS = 8192
 
 
 class RandomStream:
@@ -79,21 +74,17 @@ class RandomStream:
             out[0] = self._cached_gaussian
             self._cached_gaussian = None
             start = 1
-        while start < n:
-            pairs = min((n - start + 1) // 2, GAUSSIAN_BLOCK_PAIRS)
-            # each pair consumes two consecutive uniforms, so blocked, batched
-            # and one-at-a-time calls walk the underlying stream identically
-            u = self._gen.random(2 * pairs)
-            # 1 - u lies in (0, 1], keeping the log finite.
-            radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-            angle = 2.0 * np.pi * u[1::2]
-            stop = min(start + 2 * pairs, n)
-            out[start:stop:2] = radius * np.cos(angle)
-            sines = radius * np.sin(angle)
-            out[start + 1 : stop : 2] = sines[: (stop - start) // 2]
-            if stop - start < 2 * pairs:
-                self._cached_gaussian = float(sines[-1])
-            start = stop
+        # each pair consumes two consecutive uniforms, so batched and
+        # one-at-a-time calls walk the underlying stream identically
+        u = self._gen.random(2 * ((n - start + 1) // 2))
+        # 1 - u lies in (0, 1], keeping the log finite.
+        radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+        angle = 2.0 * np.pi * u[1::2]
+        out[start::2] = radius * np.cos(angle)
+        sines = radius * np.sin(angle)
+        out[start + 1 :: 2] = sines[: (n - start) // 2]
+        if (n - start) % 2:
+            self._cached_gaussian = float(sines[-1])
         return out
 
     def gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:
@@ -103,11 +94,12 @@ class RandomStream:
     def haar_orthonormal(self, d: int, k: int) -> np.ndarray:
         """d x k matrix with orthonormal columns, Haar-distributed.
 
-        The Q factor of a Gaussian matrix under the sign-normalized QR of
-        ``qr_householder`` (nonnegative R diagonal), which is the standard
-        Haar-measure correction.
+        The Q factor of a Gaussian matrix, each column's sign flipped so that
+        R's diagonal is nonnegative: the standard Haar-measure correction.
         """
         if k > d:
             raise PreconditionError(f"haar_orthonormal needs k <= d, got d={d}, k={k}")
-        q, _ = qr_householder(self.gaussian_matrix(d, k))
-        return q
+        q, r = np.linalg.qr(self.gaussian_matrix(d, k))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0.0] = 1.0
+        return q * signs

@@ -72,10 +72,18 @@ def blas_kernels() -> str:
 
 
 def versions() -> dict[str, str]:
-    """The numeric stack the digests were taken on: other kernels round
-    products differently, so the same numpy can write other bytes."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}", "blas_kernels": blas_kernels()}
+    """The numeric stack the digests were taken on: other BLAS kernels round
+    products differently, and other SIMD targets round numpy's log1p, log10
+    and exp differently, so the same numpy can write other bytes."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "blas_kernels": blas_kernels(),
+        # the targets numpy dispatches to on this CPU, less NPY_DISABLE_CPU_FEATURES
+        "simd_targets": " ".join(config["SIMD Extensions"]["found"]),
+    }
 
 
 def command_digest(name: str, workdir: Path) -> str:
@@ -95,8 +103,9 @@ def test_golden_digests(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert golden["versions"] == versions(), (
         f"digests were taken on {golden['versions']}, this stack is {versions()}; "
-        "on other blas_kernels set OPENBLAS_CORETYPE to the digests' set before numpy loads, else "
-        "rerun the commands and rewrite tests/golden_digests.json if the bytes are expected to move"
+        "on other blas_kernels set OPENBLAS_CORETYPE to the digests' set before numpy loads, on more "
+        "simd_targets list the extra ones in NPY_DISABLE_CPU_FEATURES, else rerun the commands and "
+        "rewrite tests/golden_digests.json if the bytes are expected to move"
     )
     assert sorted(golden["digests"]) == sorted(COMMANDS)
     moved = [name for name in COMMANDS if command_digest(name, tmp_path) != golden["digests"][name]]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from muonlab import PreconditionError, RandomStream
-from muonlab.rng import GAUSSIAN_BLOCK_PAIRS as B
 
 
 class TestDeterminism:
@@ -54,28 +53,33 @@ class TestGaussian:
         assert abs(z.var() - 1.0) <= 0.03
 
 
-class _UnblockedBoxMuller:
-    """Reference sampler: every pair of one call from a single uniform draw,
-    on the generator ``RandomStream(seed, stream_id)`` wraps."""
+class _BlockedBoxMuller:
+    """Reference sampler: Box-Muller in blocks of at most 8,192 pairs, each
+    block from its own uniform draw, on the generator ``RandomStream(seed,
+    stream_id)`` wraps.  Earlier versions drew this way, so the golden digests
+    hold only if one pass over a request draws the same bits."""
 
     def __init__(self, seed, stream_id=0):
         self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_id))))
         self.cached = None
 
     def gaussians(self, n):
-        head = [] if self.cached is None else [self.cached]
+        parts = [] if self.cached is None else [np.array([self.cached])]
         self.cached = None
-        rest = n - len(head)
-        pairs = (rest + 1) // 2
-        u = self.gen.random(2 * pairs)
-        radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        angle = 2.0 * np.pi * u[1::2]
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
-        if 2 * pairs > rest:
-            self.cached = float(z[rest])
-        return np.concatenate([head, z[:rest]])
+        rest = n - len(parts)
+        while rest > 0:
+            pairs = min((rest + 1) // 2, 8192)
+            u = self.gen.random(2 * pairs)
+            radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+            angle = 2.0 * np.pi * u[1::2]
+            z = np.empty(2 * pairs)
+            z[0::2] = radius * np.cos(angle)
+            z[1::2] = radius * np.sin(angle)
+            if 2 * pairs > rest:
+                self.cached = float(z[rest])
+            parts.append(z[:rest])
+            rest -= len(parts[-1])
+        return np.concatenate(parts)
 
 
 def _assert_same_bits(got, want):
@@ -83,17 +87,20 @@ def _assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-class TestGaussianBlocks:
-    """Blocked Box-Muller draws the same bits as the unblocked transform."""
+class TestGaussianOnePass:
+    """One Box-Muller pass over a request draws the bits of the blocked draw.
+    The sizes end on 8,191, 8,192, 8,193 and 16,385 pairs, each with an even
+    and an odd count; put the reference's block boundary (8,192 pairs) at the
+    last normal, one past it and one short of it; and fill a Monte-Carlo chunk
+    (4,096 tasks of d = 6: 24,576 normals)."""
 
     @pytest.mark.parametrize(
         "n",
-        [1, 600_000]
-        + [2 * p - odd for p in (B - 1, B, B + 1, 2 * B + 1) for odd in (0, 1)],
+        [1, 16_381, 16_382, 16_383, 16_384, 16_385, 16_386, 24_576, 24_577, 32_769, 32_770, 600_000],
     )
     @pytest.mark.parametrize("leftover", [False, True])
-    def test_matches_unblocked(self, n, leftover):
-        stream, ref = RandomStream(11, 3), _UnblockedBoxMuller(11, 3)
+    def test_matches_blocked(self, n, leftover):
+        stream, ref = RandomStream(11, 3), _BlockedBoxMuller(11, 3)
         if leftover:  # an odd first call caches the second output of its pair
             _assert_same_bits(stream.gaussians(3), ref.gaussians(3))
             assert stream._cached_gaussian == ref.cached is not None
@@ -102,10 +109,10 @@ class TestGaussianBlocks:
         _assert_same_bits(stream.gaussians(5), ref.gaussians(5))
 
     def test_split_calls_straddle_a_block_boundary(self):
-        stream, ref = RandomStream(12), _UnblockedBoxMuller(12)
-        first = stream.gaussians(2 * B - 3)  # odd: caches its last pair's sine
-        second = stream.gaussians(2 * B + 7)  # the cached normal, then B + 3 pairs
-        _assert_same_bits(np.concatenate([first, second]), ref.gaussians(4 * B + 4))
+        stream, ref = RandomStream(12), _BlockedBoxMuller(12)
+        first = stream.gaussians(16_381)  # odd: caches its last pair's sine
+        second = stream.gaussians(16_391)  # the cached normal, then 8,195 pairs
+        _assert_same_bits(np.concatenate([first, second]), ref.gaussians(32_772))
         assert stream._cached_gaussian == ref.cached
 
 
@@ -152,6 +159,20 @@ class TestHaar:
     def test_rejects_wide(self):
         with pytest.raises(PreconditionError):
             RandomStream(0).haar_orthonormal(2, 3)
+
+    def test_is_the_sign_normalized_q_of_its_gaussian(self):
+        # q^T g is R: upper triangular with a nonnegative diagonal, and q spans g
+        sizes = RandomStream(11)
+        for i in range(20):
+            k = 1 + int(sizes.uniform(0, 16))
+            d = k + int(sizes.uniform(0, 16))
+            q = RandomStream(12, i).haar_orthonormal(d, k)
+            g = RandomStream(12, i).gaussian_matrix(d, k)  # its twin stream's draw
+            r = q.T @ g
+            assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-10
+            assert np.linalg.norm(q @ r - g) <= 1e-10 * max(1.0, np.linalg.norm(g))
+            assert_allclose(r, np.triu(r), atol=1e-12)
+            assert np.all(np.diag(r) >= 0)
 
     def test_first_entry_second_moment(self):
         # a Haar column's first coordinate is uniform on the sphere:

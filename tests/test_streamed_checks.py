@@ -39,10 +39,12 @@ def never_zero_reference(n_traces, steps, seed, rho=0.5):
 
 
 def monte_carlo_reference(inst, q, stream, n_tasks):
-    """The estimator with every task's query gathered and mapped at once."""
+    """The estimator with every task's w and query drawn at once.  The sample
+    rows are mapped before the gather, as the estimator maps them: a product
+    over the gathered rows may round in another order on other BLAS kernels."""
     w = stream.gaussian_matrix(n_tasks, inst.d)
     idx = np.floor(stream.uniforms(n_tasks, 0.0, float(inst.samples.shape[0]))).astype(np.intp)
-    mapped = inst.samples[idx] @ (inst.covariance @ q - np.eye(inst.d)).T
+    mapped = (inst.samples @ (inst.covariance @ q - np.eye(inst.d)).T)[idx]
     vals = 0.5 * np.einsum("ij,ij->i", w, mapped) ** 2
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_tasks))
 
