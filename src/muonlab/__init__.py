@@ -49,7 +49,6 @@ from .optimizers import (
 )
 from .oracle import (
     AlignedInit,
-    DiagonalTrajectory,
     aligned_mf_init,
     check_scalar_icl_bounds,
     check_scalar_mf_bounds,

@@ -9,12 +9,14 @@ class PreconditionError(MuonLabError, ValueError):
     """An operation was called with inputs violating its documented contract."""
 
 
-class RankDeficiencyError(MuonLabError, ValueError):
-    """A matrix that must be (numerically) full rank is not.
+class NumericalDivergenceError(MuonLabError, RuntimeError):
+    """A trajectory was aborted: its loss was not finite, or (the
+    ``RankDeficiencyError`` subclass) a step could not be taken.
 
-    Raised by an update kernel, ``run_trajectory`` re-raises it with the
-    iteration whose step could not be taken and the records logged before
-    it, as ``NumericalDivergenceError`` carries them.
+    Carries the offending iteration index and the records logged so far,
+    so callers can persist a diagnostic row instead of losing the run; an
+    update kernel, which does not know the iteration, leaves it None and
+    ``run_trajectory`` re-raises with both.
     """
 
     def __init__(self, message: str, iteration: int | None = None, records=None):
@@ -23,17 +25,8 @@ class RankDeficiencyError(MuonLabError, ValueError):
         self.records = records if records is not None else []
 
 
-class NumericalDivergenceError(MuonLabError, RuntimeError):
-    """A trajectory produced a non-finite loss.
-
-    Carries the offending iteration index and the records logged so far,
-    so callers can persist a diagnostic row instead of losing the run.
-    """
-
-    def __init__(self, message: str, iteration: int, records=None):
-        super().__init__(message)
-        self.iteration = iteration
-        self.records = records if records is not None else []
+class RankDeficiencyError(NumericalDivergenceError, ValueError):
+    """A matrix that must be (numerically) full rank is not."""
 
 
 class ConfigError(MuonLabError, ValueError):

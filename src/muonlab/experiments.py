@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, NumericalDivergenceError, PreconditionError, RankDeficiencyError
+from .errors import ConfigError, NumericalDivergenceError, PreconditionError
 from .lowerbounds import (DEFAULT_RHO, DEFAULT_T, FAMILIES, R0_MAX, first_hit_time, lower_bound_verdict,
                           run_lower_bound, step_bound)
 from .msign import msign_exact, msign_newton_schulz
@@ -195,6 +195,9 @@ def _validate(cfg: ExperimentConfig):
         ("T", cfg.T >= 1, "T must be >= 1"),
         ("epsilon", 0 < cfg.epsilon < math.inf, "epsilon must be positive and finite"),
         ("epsilons", all(0 < e < math.inf for e in cfg.epsilons), "epsilons must be positive and finite"),
+        # a run stops at epsilon, so a summary level below it would read as censored
+        ("epsilon", cfg.epsilon <= min(cfg.epsilons),
+         f"epsilon must be <= min(epsilons) = {min(cfg.epsilons)}, got {cfg.epsilon}"),
         ("seed", cfg.seed >= 0, "seed must be nonnegative"),
         ("replicates", 1 <= cfg.replicates <= 1000,
          f"replicates must lie in [1, 1000], got {cfg.replicates}"),
@@ -221,13 +224,6 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(path: str, header: str, lines) -> None:
-    """Write ``header`` and the already-formatted ``lines``.  Callers format
-    floats with ``f"{x}"``, which is ``str(x)``: the shortest round-trip form
-    for a Python float or ``np.float64`` (an int needs ``float()``)."""
-    write_text(path, "\n".join([header, *lines, ""]))
-
-
 def write_records_csv(path: str, records, diagnostic_t: int | None = None):
     """Write trajectory records; a diagnostic NaN row marks an aborted run.
     A row reuses the text of the previous row's eta object, and of the last
@@ -249,7 +245,7 @@ def write_records_csv(path: str, records, diagnostic_t: int | None = None):
         lines.append(f"{t},{eta_text},{text}")
     if diagnostic_t is not None:
         lines.append(f"{diagnostic_t},nan,nan,nan,nan")
-    write_csv(path, CSV_HEADER, lines)
+    write_text(path, "\n".join([CSV_HEADER, *lines, ""]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +306,10 @@ class RunOutput:
 
 def _write_table(path: str, rows: list[dict]) -> None:
     """Write nonempty ``rows`` as a CSV: the header is their keys, each line
-    the ``str()`` of a row's values, so rows hold the values as written."""
-    write_csv(path, ",".join(rows[0]), [",".join(map(str, row.values())) for row in rows])
+    the ``str()`` of a row's values, so rows hold the values as written
+    (``str`` of a Python float or ``np.float64`` is its shortest round-trip
+    form; an int needs ``float()``)."""
+    write_text(path, "\n".join([",".join(rows[0]), *(",".join(map(str, row.values())) for row in rows), ""]))
 
 
 def _write_metadata(cfg: ExperimentConfig, out_dir: str) -> str:
@@ -409,7 +407,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
                         stop_below=cfg.epsilon,
                     )
                     records = traj.records
-                except (NumericalDivergenceError, RankDeficiencyError) as exc:
+                except NumericalDivergenceError as exc:  # RankDeficiencyError among them
                     records = exc.records
                     diagnostic_t = exc.iteration
                 write_records_csv(path, records, diagnostic_t=diagnostic_t)
@@ -451,7 +449,7 @@ def _run_lower_bound(cfg: ExperimentConfig, out_dir: str) -> RunOutput:
     paths, summary_rows, lines = [], [], []
     for kappa, res in zip(cfg.kappa, results):
         paths.append(os.path.join(out_dir, f"lower_bound_{cfg.family}_{_kappa_label(kappa)}.csv"))
-        write_csv(paths[-1], "t,metric", [f"{t},{v}" for t, v in enumerate(res.metric)])
+        _write_table(paths[-1], [{"t": t, "metric": v} for t, v in enumerate(res.metric)])
         bound, verdict = step_bound(kappa), lower_bound_verdict(res, kappa, cfg.T)
         summary_rows.append({"family": cfg.family, "kappa": float(kappa), "epsilon": float(res.epsilon),
                              "first_hit": float(res.first_hit), "bound": bound, "satisfied": int(verdict == "OK")})
@@ -548,7 +546,7 @@ def preconditioner_report(
         write_text(pb, emit_svg_heatmap(ps, title=f"ScaledGD preconditioner block, t={s}"))
         heatmaps.extend([pa, pb])
     diff_path = os.path.join(out_dir, "precond_differences.csv")
-    write_csv(diff_path, "t,normalized_difference", [f"{s},{v}" for s, v in zip(steps, diffs)])
+    _write_table(diff_path, [{"t": s, "normalized_difference": v} for s, v in zip(steps, diffs)])
     return PreconditionerReport(
         steps=tuple(steps),
         muon_blocks=muon_blocks,

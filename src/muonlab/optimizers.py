@@ -254,8 +254,8 @@ def run_trajectory(
     shows up as a non-finite loss, which aborts with
     ``NumericalDivergenceError`` carrying the records so far; a step the
     kernel cannot take (ScaledGD's singular U^T U) aborts the same way, with
-    ``RankDeficiencyError``.  ``stop_below`` ends the run once the spectral
-    error reaches it.
+    its subclass ``RankDeficiencyError``.  ``stop_below`` ends the run once
+    the spectral error reaches it.
 
     Metrics that do not steer the run are filled by stacked calls over at
     most ``METRIC_BLOCK_BYTES`` of queued error operands (``inst.loss_grad``'s

@@ -218,39 +218,29 @@ def aligned_mf_init(inst: MfInstance, sigma0, stream: RandomStream) -> AlignedIn
     return AlignedInit(matrix=u0, basis_left=v, basis_right=r_basis, sigma0=sigma0, lambdas=lambdas)
 
 
-@dataclass(frozen=True)
-class DiagonalTrajectory:
-    """Diagonal-mode trajectory: sigmas[t] holds the k mode values at step t;
-    the implied matrix iterate is (basis_left * sigmas[t]) @ basis_right.T."""
-
-    sigmas: np.ndarray  # (T+1, k)
-    basis_left: np.ndarray
-    basis_right: np.ndarray
-
-    def __len__(self) -> int:
-        return self.sigmas.shape[0]
+def decoupled_mf_trajectory(init: AlignedInit, etas) -> np.ndarray:
+    """The matrix iterates (T+1, d, k) that the k independent factorization
+    modes predict from an aligned init."""
+    modes = mf_modes(init.sigma0, init.lambdas, etas)
+    return (init.basis_left * modes[:, None, :]) @ init.basis_right.T
 
 
-def decoupled_mf_trajectory(init: AlignedInit, etas) -> DiagonalTrajectory:
-    """Evolve the k independent factorization modes from an aligned init."""
-    return DiagonalTrajectory(mf_modes(init.sigma0, init.lambdas, etas), init.basis_left, init.basis_right)
+def decoupled_icl_trajectory(inst: IclInstance, etas) -> np.ndarray:
+    """The matrix iterates (T+1, d, d) that the d independent covariance
+    modes predict from Q_0 = 0."""
+    modes = icl_modes(inst.eigenvalues, etas)
+    return (inst.eigenvectors * modes[:, None, :]) @ inst.eigenvectors.T
 
 
-def decoupled_icl_trajectory(inst: IclInstance, etas) -> DiagonalTrajectory:
-    """Evolve the d independent covariance modes from Q_0 = 0."""
-    return DiagonalTrajectory(icl_modes(inst.eigenvalues, etas), inst.eigenvectors, inst.eigenvectors)
-
-
-def oracle_vs_full_divergence(oracle: DiagonalTrajectory, iterates) -> float:
+def oracle_vs_full_divergence(predicted, iterates) -> float:
     """Max over steps of the spectral-norm gap between a full matrix
-    trajectory and the oracle's reconstruction.  Both sides must come from
-    the same initialization and the same eta draws."""
-    if len(iterates) != len(oracle):
+    trajectory and the oracle's predicted iterates.  Both sides must come
+    from the same initialization and the same eta draws."""
+    if len(iterates) != len(predicted):
         raise PreconditionError(
-            f"trajectory lengths disagree: {len(iterates)} vs {len(oracle)}"
+            f"trajectory lengths disagree: {len(iterates)} vs {len(predicted)}"
         )
-    recon = (oracle.basis_left * oracle.sigmas[:, None, :]) @ oracle.basis_right.T
-    gaps = np.asarray(iterates, dtype=np.float64) - recon
+    gaps = np.asarray(iterates, dtype=np.float64) - predicted
     if not np.all(np.isfinite(gaps)):
         raise PreconditionError("iterates must be finite")
     return float(np.max(np.linalg.svd(gaps, compute_uv=False)[:, :1], initial=0.0))
@@ -264,11 +254,11 @@ def decoupling_gap(inst: MfInstance | IclInstance, stream: RandomStream, T: int)
     etas = materialize_etas(ExponentialSchedule(rho=0.5, base_scale=1.0), T + 1, stream)
     if isinstance(inst, MfInstance):
         init = aligned_mf_init(inst, stream.uniforms(inst.r, 0.05, 0.95) * etas[0], stream)
-        x0, oracle = init.matrix, decoupled_mf_trajectory(init, etas[:T])
+        x0, predicted = init.matrix, decoupled_mf_trajectory(init, etas[:T])
     else:
-        x0, oracle = np.zeros((inst.d, inst.d)), decoupled_icl_trajectory(inst, etas[:T])
+        x0, predicted = np.zeros((inst.d, inst.d)), decoupled_icl_trajectory(inst, etas[:T])
     full = run_trajectory(inst, OptimizerConfig("muon"), SequenceSchedule(etas), x0, T, keep_iterates=True)
-    return oracle_vs_full_divergence(oracle, full.iterates)
+    return oracle_vs_full_divergence(predicted, full.iterates)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ def config_texts(draw):
     Shapes have r >= 2 (a sweep's kappa > 1 needs two eigenvalues, precond_viz
     runs at kappa 5); lower_bound sets kappa, as ``--kappa`` must, to values
     >= 2 (the mf and icl families need it); scaledgd appears only where
-    U_0^T U_0 is invertible, on mf_sweep with k <= d."""
+    U_0^T U_0 is invertible, on mf_sweep with k <= d; a sweep's epsilon,
+    set or default, is at most its smallest epsilons level, set or default."""
     kind = draw(st.sampled_from(KINDS))
     lines = [f"kind = {kind}"]
     d, k = ExperimentConfig.d, ExperimentConfig.k
@@ -57,8 +58,6 @@ def config_texts(draw):
         "eta0": POSITIVE.map(repr),
         "alpha": POSITIVE.map(repr),
         "T": st.integers(1, 10**6).map(str),
-        "epsilon": POSITIVE.map(repr),
-        "epsilons": st.lists(POSITIVE, min_size=1).map(lambda xs: ",".join(map(repr, xs))),
         "seed": st.integers(0, 2**63).map(str),
         "replicates": st.integers(1, 100).map(str),
         "out": st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
@@ -71,6 +70,14 @@ def config_texts(draw):
     for key, values in optional.items():
         if (key, kind) == ("kappa", "lower_bound") or draw(st.booleans()):
             lines.append(f"{key} = {draw(values)}")
+    epsilons = draw(st.none() | st.lists(POSITIVE, min_size=1))
+    if epsilons is not None:
+        lines.append(f"epsilons = {','.join(map(repr, epsilons))}")
+    # a sweep's epsilon may not exceed its tightest summary level, so it is
+    # set whenever the default would
+    tightest = min(epsilons or ExperimentConfig.epsilons) if kind in ("mf_sweep", "icl_sweep") else 1e300
+    if draw(st.booleans()) or ExperimentConfig.epsilon > tightest:
+        lines.append(f"epsilon = {draw(st.floats(0.0, tightest, exclude_min=True))!r}")
     return "\n".join(draw(st.permutations(lines)))
 
 
@@ -186,6 +193,27 @@ class TestCliConfigErrors:
         err = capsys.readouterr().err
         assert names_key(err, key), err
         assert not (tmp_path / "out").exists()
+
+    EARLY_STOP = ("kind = mf_sweep\nd = 10\nr = 2\nk = 2\nkappa = 1, 25\nalgorithms = muon, gd\nT = 3000\n"
+                  "epsilons = 1e-6, 1e-9\n")
+
+    def test_early_stop_above_a_summary_level_exits_2_naming_epsilon(self, tmp_path, capsys):
+        # accepted, every cell stopped at 1e-6 (69 to 1,267 steps) and the
+        # summary wrote first_hit = inf at 1e-9, which reads as censored
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.EARLY_STOP + "epsilon = 1e-6\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, "epsilon"), err
+        assert not (tmp_path / "out").exists()
+
+    def test_early_stop_at_the_tightest_summary_level_hits_every_level(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.EARLY_STOP + "epsilon = 1e-9\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        first_hits = [float(row.split(",")[5]) for row in rows[1:]]
+        assert len(first_hits) == 8 and max(first_hits) < 3000
 
     @pytest.mark.parametrize("argv", [
         ["run", "--config", "precond.cfg"],

@@ -20,6 +20,7 @@ from muonlab import (
     check_scalar_mf_bounds_varying,
     decoupled_icl_trajectory,
     decoupled_mf_trajectory,
+    icl_modes,
     make_icl_instance,
     make_mf_instance,
     materialize_etas,
@@ -128,11 +129,6 @@ def error(inst, u) -> float:
     return inst.operand_errors(inst.loss_grad(u)[2][None])[0]
 
 
-def matrix_at(oracle, t):
-    """The matrix iterate the oracle's step-t mode values imply."""
-    return (oracle.basis_left * oracle.sigmas[t]) @ oracle.basis_right.T
-
-
 def hand_aligned_init():
     """d=2, r=k=1, lambda=1, V=e1, right basis (1), sigma0=0.5."""
     inst = MfInstance(
@@ -155,27 +151,31 @@ class TestDecoupledMf:
     def test_hand_example_embeds_scalar_recursion(self):
         inst, init = hand_aligned_init()
         etas = [0.5**t for t in range(3)]
-        oracle = decoupled_mf_trajectory(init, etas)
-        assert_allclose(oracle.sigmas[:, 0], [0.5, 1.5, 1.0, 1.0])
-        u2 = matrix_at(oracle, 2)
+        predicted = decoupled_mf_trajectory(init, etas)
+        assert predicted.shape == (4, 2, 1)
+        assert_allclose(predicted[:, 0, 0], [0.5, 1.5, 1.0, 1.0])
+        assert_allclose(predicted[:, 1, 0], 0.0, atol=0)
+        u2 = predicted[2]
         assert_allclose(u2 @ u2.T, inst.target, atol=1e-15)
 
     def test_exact_start_is_stationary(self):
         inst = make_mf_instance(RandomStream(31), 6, 2, 4, 9.0)
         init = aligned_mf_init(inst, np.sqrt(inst.eigenvalues), RandomStream(32))
-        oracle = decoupled_mf_trajectory(init, [0.5**t for t in range(20)])
-        assert_allclose(oracle.sigmas[-1], oracle.sigmas[0], rtol=0)
-        assert error(inst, matrix_at(oracle, 19)) <= 1e-12
+        predicted = decoupled_mf_trajectory(init, [0.5**t for t in range(20)])
+        np.testing.assert_array_equal(predicted[0], init.matrix)
+        assert_allclose(predicted[-1], predicted[0], rtol=0)
+        assert error(inst, predicted[19]) <= 1e-12
 
     def test_spectral_error_equals_worst_mode(self):
         inst = make_mf_instance(RandomStream(33), 8, 3, 5, 16.0)
         stream = RandomStream(34)
         init = aligned_mf_init(inst, stream.uniforms(3, 0.1, 1.0), stream)
         etas = [0.7 * 0.5**t for t in range(10)]
-        oracle = decoupled_mf_trajectory(init, etas)
+        predicted = decoupled_mf_trajectory(init, etas)
+        modes = mf_modes(init.sigma0, init.lambdas, etas)
         for t in (1, 5, 10):
-            expected = np.abs(oracle.sigmas[t] ** 2 - init.lambdas).max()
-            assert error(inst, matrix_at(oracle, t)) == pytest.approx(expected, abs=1e-12)
+            expected = np.abs(modes[t] ** 2 - init.lambdas).max()
+            assert error(inst, predicted[t]) == pytest.approx(expected, abs=1e-12)
 
     def test_full_equivalence_all_search_ranks(self):
         master = RandomStream(35)
@@ -187,23 +187,27 @@ class TestDecoupledMf:
 
 class TestDecoupledIcl:
     def test_first_step_matches_msign_example(self):
-        # S = diag(2,1) from Q0=0: both modes step by eta_0 = 1
+        # S = diag(2,1) from Q0=0: both modes step by eta_0 = 1, so Q_1 = I
         inst = make_icl_instance(RandomStream(36), 2, 2.0, sigma_min=1.0)
-        oracle = decoupled_icl_trajectory(inst, [1.0, 0.5])
-        assert_allclose(oracle.sigmas[1], [1.0, 1.0])
+        predicted = decoupled_icl_trajectory(inst, [1.0, 0.5])
+        assert predicted.shape == (3, 2, 2)
+        assert_allclose(predicted[1], np.eye(2), atol=1e-15)
 
     def test_scaled_identity_modes_identical(self):
         inst = make_icl_instance(RandomStream(37), 5, 1.0, sigma_min=2.0)
-        oracle = decoupled_icl_trajectory(inst, [0.5**t for t in range(10)])
+        etas = [0.5**t for t in range(10)]
+        predicted, modes = decoupled_icl_trajectory(inst, etas), icl_modes(inst.eigenvalues, etas)
         for t in range(11):
-            assert np.ptp(oracle.sigmas[t]) == 0.0
+            assert np.ptp(modes[t]) == 0.0
+            assert_allclose(predicted[t], modes[t, 0] * np.eye(5), atol=1e-15)
 
     def test_error_bound_per_step(self):
         inst = make_icl_instance(RandomStream(38), 6, 3.0, sigma_min=1.0)
         etas = [1.0 * 0.5**t for t in range(20)]
-        oracle = decoupled_icl_trajectory(inst, etas)
+        predicted = decoupled_icl_trajectory(inst, etas)
         for t in range(1, 21):
-            err = np.abs(oracle.sigmas[t] - 1.0 / inst.eigenvalues).max()
+            # ||Q_t - S^-1||_2 is the worst mode's |th_t - 1/lam|
+            err = np.linalg.norm(predicted[t] - inst.inverse, 2)
             assert err <= etas[t - 1] + 1e-15
 
     def test_full_equivalence(self):
@@ -236,11 +240,11 @@ class TestDecouplingGap:
 class TestDivergenceHelper:
     def test_zero_steps_zero_gap(self):
         inst, init = hand_aligned_init()
-        oracle = decoupled_mf_trajectory(init, [])
-        assert oracle_vs_full_divergence(oracle, [init.matrix]) == 0.0
+        predicted = decoupled_mf_trajectory(init, [])
+        assert oracle_vs_full_divergence(predicted, [init.matrix]) == 0.0
 
     def test_length_mismatch(self):
         inst, init = hand_aligned_init()
-        oracle = decoupled_mf_trajectory(init, [1.0])
+        predicted = decoupled_mf_trajectory(init, [1.0])
         with pytest.raises(PreconditionError):
-            oracle_vs_full_divergence(oracle, [init.matrix])
+            oracle_vs_full_divergence(predicted, [init.matrix])

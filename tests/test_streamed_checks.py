@@ -5,8 +5,9 @@ runs the factorization recursion in blocks of steps, and
 ``icl_monte_carlo_loss`` draws its tasks in chunks, reading the query
 indices from a copy of the stream jumped past the whole w draw.  Against
 references that draw every trace and every task at once, their results are
-bitwise identical, the Monte-Carlo call leaves its stream where the one-shot
-draw does, and each check's peak allocation stays within a fixed budget."""
+bitwise identical (the Monte-Carlo per-task values too), the Monte-Carlo
+call leaves its stream where the one-shot draw does, and each check's peak
+allocation stays within a fixed budget."""
 
 import tracemalloc
 
@@ -39,14 +40,38 @@ def never_zero_reference(n_traces, steps, seed, rho=0.5):
 
 
 def monte_carlo_reference(inst, q, stream, n_tasks):
-    """The estimator with every task's w and query drawn at once.  The sample
-    rows are mapped before the gather, as the estimator maps them: a product
-    over the gathered rows may round in another order on other BLAS kernels."""
+    """The estimator with every task's w and query drawn at once: its
+    (estimate, stderr) and its per-task values.  The sample rows are mapped
+    before the gather, as the estimator maps them: a product over the
+    gathered rows may round in another order on other BLAS kernels."""
     w = stream.gaussian_matrix(n_tasks, inst.d)
     idx = np.floor(stream.uniforms(n_tasks, 0.0, float(inst.samples.shape[0]))).astype(np.intp)
     mapped = (inst.samples @ (inst.covariance @ q - np.eye(inst.d)).T)[idx]
     vals = 0.5 * np.einsum("ij,ij->i", w, mapped) ** 2
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_tasks))
+    return (float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_tasks))), vals
+
+
+def monte_carlo_estimate(inst, q, stream, n_tasks, monkeypatch):
+    """``icl_monte_carlo_loss``'s result and the per-task values it averaged,
+    caught by a spy on ``np.mean``: an equal (estimate, stderr) pair can hide
+    values that differ in the last bit."""
+    seen, mean = [], np.mean
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return mean(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "mean", spy)
+        got = icl_monte_carlo_loss(inst, q, stream, n_tasks)
+    (vals,) = seen
+    return got, vals
+
+
+def assert_same_estimate(got, reference):
+    """The (estimate, stderr) pairs are equal and the per-task values equal bytes."""
+    assert got[0] == reference[0]
+    assert got[1].tobytes() == reference[1].tobytes()
 
 
 def peak_bytes(fn, *args):
@@ -119,21 +144,21 @@ class TestNeverZeroBlocks:
 
 class TestMonteCarloChunks:
     @pytest.mark.parametrize("cell", range(10))
-    def test_montecarlo_suite_cells_are_bitwise_unchanged(self, cell):
+    def test_montecarlo_suite_cells_are_bitwise_unchanged(self, cell, monkeypatch):
         # the cells of ``verify --suite montecarlo``
         master = RandomStream(2024)
         inst = make_icl_instance(master.derive(1), d=6, kappa_s=2.0)
         q = master.derive(100 + cell).gaussian_matrix(6, 6) * 0.5
-        got = icl_monte_carlo_loss(inst, q, master.derive(200 + cell), 100_000)
-        assert got == monte_carlo_reference(inst, q, master.derive(200 + cell), 100_000)
+        got = monte_carlo_estimate(inst, q, master.derive(200 + cell), 100_000, monkeypatch)
+        assert_same_estimate(got, monte_carlo_reference(inst, q, master.derive(200 + cell), 100_000))
 
     @pytest.mark.parametrize("n_tasks", [100, ICL_TASK_CHUNK - 1, ICL_TASK_CHUNK, ICL_TASK_CHUNK + 1, 100_003])
     @pytest.mark.parametrize("d", [2, 5, 11])
-    def test_any_task_count_is_bitwise_unchanged(self, n_tasks, d):
+    def test_any_task_count_is_bitwise_unchanged(self, n_tasks, d, monkeypatch):
         inst = make_icl_instance(RandomStream(d), d, 7.0)
         q = RandomStream(3).gaussian_matrix(d, d)
-        got = icl_monte_carlo_loss(inst, q, RandomStream(4), n_tasks)
-        assert got == monte_carlo_reference(inst, q, RandomStream(4), n_tasks)
+        got = monte_carlo_estimate(inst, q, RandomStream(4), n_tasks, monkeypatch)
+        assert_same_estimate(got, monte_carlo_reference(inst, q, RandomStream(4), n_tasks))
 
 
 class TestMonteCarloStreamState:
@@ -141,7 +166,7 @@ class TestMonteCarloStreamState:
     @pytest.mark.parametrize(
         "d, n_tasks", [(5, 101), (6, 100), (5, ICL_TASK_CHUNK + 1), (3, 3 * ICL_TASK_CHUNK)]
     )
-    def test_stream_stands_where_the_one_shot_draw_leaves_it(self, d, n_tasks, cached):
+    def test_stream_stands_where_the_one_shot_draw_leaves_it(self, d, n_tasks, cached, monkeypatch):
         # odd n_tasks * d leaves a sine cached; a cached sine at entry is w's first entry
         inst = make_icl_instance(RandomStream(d), d, 7.0)
         q = RandomStream(3).gaussian_matrix(d, d)
@@ -149,8 +174,8 @@ class TestMonteCarloStreamState:
         if cached:
             for stream in streams:
                 stream.gaussians(1)
-        got = icl_monte_carlo_loss(inst, q, streams[0], n_tasks)
-        assert got == monte_carlo_reference(inst, q, streams[1], n_tasks)
+        got = monte_carlo_estimate(inst, q, streams[0], n_tasks, monkeypatch)
+        assert_same_estimate(got, monte_carlo_reference(inst, q, streams[1], n_tasks))
         a, b = streams
         assert a.gaussians(3).tolist() == b.gaussians(3).tolist()  # the cached sine, then pairs
         assert a.uniforms(5).tolist() == b.uniforms(5).tolist()
